@@ -19,7 +19,11 @@ from .pipeline import (
     PipelineReport,
     PseudoLabel,
     attach_baseline,
+    cpt_stage,
+    finetune_stage,
     generate_pseudo_labels,
+    labeler_stage,
+    pseudo_label_stage,
     run_baseline,
     run_cpt_pipeline,
 )
@@ -46,20 +50,24 @@ __all__ = [
     "build_vocabulary",
     "clip_gradients",
     "collapse",
+    "cpt_stage",
     "ctc_grad",
     "ctc_loss",
     "edit_distance",
     "evaluate_wer",
+    "finetune_stage",
     "forward",
     "generate_pseudo_labels",
     "generate_synthetic_corpus",
     "greedy_decode",
     "init_parameters",
+    "labeler_stage",
     "load_checkpoint",
     "load_manifest",
     "log_softmax",
     "lr_at",
     "preset",
+    "pseudo_label_stage",
     "relative_improvement",
     "run_baseline",
     "run_cpt_pipeline",

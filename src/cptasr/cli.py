@@ -172,10 +172,7 @@ def cmd_train_labeler(args: argparse.Namespace) -> int:
     labeled = load_manifest(cfg.path("labeled"))
     vocab = build_vocabulary(labeled.transcripts())
     net_cfg = cfg.net_config(vocab)
-    stage = cfg.stage("stage1")
-    train_ds, val_ds = pipeline._carve_validation(labeled, stage.seed + pipeline.VAL_SPLIT_SEED_OFFSET)
-    params = net.init_parameters(net_cfg, stage.seed)
-    params, history = train.train_stage(params, net_cfg, train_ds, val_ds, stage, vocab)
+    params, history = pipeline.labeler_stage(labeled, cfg.stage("stage1"), net_cfg, vocab)
     _save_vocab(vocab, cfg.out_dir / "vocab.json")
     net.save_checkpoint(params, net_cfg, cfg.out_dir / "labeler.ckpt")
     train.save_history(history, cfg.out_dir / "labeler_history.jsonl")
@@ -189,15 +186,11 @@ def cmd_pseudolabel(args: argparse.Namespace) -> int:
     vocab = _load_vocab(cfg.out_dir / "vocab.json")
     params, net_cfg = net.load_checkpoint(cfg.out_dir / "labeler.ckpt")
     pool = load_manifest(cfg.path("unlabeled"))
-    pseudo_ds, stats = pipeline.generate_pseudo_labels(
-        params, net_cfg, pool, cfg.threshold, vocab, threads=args.threads
-    )
+    pseudo_ds, stats = pipeline.pseudo_label_stage(params, net_cfg, pool, cfg.threshold, vocab)
     save_manifest(pseudo_ds, cfg.out_dir / "pseudo.jsonl")
     _write_json(stats.to_dict(), cfg.out_dir / "pseudo_stats.json")
     print(f"kept {stats.kept} of {stats.total} pseudo-labels "
           f"({stats.empty_dropped} empty, {stats.below_threshold} below threshold {cfg.threshold})")
-    if stats.kept == 0:
-        raise EmptyPseudoLabelPoolError(f"no pseudo-labels survived threshold {cfg.threshold}")
     return EXIT_OK
 
 
@@ -205,18 +198,15 @@ def cmd_cpt(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     vocab = _load_vocab(cfg.out_dir / "vocab.json")
     pseudo_ds = load_manifest(cfg.out_dir / "pseudo.jsonl", kind="pseudo_labeled")
-    if len(pseudo_ds) == 0:
-        raise EmptyPseudoLabelPoolError("pseudo-label manifest is empty")
     labeled = load_manifest(cfg.path("labeled"))
-    stage1 = cfg.stage("stage1")
-    stage = cfg.stage("stage2-cpt")
     net_cfg = cfg.net_config(vocab)
-    _, val_ds = pipeline._carve_validation(labeled, stage1.seed + pipeline.VAL_SPLIT_SEED_OFFSET)
+    labeler = None
     if args.from_labeler:
-        start, _ = net.load_checkpoint(cfg.out_dir / "labeler.ckpt", expect_cfg=net_cfg)
-    else:
-        start = net.init_parameters(net_cfg, stage.seed)
-    params, history = train.train_stage(start, net_cfg, pseudo_ds, val_ds, stage, vocab)
+        labeler, _ = net.load_checkpoint(cfg.out_dir / "labeler.ckpt", expect_cfg=net_cfg)
+    params, history = pipeline.cpt_stage(
+        pseudo_ds, labeled, cfg.stage("stage1"), cfg.stage("stage2-cpt"), net_cfg, vocab,
+        labeler=labeler, include_labeled=False,
+    )
     net.save_checkpoint(params, net_cfg, cfg.out_dir / "cpt.ckpt")
     train.save_history(history, cfg.out_dir / "cpt_history.jsonl")
     print(f"cpt: best val WER {history.best_val_wer:.4f}; checkpoint at {cfg.out_dir / 'cpt.ckpt'}")
@@ -227,12 +217,11 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     vocab = _load_vocab(cfg.out_dir / "vocab.json")
     labeled = load_manifest(cfg.path("labeled"))
-    stage1 = cfg.stage("stage1")
-    stage = cfg.stage("stage3-finetune")
     net_cfg = cfg.net_config(vocab)
     start, _ = net.load_checkpoint(cfg.out_dir / "cpt.ckpt", expect_cfg=net_cfg)
-    train_ds, val_ds = pipeline._carve_validation(labeled, stage1.seed + pipeline.VAL_SPLIT_SEED_OFFSET)
-    params, history = train.train_stage(start, net_cfg, train_ds, val_ds, stage, vocab)
+    params, history = pipeline.finetune_stage(
+        start, labeled, cfg.stage("stage1"), cfg.stage("stage3-finetune"), net_cfg, vocab
+    )
     net.save_checkpoint(params, net_cfg, cfg.out_dir / "final.ckpt")
     train.save_history(history, cfg.out_dir / "finetune_history.jsonl")
     print(f"finetune: best val WER {history.best_val_wer:.4f}; checkpoint at {cfg.out_dir / 'final.ckpt'}")
@@ -259,8 +248,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     ds = load_manifest(Path(args.manifest))
     params, net_cfg = net.load_checkpoint(Path(args.checkpoint))
-    vocab_path = Path(args.vocab) if args.vocab else cfg.out_dir / "vocab.json"
-    vocab = _load_vocab(vocab_path) if vocab_path.exists() else build_vocabulary(ds.transcripts())
+    vocab = _load_vocab(Path(args.vocab) if args.vocab else cfg.out_dir / "vocab.json")
     if vocab.size != net_cfg.vocab_size:
         raise ManifestError(f"vocabulary size {vocab.size} does not match checkpoint vocab_size {net_cfg.vocab_size}")
     report = train.evaluate_wer(params, net_cfg, ds, vocab)
@@ -286,7 +274,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         out_dir=cfg.out_dir,
         cpt_init="labeler" if args.cpt_from_labeler else "fresh",
         include_labeled_in_cpt=args.mix_labeled,
-        threads=args.threads,
     )
     if args.with_baseline:
         _, baseline_report, _ = pipeline.run_baseline(labeled, eval_ds, cfg.stage("baseline"), net_cfg, vocab)
@@ -348,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("train-labeler", cmd_train_labeler, "stage 1: train the labeling model")
 
-    p = add("pseudolabel", cmd_pseudolabel, "stage 2a: decode the unlabeled pool with confidence filtering")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for the decode pass")
+    add("pseudolabel", cmd_pseudolabel, "stage 2a: decode the unlabeled pool with confidence filtering")
 
     p = add("cpt", cmd_cpt, "stage 2b: continued pretraining on pseudo-labels")
     p.add_argument("--from-labeler", action="store_true", help="start CPT from the labeling model instead of fresh")
@@ -364,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = add("pipeline", cmd_pipeline, "run the full staged pipeline")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--with-baseline", action="store_true", help="also train the no-CPT baseline and report the delta")
     p.add_argument("--cpt-from-labeler", action="store_true")
     p.add_argument("--mix-labeled", action="store_true", help="include labeled data during CPT")

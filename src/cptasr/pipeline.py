@@ -4,14 +4,13 @@ continued pretraining, supervised finetuning, and the no-CPT comparison baseline
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import net as net_mod
 from . import train as train_mod
-from .corpus import Dataset, Utterance, Vocabulary, build_vocabulary, speaker_disjoint_split
-from .ctc import greedy_decode
+from .corpus import Dataset, Vocabulary, build_vocabulary, speaker_disjoint_split
+from .ctc import greedy_decode  # noqa: F401 -- kept importable as pipeline.greedy_decode
 from .metrics import WerReport, relative_improvement
 from .net import NetConfig, Parameters
 from .optim import StageConfig
@@ -126,48 +125,88 @@ def filter_pseudo_labels(labels: list[PseudoLabel], threshold: float) -> tuple[l
 
 
 def generate_pseudo_labels(
-    params: Parameters,
-    cfg: NetConfig,
-    pool: Dataset,
-    threshold: float,
-    vocab: Vocabulary,
-    threads: int = 1,
+    params: Parameters, cfg: NetConfig, pool: Dataset, threshold: float, vocab: Vocabulary,
 ) -> tuple[Dataset, PseudoLabelStats]:
     """Greedy-decode the unlabeled pool and keep confident, non-empty hypotheses.
 
-    Output utterances are ordered by id, so the decode may run on any
-    number of threads without changing the result.
+    Output utterances are ordered by id, whatever the order of the pool.
     """
     if pool.kind != "unlabeled":
         raise ValueError("pseudo-labeling expects an unlabeled pool")
 
     utts = sorted(pool, key=lambda u: u.id)
-
-    def decode(utt: Utterance) -> PseudoLabel:
-        logits, _ = net_mod.forward(params, cfg, utt.features, train_mode=False)
-        result = greedy_decode(logits, vocab)
-        return PseudoLabel(utt.id, result.hypothesis, result.confidence)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            labels = list(pool_exec.map(decode, utts))
-    else:
-        labels = [decode(u) for u in utts]
+    decodes = train_mod.decode_dataset(params, cfg, Dataset(utts, "unlabeled"), vocab)
+    labels = [PseudoLabel(u.id, d.hypothesis, d.confidence) for u, d in zip(utts, decodes)]
 
     kept_labels, stats = filter_pseudo_labels(labels, threshold)
     by_id = {u.id: u for u in utts}
-    kept = [
-        Utterance(label.utterance_id, by_id[label.utterance_id].speaker_id,
-                  by_id[label.utterance_id].features, label.hypothesis)
-        for label in kept_labels
-    ]
+    kept = [replace(by_id[label.utterance_id], transcript=label.hypothesis) for label in kept_labels]
     return Dataset(kept, "pseudo_labeled"), stats
 
 
-def _carve_validation(labeled: Dataset, seed: int) -> tuple[Dataset, Dataset]:
-    """Hold out ~10% of the labeled data, speaker-disjoint, for early stopping."""
+def _carve_validation(labeled: Dataset, stage1: StageConfig) -> tuple[Dataset, Dataset]:
+    """Hold out ~10% of the labeled data, speaker-disjoint, for early stopping.
+
+    Every training stage validates on this one carve, seeded from stage A's config.
+    """
     val_count = max(1, round(VAL_FRACTION * len(labeled)))
-    return speaker_disjoint_split(labeled, val_count, seed)
+    return speaker_disjoint_split(labeled, val_count, stage1.seed + VAL_SPLIT_SEED_OFFSET)
+
+
+def labeler_stage(labeled: Dataset, stage1: StageConfig, net: NetConfig,
+                  vocab: Vocabulary) -> tuple[Parameters, TrainHistory]:
+    """Stage A: train the labeling model from a fresh initialization seeded by ``stage1``.
+
+    Logs a warning when its best validation WER misses ``LABELER_WER_GATE``.
+    """
+    train_ds, val_ds = _carve_validation(labeled, stage1)
+    start = net_mod.init_parameters(net, stage1.seed)
+    params, history = train_mod.train_stage(start, net, train_ds, val_ds, stage1, vocab)
+    if history.best_val_wer >= LABELER_WER_GATE:
+        logger.warning(
+            "labeling model validation WER %.3f is at or above the %.0f%% quality gate; "
+            "pseudo-labels may be too noisy to help", history.best_val_wer, 100 * LABELER_WER_GATE,
+        )
+    return params, history
+
+
+def pseudo_label_stage(labeler: Parameters, net: NetConfig, pool: Dataset, threshold: float,
+                       vocab: Vocabulary) -> tuple[Dataset, PseudoLabelStats]:
+    """Stage B: pseudo-label the pool; raise ``EmptyPseudoLabelPoolError`` if none are kept."""
+    pseudo_ds, stats = generate_pseudo_labels(labeler, net, pool, threshold, vocab)
+    logger.info("pseudo-labels: kept %d of %d (%d empty, %d below threshold)",
+                stats.kept, stats.total, stats.empty_dropped, stats.below_threshold)
+    if stats.kept == 0:
+        raise EmptyPseudoLabelPoolError(
+            f"no pseudo-labels survived threshold {threshold} ({stats.empty_dropped} of {stats.total} "
+            "hypotheses empty); lower it or improve the labeling model"
+        )
+    return pseudo_ds, stats
+
+
+def cpt_stage(
+    pseudo: Dataset, labeled: Dataset, stage1: StageConfig, stage2: StageConfig, net: NetConfig,
+    vocab: Vocabulary, labeler: Parameters | None, include_labeled: bool,
+) -> tuple[Parameters, TrainHistory]:
+    """Stage C: continued pretraining on the pseudo-labels.
+
+    Starts from ``labeler`` when given, else from a fresh initialization
+    seeded by ``stage2``. ``include_labeled`` mixes the labeled training
+    data (not its validation carve) into the stage.
+    """
+    if len(pseudo) == 0:
+        raise EmptyPseudoLabelPoolError("the pseudo-label set is empty")
+    train_ds, val_ds = _carve_validation(labeled, stage1)
+    data = Dataset(pseudo.utterances + train_ds.utterances, "pseudo_labeled") if include_labeled else pseudo
+    start = labeler if labeler is not None else net_mod.init_parameters(net, stage2.seed)
+    return train_mod.train_stage(start, net, data, val_ds, stage2, vocab)
+
+
+def finetune_stage(cpt_params: Parameters, labeled: Dataset, stage1: StageConfig, stage3: StageConfig,
+                   net: NetConfig, vocab: Vocabulary) -> tuple[Parameters, TrainHistory]:
+    """Stage D: supervised finetune of the CPT model on the labeled data."""
+    train_ds, val_ds = _carve_validation(labeled, stage1)
+    return train_mod.train_stage(cpt_params, net, train_ds, val_ds, stage3, vocab)
 
 
 def run_baseline(
@@ -177,45 +216,28 @@ def run_baseline(
     net: NetConfig,
     vocab: Vocabulary,
 ) -> tuple[Parameters, WerReport, TrainHistory]:
-    """Single supervised stage from a fresh initialization, scored on ``eval_ds``.
+    """The no-CPT arm: stage A alone, scored on ``eval_ds``.
 
-    Shares the code path and seed derivation of the pipeline's labeling
-    stage, so with identical data and config it reproduces stage A exactly.
+    With identical data and config it reproduces the pipeline's labeling model.
     """
-    train_ds, val_ds = _carve_validation(labeled, cfg.seed + VAL_SPLIT_SEED_OFFSET)
-    params = net_mod.init_parameters(net, cfg.seed)
-    params, history = train_mod.train_stage(params, net, train_ds, val_ds, cfg, vocab)
+    params, history = labeler_stage(labeled, cfg, net, vocab)
     report = train_mod.evaluate_wer(params, net, eval_ds, vocab)
     return params, report, history
 
 
 def run_cpt_pipeline(
-    labeled: Dataset,
-    pool: Dataset,
-    eval_ds: Dataset,
-    stage1: StageConfig,
-    stage2: StageConfig,
-    stage3: StageConfig,
-    net: NetConfig,
-    threshold: float,
-    vocab: Vocabulary | None = None,
-    out_dir: str | Path | None = None,
-    cpt_init: str = "fresh",
-    include_labeled_in_cpt: bool = False,
-    threads: int = 1,
+    labeled: Dataset, pool: Dataset, eval_ds: Dataset,
+    stage1: StageConfig, stage2: StageConfig, stage3: StageConfig,
+    net: NetConfig, threshold: float, vocab: Vocabulary | None = None, out_dir: str | Path | None = None,
+    cpt_init: str = "fresh", include_labeled_in_cpt: bool = False,
 ) -> tuple[Parameters, PipelineReport]:
-    """Run the full staged recipe and return the finetuned model plus a report.
+    """Run stages A-D and return the finetuned model plus a report.
 
-    Stage A trains the labeling model on the labeled data from a fresh
-    initialization. Stage B pseudo-labels the unlabeled pool with greedy
-    decoding and the confidence filter. Stage C continues pretraining on
-    the retained pseudo-labels, by default from a fresh initialization of
-    the same architecture (``cpt_init="labeler"`` starts from the labeling
-    model instead; ``include_labeled_in_cpt`` mixes the labeled data into
-    stage C). Stage D finetunes from the CPT checkpoint on the labeled
-    data. When ``out_dir`` is set, "labeler", "cpt" and "final" checkpoints
-    are written there, and the finetune stage starts from the cpt file it
-    just wrote.
+    ``cpt_init="labeler"`` starts stage C from the labeling model instead
+    of a fresh initialization; ``include_labeled_in_cpt`` mixes the labeled
+    data into stage C. When ``out_dir`` is set, "labeler", "cpt" and
+    "final" checkpoints are written there, and the finetune stage starts
+    from the cpt file it just wrote.
     """
     if cpt_init not in ("fresh", "labeler"):
         raise ValueError("cpt_init must be 'fresh' or 'labeler'")
@@ -231,47 +253,28 @@ def run_cpt_pipeline(
 
     out_path = Path(out_dir) if out_dir is not None else None
 
-    # Stage A: labeling model
-    train_ds, val_ds = _carve_validation(labeled, stage1.seed + VAL_SPLIT_SEED_OFFSET)
-    labeler = net_mod.init_parameters(net, stage1.seed)
-    labeler, labeler_history = train_mod.train_stage(labeler, net, train_ds, val_ds, stage1, vocab)
-    labeler_wer = labeler_history.best_val_wer
-    if labeler_wer >= LABELER_WER_GATE:
-        logger.warning(
-            "labeling model validation WER %.3f is at or above the %.0f%% quality gate; "
-            "pseudo-labels may be too noisy to help", labeler_wer, 100 * LABELER_WER_GATE,
-        )
+    labeler, labeler_history = labeler_stage(labeled, stage1, net, vocab)
     if out_path is not None:
         net_mod.save_checkpoint(labeler, net, out_path / "labeler.ckpt")
 
-    # Stage B: pseudo-label the pool
-    pseudo_ds, stats = generate_pseudo_labels(labeler, net, pool, threshold, vocab, threads=threads)
-    logger.info("pseudo-labels: kept %d of %d (%d empty, %d below threshold)",
-                stats.kept, stats.total, stats.empty_dropped, stats.below_threshold)
-    if stats.kept == 0:
-        raise EmptyPseudoLabelPoolError(
-            f"no pseudo-labels survived threshold {threshold}; lower it or improve the labeling model"
-        )
+    pseudo_ds, stats = pseudo_label_stage(labeler, net, pool, threshold, vocab)
 
-    # Stage C: continued pretraining on pseudo-labels
-    cpt_data = pseudo_ds
-    if include_labeled_in_cpt:
-        mixed = list(pseudo_ds) + [Utterance(u.id, u.speaker_id, u.features, u.transcript) for u in train_ds]
-        cpt_data = Dataset(mixed, "pseudo_labeled")
-    cpt_start = labeler if cpt_init == "labeler" else net_mod.init_parameters(net, stage2.seed)
-    cpt_params, cpt_history = train_mod.train_stage(cpt_start, net, cpt_data, val_ds, stage2, vocab)
+    cpt_params, cpt_history = cpt_stage(
+        pseudo_ds, labeled, stage1, stage2, net, vocab,
+        labeler=labeler if cpt_init == "labeler" else None,
+        include_labeled=include_labeled_in_cpt,
+    )
     if out_path is not None:
         net_mod.save_checkpoint(cpt_params, net, out_path / "cpt.ckpt")
         cpt_params, _ = net_mod.load_checkpoint(out_path / "cpt.ckpt", expect_cfg=net)
 
-    # Stage D: supervised finetune from the CPT checkpoint
-    final_params, finetune_history = train_mod.train_stage(cpt_params, net, train_ds, val_ds, stage3, vocab)
+    final_params, finetune_history = finetune_stage(cpt_params, labeled, stage1, stage3, net, vocab)
     if out_path is not None:
         net_mod.save_checkpoint(final_params, net, out_path / "final.ckpt")
 
     final_report = train_mod.evaluate_wer(final_params, net, eval_ds, vocab)
     report = PipelineReport(
-        labeler_val_wer=labeler_wer,
+        labeler_val_wer=labeler_history.best_val_wer,
         pool_total=stats.total,
         pool_kept=stats.kept,
         retained_fraction=stats.kept / stats.total if stats.total else 0.0,

@@ -1,7 +1,9 @@
 """Command-line surface: command chain, determinism, exit codes, report table."""
 
 import json
+import logging
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +14,8 @@ from cptasr.cli import (
     EXIT_OK,
     main,
 )
+from cptasr.corpus import Dataset, build_vocabulary, load_manifest, save_manifest
+from cptasr.net import NetConfig, init_parameters, save_checkpoint
 
 
 @pytest.fixture()
@@ -79,14 +83,17 @@ def test_gen_data_warns_on_empty_unlabeled(run_config, capsys):
     assert "warning" in capsys.readouterr().err.lower()
 
 
-def test_full_command_chain(run_config, capsys):
+def test_full_command_chain(run_config, capsys, caplog, tmp_path):
     cfg_path, out_dir = run_config
     assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
     assert main(["split", "--config", str(cfg_path),
                  "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"]) == EXIT_OK
     assert (out_dir / "train.jsonl").exists() and (out_dir / "eval.jsonl").exists()
 
-    assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_OK
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="cptasr.pipeline"):
+        assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_OK
+    assert any("quality gate" in r.getMessage() for r in caplog.records)
     assert (out_dir / "labeler.ckpt").exists()
     assert (out_dir / "vocab.json").exists()
 
@@ -99,6 +106,12 @@ def test_full_command_chain(run_config, capsys):
 
     assert main(["finetune", "--config", str(cfg_path)]) == EXIT_OK
     assert (out_dir / "final.ckpt").exists()
+
+    # the one-shot pipeline runs the same stages and writes the same checkpoints
+    pipeline_dir = tmp_path / "pipeline_run"
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(pipeline_dir)]) == EXIT_OK
+    for name in ("labeler.ckpt", "cpt.ckpt", "final.ckpt"):
+        assert (pipeline_dir / name).read_bytes() == (out_dir / name).read_bytes()
 
     assert main(["eval", "--config", str(cfg_path),
                  "--checkpoint", str(out_dir / "final.ckpt"),
@@ -148,6 +161,29 @@ def test_invalid_config_is_config_error(tmp_path):
     assert main(["gen-data", "--config", str(path)]) == EXIT_CONFIG
     path.write_text(json.dumps({"stages": {"stage7": {}}}))
     assert main(["gen-data", "--config", str(path)]) == EXIT_CONFIG
+
+
+def test_eval_without_vocabulary_is_data_error(run_config):
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    labeled = load_manifest(out_dir / "labeled.jsonl")
+    vocab = build_vocabulary(labeled.transcripts())
+    cfg = NetConfig(feature_dim=32, vocab_size=vocab.size, downsample_factor=4, conv_layers=1,
+                    conv_channels=8, context_layers=1, hidden_dim=8, context_window=1)
+    save_checkpoint(init_parameters(cfg, seed=0), cfg, out_dir / "model.ckpt")
+    # with "a" renamed to "f" everywhere, a vocabulary rebuilt from this manifest has
+    # the checkpoint's size but maps the output units to the wrong characters
+    shifted = Dataset([replace(u, transcript=u.transcript.replace("a", "f")) for u in labeled], "labeled")
+    save_manifest(shifted, out_dir / "shifted.jsonl")
+    args = ["eval", "--config", str(cfg_path), "--checkpoint", str(out_dir / "model.ckpt"),
+            "--manifest", str(out_dir / "shifted.jsonl")]
+    assert main(args) == EXIT_DATA
+    assert not (out_dir / "eval_wer.json").exists()
+
+    vocab_path = out_dir / "labeler_vocab.json"
+    vocab_path.write_text(json.dumps({"symbols": list(vocab.symbols)}))
+    assert main(args + ["--vocab", str(vocab_path)]) == EXIT_OK
+    assert (out_dir / "eval_wer.json").exists()
 
 
 def test_missing_manifest_is_data_error(run_config):

@@ -79,11 +79,12 @@ def _quick_stages(seed_base=5000):
     return s1, s2, s3
 
 
-def test_generate_pseudo_labels_ordering_threads_and_stats():
+def test_generate_pseudo_labels_ordering_and_stats():
     labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture()
     params = init_parameters(net_cfg, seed=1)
-    ds1, stats1 = generate_pseudo_labels(params, net_cfg, pool, 0.0, vocab, threads=1)
-    ds2, stats2 = generate_pseudo_labels(params, net_cfg, pool, 0.0, vocab, threads=3)
+    ds1, stats1 = generate_pseudo_labels(params, net_cfg, pool, 0.0, vocab)
+    reversed_pool = Dataset(pool.utterances[::-1], "unlabeled")
+    ds2, stats2 = generate_pseudo_labels(params, net_cfg, reversed_pool, 0.0, vocab)
     assert [u.id for u in ds1] == [u.id for u in ds2] == sorted(u.id for u in ds1)
     assert stats1.to_dict() == stats2.to_dict()
     assert stats1.total == len(pool)
