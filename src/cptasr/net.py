@@ -8,7 +8,10 @@ than attention; the training pipeline is agnostic to encoder internals.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -131,6 +134,45 @@ def count_parameters(params: Parameters) -> int:
     return sum(v.size for v in params.values())
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """Per-config constants: conv strides, tensor shapes and each tensor's span in the flat vector."""
+
+    strides: tuple[int, ...]
+    shapes: dict[str, tuple[int, ...]]
+    spans: dict[str, slice]
+    size: int
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(cfg: NetConfig) -> _Layout:
+    shapes = parameter_shapes(cfg)
+    spans, offset = {}, 0
+    for name, shape in shapes.items():
+        spans[name] = slice(offset, offset + math.prod(shape))
+        offset = spans[name].stop
+    return _Layout(tuple(cfg.strides()), shapes, spans, offset)
+
+
+def flatten(cfg: NetConfig, params: Parameters) -> np.ndarray:
+    """One float64 vector holding every tensor, in ``parameter_shapes`` order."""
+    _check_params(params, cfg)
+    return np.concatenate([params[name].ravel() for name in _layout(cfg).shapes], dtype=np.float64)
+
+
+def unflatten(cfg: NetConfig, flat: np.ndarray) -> Parameters:
+    """Named views into ``flat``, in ``parameter_shapes`` order; writes through them change ``flat``."""
+    layout = _layout(cfg)
+    if flat.shape != (layout.size,):
+        raise ValueError(f"parameter vector shape {flat.shape} != expected ({layout.size},)")
+    return {name: flat[span].reshape(layout.shapes[name]) for name, span in layout.spans.items()}
+
+
+def tensor_name(cfg: NetConfig, index: int) -> str:
+    """Name of the tensor holding element ``index`` (0 <= index < size) of the flat vector."""
+    return next(name for name, span in _layout(cfg).spans.items() if index < span.stop)
+
+
 def init_parameters(cfg: NetConfig, seed: int) -> Parameters:
     """Fan-in-scaled uniform weights, zero biases; deterministic given seed."""
     rng = np.random.default_rng(seed)
@@ -145,7 +187,7 @@ def init_parameters(cfg: NetConfig, seed: int) -> Parameters:
 
 
 def _check_params(params: Parameters, cfg: NetConfig) -> None:
-    expected = parameter_shapes(cfg)
+    expected = _layout(cfg).shapes
     if set(params) != set(expected):
         raise ValueError(f"parameter names {sorted(params)} do not match config {sorted(expected)}")
     for name, shape in expected.items():
@@ -179,7 +221,7 @@ def forward(
     cache = ForwardCache()
     rng = np.random.default_rng(seed) if train_mode and cfg.dropout_rate > 0 else None
 
-    for i, stride in enumerate(cfg.strides()):
+    for i, stride in enumerate(_layout(cfg).strides):
         t_out = x.shape[0] // stride
         patches = x[: t_out * stride].reshape(t_out, stride * x.shape[1])
         pre = patches @ params[f"conv{i}_w"].T + params[f"conv{i}_b"]
@@ -239,7 +281,7 @@ def backward(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: n
         # residual: gradient flows both around and through the block
         dx = dx + dpadded[w : w + u]
 
-    strides = cfg.strides()
+    strides = _layout(cfg).strides
     for i in range(cfg.conv_layers - 1, -1, -1):
         pre = cache.conv_pre[i]
         patches = cache.conv_patches[i]
@@ -257,24 +299,31 @@ def backward(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: n
 
 
 def save_checkpoint(params: Parameters, cfg: NetConfig, path: str | Path) -> None:
-    """Write magic, version, the config as JSON, then named float32 tensors."""
+    """Write magic, version, the config as JSON, then named float32 tensors, via an atomic rename."""
     _check_params(params, cfg)
     cfg_blob = json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(cfg_blob)))
-        fh.write(cfg_blob)
-        for name in sorted(params):
-            tensor = np.ascontiguousarray(params[name], dtype="<f4")
-            name_bytes = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_bytes)))
-            fh.write(name_bytes)
-            fh.write(struct.pack("<I", tensor.ndim))
-            fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-            fh.write(tensor.tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(cfg_blob)))
+            fh.write(cfg_blob)
+            for name in sorted(params):
+                tensor = np.ascontiguousarray(params[name], dtype="<f4")
+                name_bytes = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(name_bytes)))
+                fh.write(name_bytes)
+                fh.write(struct.pack("<I", tensor.ndim))
+                fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
+                fh.write(tensor.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:

@@ -9,7 +9,6 @@ import numpy as np
 
 from . import ctc
 from .corpus import Vocabulary
-from .net import Parameters
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -88,76 +87,61 @@ def lr_at(step: int, total_steps: int, cfg: StageConfig) -> float:
     return cfg.learning_rate * (total_steps - step) / (total_steps - warmup_steps)
 
 
-def global_grad_norm(grads: Parameters) -> float:
-    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def global_grad_norm(grads: np.ndarray) -> float:
+    return math.sqrt(np.sum(grads * grads))
 
 
-def clip_gradients(grads: Parameters, max_norm: float) -> tuple[Parameters, float]:
-    """Scale all gradients so the global L2 norm is at most ``max_norm``.
+def clip_gradients(grads: np.ndarray, max_norm: float) -> tuple[np.ndarray, float]:
+    """Scale the gradient vector so its L2 norm is at most ``max_norm``.
 
-    Returns the (possibly rescaled) gradients and the applied scale.
+    Returns the (possibly rescaled) vector and the applied scale.
     Non-finite gradients raise, since they signal divergence.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in {name!r}")
+    if not np.all(np.isfinite(grads)):
+        raise FloatingPointError("non-finite gradient")
     norm = global_grad_norm(grads)
     if norm <= max_norm:
         return grads, 1.0
     scale = max_norm / norm
-    return {name: g * scale for name, g in grads.items()}, scale
+    return grads * scale, scale
 
 
 @dataclass
 class OptState:
-    """First/second moment accumulators mirroring the parameter shapes."""
+    """First/second moment vectors, shaped like the flat parameter vector."""
 
-    m: Parameters
-    v: Parameters
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
-    def zeros_like(cls, params: Parameters) -> "OptState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def zeros_like(cls, theta: np.ndarray) -> "OptState":
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
 def adamw_step(
-    params: Parameters,
-    grads: Parameters,
+    theta: np.ndarray,
+    grads: np.ndarray,
     state: OptState,
     lr: float,
     cfg: StageConfig,
-) -> tuple[Parameters, OptState]:
-    """One bias-corrected Adam step with decoupled weight decay.
+) -> tuple[np.ndarray, OptState]:
+    """One bias-corrected Adam step with decoupled weight decay on the parameter vector.
 
-    p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * weight_decay * p.
-    Inputs are not mutated; fresh parameter and state dicts are returned.
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * weight_decay * theta.
+    Inputs are not mutated; a fresh vector and state are returned.
     """
-    if set(params) != set(grads):
-        raise ValueError("parameter and gradient names do not match")
+    if grads.shape != theta.shape:
+        raise ValueError(f"gradient shape {grads.shape} != parameter shape {theta.shape}")
     t = state.step + 1
-    new_params: Parameters = {}
-    new_m: Parameters = {}
-    new_v: Parameters = {}
-    bias1 = 1.0 - ADAM_BETA1**t
-    bias2 = 1.0 - ADAM_BETA2**t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
-        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / bias1
-        v_hat = v / bias2
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - lr * cfg.weight_decay * p
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, OptState(m=new_m, v=new_v, step=t)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - lr * cfg.weight_decay * theta
+    return new_theta, OptState(m=m, v=v, step=t)
 
 
 def smoothed_ctc_objective(

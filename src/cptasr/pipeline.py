@@ -144,6 +144,15 @@ def generate_pseudo_labels(
     return Dataset(kept, "pseudo_labeled"), stats
 
 
+def _check_no_leak(labeled: Dataset, others: tuple[Dataset, ...], eval_ds: Dataset | None) -> None:
+    """Raise ValueError if ``labeled`` shares utterance ids with ``others`` or speakers with ``eval_ds``."""
+    overlap = {u.id for u in labeled}.intersection(u.id for other in others for u in other)
+    if overlap:
+        raise ValueError(f"datasets share utterance ids: {sorted(overlap)[:3]}...")
+    if eval_ds is not None and labeled.speakers() & eval_ds.speakers():
+        raise ValueError("evaluation speakers leak into the labeled training data")
+
+
 def _carve_validation(labeled: Dataset, stage1: StageConfig) -> tuple[Dataset, Dataset]:
     """Hold out ~10% of the labeled data, speaker-disjoint, for early stopping.
 
@@ -196,6 +205,7 @@ def cpt_stage(
     """
     if len(pseudo) == 0:
         raise EmptyPseudoLabelPoolError("the pseudo-label set is empty")
+    _check_no_leak(labeled, (pseudo,), None)
     train_ds, val_ds = _carve_validation(labeled, stage1)
     data = Dataset(pseudo.utterances + train_ds.utterances, "pseudo_labeled") if include_labeled else pseudo
     start = labeler if labeler is not None else net_mod.init_parameters(net, stage2.seed)
@@ -220,6 +230,7 @@ def run_baseline(
 
     With identical data and config it reproduces the pipeline's labeling model.
     """
+    _check_no_leak(labeled, (eval_ds,), eval_ds)
     params, history = labeler_stage(labeled, cfg, net, vocab)
     report = train_mod.evaluate_wer(params, net, eval_ds, vocab)
     return params, report, history
@@ -241,13 +252,7 @@ def run_cpt_pipeline(
     """
     if cpt_init not in ("fresh", "labeler"):
         raise ValueError("cpt_init must be 'fresh' or 'labeler'")
-    labeled_ids = {u.id for u in labeled}
-    for other in (pool, eval_ds):
-        overlap = labeled_ids & {u.id for u in other}
-        if overlap:
-            raise ValueError(f"datasets share utterance ids: {sorted(overlap)[:3]}...")
-    if labeled.speakers() & eval_ds.speakers():
-        raise ValueError("evaluation speakers leak into the labeled training data")
+    _check_no_leak(labeled, (pool, eval_ds), eval_ds)
     if vocab is None:
         vocab = build_vocabulary(labeled.transcripts())
 

@@ -120,14 +120,15 @@ def train_stage(
 ) -> tuple[Parameters, TrainHistory]:
     """Run one training stage and return the best-validation-WER parameters.
 
-    Each epoch shuffles the data by (stage seed, epoch), sums the smoothed
-    CTC objective over each batch, divides the summed gradients by the
-    batch member count, clips, and applies AdamW under the warmup/decay
-    schedule. Validation WER is measured after every epoch; training stops
-    once ``stage.patience`` consecutive epochs fail to improve the best WER
-    (patience None or 0 disables early stopping). Parameters are projected
-    to float32-representable values after every step so checkpoints
-    round-trip bit-exactly.
+    The parameters live in one flat float64 vector. Each epoch shuffles the
+    data by (stage seed, epoch), sums each batch's smoothed-CTC gradient
+    vectors and divides by the member count; a non-finite result raises
+    ``FloatingPointError`` naming its tensor. The vector is clipped and
+    stepped by AdamW under the warmup/decay schedule, then projected to
+    float32-representable values in one op so checkpoints round-trip
+    bit-exactly. Validation WER is measured after every epoch; training
+    stops once ``stage.patience`` consecutive epochs fail to improve the
+    best WER (patience None or 0 disables early stopping).
     """
     if data.kind == "unlabeled":
         raise ValueError("training data must carry transcripts")
@@ -147,14 +148,14 @@ def train_stage(
     if not usable:
         raise ValueError("no feasible training utterances remain")
 
-    params = {k: v.copy() for k, v in start.items()}
-    state = optim.OptState.zeros_like(params)
+    theta = net.flatten(cfg, start)
+    state = optim.OptState.zeros_like(theta)
     batches_per_epoch = math.ceil(len(usable) / stage.batch_size)
     total_steps = stage.epochs * batches_per_epoch
 
     history = TrainHistory(skipped_utterances=skipped)
     best_wer = math.inf
-    best_params = params
+    best = theta
     bad_epochs = 0
     global_step = 0
 
@@ -164,7 +165,8 @@ def train_stage(
         epoch_loss = 0.0
         for b in range(batches_per_epoch):
             members = order[b * stage.batch_size : (b + 1) * stage.batch_size]
-            grad_sum: Parameters = {k: np.zeros_like(v) for k, v in params.items()}
+            params = net.unflatten(cfg, theta)
+            grad_sum = np.zeros_like(theta)
             for pos, idx in enumerate(members):
                 utt = usable[idx]
                 logits, cache = net.forward(
@@ -175,18 +177,19 @@ def train_stage(
                     logits, utt.transcript, vocab, stage.label_smoothing
                 )
                 epoch_loss += loss
-                member_grads = net.backward(params, run_cfg, cache, dlogits)
-                for name, g in member_grads.items():
-                    grad_sum[name] += g
-            grads = {name: g / len(members) for name, g in grad_sum.items()}
+                grad_sum += net.flatten(cfg, net.backward(params, run_cfg, cache, dlogits))
+            grads = grad_sum / len(members)
+            if not np.all(np.isfinite(grads)):
+                bad = net.tensor_name(cfg, int(np.argmin(np.isfinite(grads))))
+                raise FloatingPointError(f"non-finite gradient in {bad!r} at step {global_step}")
             if stage.grad_clip_norm is not None:
                 grads, _ = optim.clip_gradients(grads, stage.grad_clip_norm)
             lr = optim.lr_at(global_step, total_steps, stage)
-            params, state = optim.adamw_step(params, grads, state, lr, stage)
-            params = {k: net.float32_exact(v) for k, v in params.items()}
+            theta, state = optim.adamw_step(theta, grads, state, lr, stage)
+            theta = net.float32_exact(theta)
             global_step += 1
 
-        val_report = evaluate_wer(params, run_cfg, val, vocab)
+        val_report = evaluate_wer(net.unflatten(cfg, theta), run_cfg, val, vocab)
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss / len(usable),
@@ -199,7 +202,7 @@ def train_stage(
 
         if record.val_wer < best_wer:
             best_wer = record.val_wer
-            best_params = {k: v.copy() for k, v in params.items()}
+            best = theta.copy()
             history.best_epoch = epoch
             bad_epochs = 0
         else:
@@ -209,4 +212,4 @@ def train_stage(
                 logger.info("early stopping after epoch %d (best epoch %d)", epoch, history.best_epoch)
                 break
 
-    return best_params, history
+    return net.unflatten(cfg, best), history

@@ -2,19 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cptasr.net as net_mod
 from cptasr.net import (
     CheckpointError,
     InputTooShortError,
     NetConfig,
     backward,
     count_parameters,
+    flatten,
     float32_exact,
     forward,
     init_parameters,
     load_checkpoint,
     parameter_shapes,
     save_checkpoint,
+    tensor_name,
+    unflatten,
 )
 
 from oracles import assert_grad_close, central_difference_grad
@@ -163,6 +168,39 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(loaded[name], params[name])
 
 
+class _FailingWriter:
+    """File wrapper whose fifth write raises, as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 5:
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    params = init_parameters(TINY, seed=8)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, TINY, path)
+    monkeypatch.setattr(net_mod, "open", lambda *a, **kw: _FailingWriter(open(*a, **kw)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(init_parameters(TINY, seed=9), TINY, path)
+    monkeypatch.undo()
+    loaded, _ = load_checkpoint(path, expect_cfg=TINY)
+    for name in params:
+        np.testing.assert_array_equal(loaded[name], params[name])
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_float32_exact_projection_is_idempotent():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(5, 5))
@@ -204,3 +242,44 @@ def test_net_config_validation():
         NetConfig(feature_dim=3, vocab_size=3, dropout_rate=1.0)
     with pytest.raises(ValueError):
         NetConfig(feature_dim=3, vocab_size=3, context_window=-1)
+
+
+small_configs = st.builds(
+    NetConfig,
+    feature_dim=st.integers(1, 6),
+    vocab_size=st.integers(1, 5),
+    downsample_factor=st.integers(1, 8),
+    conv_layers=st.integers(1, 3),
+    conv_channels=st.integers(1, 5),
+    context_layers=st.integers(1, 3),
+    hidden_dim=st.integers(1, 6),
+    context_window=st.integers(0, 2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=small_configs, seed=st.integers(0, 2**16))
+def test_flat_layout_round_trips_and_aliases(cfg, seed):
+    rng = np.random.default_rng(seed)
+    params = {name: rng.normal(size=shape) for name, shape in parameter_shapes(cfg).items()}
+    theta = flatten(cfg, params)
+    assert theta.dtype == np.float64 and theta.shape == (count_parameters(params),)
+    views = unflatten(cfg, theta)
+    assert list(views) == list(parameter_shapes(cfg))
+    for name in params:
+        assert views[name].tobytes() == params[name].tobytes()
+    offset = 0
+    for name, view in views.items():
+        assert tensor_name(cfg, offset) == tensor_name(cfg, offset + view.size - 1) == name
+        view.flat[-1] = -1.0 - offset
+        assert theta[offset + view.size - 1] == -1.0 - offset
+        offset += view.size
+    assert offset == theta.size
+
+
+def test_flatten_and_unflatten_reject_mismatched_inputs():
+    params = init_parameters(TINY, seed=0)
+    with pytest.raises(ValueError):
+        flatten(TINY, {k: v for k, v in params.items() if k != "head_b"})
+    with pytest.raises(ValueError):
+        unflatten(TINY, np.zeros(count_parameters(params) + 1))

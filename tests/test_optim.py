@@ -61,97 +61,95 @@ def test_lr_schedule_zero_warmup():
 
 
 def test_clip_below_threshold_unchanged():
-    grads = {"w": np.array([0.3, 0.4])}  # norm 0.5
+    grads = np.array([0.3, 0.4])  # norm 0.5
     out, scale = clip_gradients(grads, 1.0)
     assert scale == 1.0
-    np.testing.assert_array_equal(out["w"], grads["w"])
+    np.testing.assert_array_equal(out, grads)
 
 
 def test_clip_halves_norm_two():
-    grads = {"w": np.array([1.2, 1.6])}  # norm 2
+    grads = np.array([1.2, 1.6])  # norm 2
     out, scale = clip_gradients(grads, 1.0)
     assert scale == pytest.approx(0.5)
-    np.testing.assert_allclose(out["w"], [0.6, 0.8])
+    np.testing.assert_allclose(out, [0.6, 0.8])
 
 
 def test_clip_post_norm_and_idempotence():
     rng = np.random.default_rng(0)
-    grads = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+    grads = np.concatenate([rng.normal(size=(3, 4)).ravel(), rng.normal(size=5)])
     out, _ = clip_gradients(grads, 1.0)
     assert global_grad_norm(out) == pytest.approx(min(global_grad_norm(grads), 1.0), abs=1e-9)
     again, scale2 = clip_gradients(out, 1.0)
     assert scale2 == pytest.approx(1.0, abs=1e-12)
-    for name in out:
-        np.testing.assert_allclose(again[name], out[name], rtol=1e-12)
+    np.testing.assert_allclose(again, out, rtol=1e-12)
 
 
 def test_clip_rejects_nonfinite():
     with pytest.raises(FloatingPointError):
-        clip_gradients({"w": np.array([np.nan])}, 1.0)
+        clip_gradients(np.array([np.nan]), 1.0)
 
 
 def test_adamw_pure_decay_with_zero_gradient():
     cfg = _cfg(weight_decay=0.01)
-    params = {"w": np.array([1.0])}
-    state = OptState.zeros_like(params)
-    out, state = adamw_step(params, {"w": np.array([0.0])}, state, lr=0.1, cfg=cfg)
-    assert out["w"][0] == pytest.approx(0.999, abs=1e-15)
+    theta = np.array([1.0])
+    state = OptState.zeros_like(theta)
+    out, state = adamw_step(theta, np.array([0.0]), state, lr=0.1, cfg=cfg)
+    assert out[0] == pytest.approx(0.999, abs=1e-15)
     assert state.step == 1
 
 
 def test_adamw_first_step_is_signed_unit_as_eps_vanishes():
     cfg = _cfg(weight_decay=0.0)
-    params = {"w": np.array([0.3])}
-    state = OptState.zeros_like(params)
-    out, _ = adamw_step(params, {"w": np.array([7.0])}, state, lr=0.01, cfg=cfg)
+    theta = np.array([0.3])
+    state = OptState.zeros_like(theta)
+    out, _ = adamw_step(theta, np.array([7.0]), state, lr=0.01, cfg=cfg)
     # first bias-corrected step: m_hat/sqrt(v_hat) = g/|g| up to eps
-    assert out["w"][0] == pytest.approx(0.3 - 0.01, abs=1e-8)
+    assert out[0] == pytest.approx(0.3 - 0.01, abs=1e-8)
 
 
 def test_adamw_matches_scalar_oracle_three_steps():
     cfg = _cfg(weight_decay=0.0)
-    params = {"w": np.array([0.7])}
-    state = OptState.zeros_like(params)
+    theta = np.array([0.7])
+    state = OptState.zeros_like(theta)
     w, m, v = 0.7, 0.0, 0.0
     for t, g in enumerate([0.3, -0.2, 0.5], start=1):
-        params, state = adamw_step(params, {"w": np.array([g])}, state, lr=0.05, cfg=cfg)
+        theta, state = adamw_step(theta, np.array([g]), state, lr=0.05, cfg=cfg)
         m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1**t)
         v_hat = v / (1 - ADAM_BETA2**t)
         w = w - 0.05 * m_hat / (math.sqrt(v_hat) + ADAM_EPS)
-    assert params["w"][0] == pytest.approx(w, abs=1e-12)
+    assert theta[0] == pytest.approx(w, abs=1e-12)
 
 
 def test_adamw_tensors_update_independently():
     cfg = _cfg(weight_decay=0.0)
     rng = np.random.default_rng(1)
-    params = {"a": rng.normal(size=3), "b": rng.normal(size=3)}
-    grads = {"a": rng.normal(size=3), "b": rng.normal(size=3)}
-    state = OptState.zeros_like(params)
-    joint, _ = adamw_step(params, grads, state, lr=0.01, cfg=cfg)
-    solo_a, _ = adamw_step({"a": params["a"]}, {"a": grads["a"]},
-                           OptState.zeros_like({"a": params["a"]}), lr=0.01, cfg=cfg)
-    np.testing.assert_allclose(joint["a"], solo_a["a"], rtol=1e-15)
+    theta = rng.normal(size=6)  # two 3-element tensors: a = [:3], b = [3:]
+    grads = rng.normal(size=6)
+    state = OptState.zeros_like(theta)
+    joint, _ = adamw_step(theta, grads, state, lr=0.01, cfg=cfg)
+    solo_a, _ = adamw_step(theta[:3], grads[:3], OptState.zeros_like(theta[:3]), lr=0.01, cfg=cfg)
+    np.testing.assert_allclose(joint[:3], solo_a, rtol=1e-15)
 
 
 def test_adamw_does_not_mutate_inputs():
     cfg = _cfg()
-    params = {"w": np.array([1.0])}
-    grads = {"w": np.array([2.0])}
-    state = OptState.zeros_like(params)
-    adamw_step(params, grads, state, lr=0.1, cfg=cfg)
-    assert params["w"][0] == 1.0
+    theta = np.array([1.0])
+    grads = np.array([2.0])
+    state = OptState.zeros_like(theta)
+    adamw_step(theta, grads, state, lr=0.1, cfg=cfg)
+    assert theta[0] == 1.0
     assert state.step == 0
-    assert state.m["w"][0] == 0.0
+    assert state.m[0] == 0.0
 
 
 def test_adamw_shape_mismatch_rejected():
     cfg = _cfg()
-    params = {"w": np.zeros(3)}
-    state = OptState.zeros_like(params)
+    theta = np.zeros(3)
+    state = OptState.zeros_like(theta)
     with pytest.raises(ValueError):
-        adamw_step(params, {"w": np.zeros(4)}, state, lr=0.1, cfg=cfg)
+        adamw_step(theta, np.zeros(4), state, lr=0.1, cfg=cfg)
 
 
 VOCAB = Vocabulary(("a", "b"))

@@ -10,6 +10,7 @@ from cptasr.pipeline import (
     EmptyPseudoLabelPoolError,
     PseudoLabel,
     attach_baseline,
+    cpt_stage,
     filter_pseudo_labels,
     generate_pseudo_labels,
     run_baseline,
@@ -148,6 +149,25 @@ def test_pipeline_rejects_id_overlap_and_speaker_leak():
          for i, u in enumerate(labeled.utterances[:3])], "labeled")
     with pytest.raises(ValueError, match="speaker"):
         run_cpt_pipeline(labeled, pool, bad_eval, s1, s2, s3, net_cfg, 0.5, vocab)
+
+
+def test_baseline_rejects_eval_speaker_in_labeled_data():
+    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture(n_utterances=120)
+    s1, _, _ = _quick_stages()
+    spy = eval_ds.utterances[0]
+    leaky = Dataset(labeled.utterances + [Utterance("leak0", spy.speaker_id, spy.features, spy.transcript)],
+                    "labeled")
+    with pytest.raises(ValueError, match="speaker"):
+        run_baseline(leaky, eval_ds, s1, net_cfg, vocab)
+
+
+def test_cpt_stage_rejects_pseudo_id_shared_with_labeled():
+    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture(n_utterances=120)
+    s1, s2, _ = _quick_stages()
+    twin = labeled.utterances[0]
+    pseudo = Dataset([Utterance(twin.id, "spkX", twin.features, twin.transcript)], "pseudo_labeled")
+    with pytest.raises(ValueError, match="share utterance ids"):
+        cpt_stage(pseudo, labeled, s1, s2, net_cfg, vocab, labeler=None, include_labeled=False)
 
 
 def test_baseline_equals_pipeline_stage_a(tmp_path):

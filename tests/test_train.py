@@ -182,6 +182,21 @@ def test_every_utterance_trains_exactly_once_per_epoch(monkeypatch):
     assert seen[:n] != seen[n:]  # different epoch, different order
 
 
+def test_nonfinite_gradient_raises_without_clipping(monkeypatch):
+    train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
+    real_backward = train_mod.net.backward
+
+    def poisoned(params, cfg, cache, dlogits):
+        grads = real_backward(params, cfg, cache, dlogits)
+        grads["ctx0_b"][1] = np.nan
+        return grads
+
+    monkeypatch.setattr(train_mod.net, "backward", poisoned)
+    stage = _stage(epochs=1, grad_clip_norm=None)
+    with pytest.raises(FloatingPointError, match="'ctx0_b'"):
+        train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val_ds, stage, vocab)
+
+
 def test_history_serialization(tmp_path):
     train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
     stage = _stage(epochs=2)
