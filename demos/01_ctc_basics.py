@@ -8,7 +8,7 @@ import itertools
 
 import numpy as np
 
-from cptasr import Vocabulary, collapse, ctc_grad, ctc_loss, greedy_decode, log_softmax
+from cptasr import Vocabulary, collapse, ctc_loss_and_grad, greedy_decode, log_softmax
 
 vocab = Vocabulary(("a", "b"))
 print("vocabulary:", vocab.symbols, "| blank reserved at index", vocab.blank_index)
@@ -34,12 +34,12 @@ for path in itertools.product(range(3), repeat=3):
             p *= probs[t, k]
         brute += p
 print(f"\nbrute-force path sum: {-np.log(brute):.10f}")
-print(f"ctc_loss            : {ctc_loss(logits, target, vocab):.10f}")
+print(f"ctc_loss_and_grad   : {ctc_loss_and_grad(logits, target, vocab)[0]:.10f}")
 
 # --- gradient sanity: single frame, uniform logits --------------------------
 # With one frame and target "a", the only valid path emits "a", so the
 # gradient is softmax minus a one-hot on "a".
-grad = ctc_grad(np.zeros((1, 2)), "a", Vocabulary(("a",)))
+_, grad = ctc_loss_and_grad(np.zeros((1, 2)), "a", Vocabulary(("a",)))
 print("\nsingle-frame gradient (expect [0.5, -0.5]):", grad[0])
 
 # --- greedy decoding with confidence ----------------------------------------

@@ -11,7 +11,7 @@ from .corpus import (
     save_manifest,
     speaker_disjoint_split,
 )
-from .ctc import DecodeResult, collapse, ctc_grad, ctc_loss, greedy_decode, log_softmax
+from .ctc import DecodeResult, collapse, ctc_loss_and_grad, greedy_decode, log_softmax
 from .metrics import WerReport, edit_distance, relative_improvement, wer
 from .net import NetConfig, backward, forward, init_parameters, load_checkpoint, save_checkpoint
 from .optim import OptState, StageConfig, adamw_step, clip_gradients, lr_at, preset, smoothed_ctc_objective
@@ -51,8 +51,7 @@ __all__ = [
     "clip_gradients",
     "collapse",
     "cpt_stage",
-    "ctc_grad",
-    "ctc_loss",
+    "ctc_loss_and_grad",
     "edit_distance",
     "evaluate_wer",
     "finetune_stage",

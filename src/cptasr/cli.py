@@ -52,8 +52,6 @@ class RunConfig:
             raise ConfigError("run config must be a JSON object")
         self.seed = int(raw.get("seed", 0))
         self.threshold = float(raw.get("threshold", 0.75))
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
         out_dir = os.environ.get(OUT_DIR_ENV) or raw.get("out_dir", "runs")
         self.out_dir = Path(out_dir)
         self.net_raw = raw.get("net", {})
@@ -117,6 +115,8 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
             cfg.threshold = overrides.threshold
         if getattr(overrides, "out_dir", None) is not None:
             cfg.out_dir = Path(overrides.out_dir)
+    if not 0.0 <= cfg.threshold <= 1.0:
+        raise ConfigError(f"threshold {cfg.threshold} outside [0, 1]")
     return cfg
 
 
@@ -157,8 +157,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     ds = load_manifest(Path(args.manifest))
-    seed = args.seed if args.seed is not None else cfg.seed + SEED_OFFSETS["split"]
-    train_ds, eval_ds = corpus.speaker_disjoint_split(ds, args.eval_count, seed)
+    train_ds, eval_ds = corpus.speaker_disjoint_split(ds, args.eval_count, cfg.seed + SEED_OFFSETS["split"])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_manifest(train_ds, cfg.out_dir / "train.jsonl")
     save_manifest(eval_ds, cfg.out_dir / "eval.jsonl")

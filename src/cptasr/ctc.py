@@ -58,89 +58,49 @@ def _check_feasible(n_frames: int, target: str, vocab: Vocabulary) -> None:
         )
 
 
-def _forward_alphas(log_probs: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    """Alpha lattice: alpha[t, s] includes the emission at frame t."""
-    n_frames = log_probs.shape[0]
-    n_states = len(ext)
-    # is the state allowed to skip from s-2 (only non-blanks with a different predecessor label)
+def _lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """Pre-emission lattice: pre[t, s] sums every path into state s at frame t, excluding frame t's emission.
+
+    ``emit[t, s]`` is the log-probability of ``ext[s]`` at frame t. The
+    alphas are ``pre + emit``; run on ``emit[::-1, ::-1]`` and ``ext[::-1]``
+    and flipped back, the same recursion gives the betas.
+    """
+    n_frames, n_states = emit.shape
+    # a state may skip from s-2 only if it is a non-blank label different from the one two back
     can_skip = np.zeros(n_states, dtype=bool)
     can_skip[2:] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
 
-    alpha = np.full((n_frames, n_states), NEG_INF)
-    alpha[0, 0] = log_probs[0, ext[0]]
-    if n_states > 1:
-        alpha[0, 1] = log_probs[0, ext[1]]
+    pre = np.full((n_frames, n_states), NEG_INF)
+    pre[0, :2] = 0.0
     for t in range(1, n_frames):
-        prev = alpha[t - 1]
-        stay = prev
-        move = np.concatenate(([NEG_INF], prev[:-1]))
-        acc = np.logaddexp(stay, move)
+        prev = pre[t - 1] + emit[t - 1]
+        acc = np.logaddexp(prev, np.concatenate(([NEG_INF], prev[:-1])))
         if n_states > 2:
             skip = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
             acc = np.where(can_skip, np.logaddexp(acc, skip), acc)
-        alpha[t] = acc + log_probs[t, ext]
-    return alpha
-
-
-def _backward_betas(log_probs: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    """Beta lattice: beta[t, s] excludes the emission at frame t."""
-    n_frames = log_probs.shape[0]
-    n_states = len(ext)
-    can_skip_from = np.zeros(n_states, dtype=bool)
-    can_skip_from[: n_states - 2] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
-
-    beta = np.full((n_frames, n_states), NEG_INF)
-    beta[n_frames - 1, n_states - 1] = 0.0
-    if n_states > 1:
-        beta[n_frames - 1, n_states - 2] = 0.0
-    for t in range(n_frames - 2, -1, -1):
-        nxt = beta[t + 1] + log_probs[t + 1, ext]
-        stay = nxt
-        move = np.concatenate((nxt[1:], [NEG_INF]))
-        acc = np.logaddexp(stay, move)
-        if n_states > 2:
-            skip = np.concatenate((nxt[2:], [NEG_INF, NEG_INF]))
-            acc = np.where(can_skip_from, np.logaddexp(acc, skip), acc)
-        beta[t] = acc
-    return beta
-
-
-def _total_log_prob(alpha: np.ndarray) -> float:
-    if alpha.shape[1] == 1:
-        return float(alpha[-1, -1])
-    return float(np.logaddexp(alpha[-1, -1], alpha[-1, -2]))
-
-
-def ctc_loss(logits: np.ndarray, target: str, vocab: Vocabulary) -> float:
-    """Negative log-likelihood of ``target`` under the CTC path distribution.
-
-    Sums over every frame-level path whose collapse equals the target.
-    Infeasible targets raise :class:`InfeasibleTargetError` instead of
-    returning +inf: in training that always signals a data or
-    downsampling bug.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    _check_feasible(logits.shape[0], target, vocab)
-    log_probs = log_softmax(logits, axis=1)
-    ext = _extended_target(target, vocab)
-    alpha = _forward_alphas(log_probs, ext)
-    return -_total_log_prob(alpha)
+        pre[t] = acc
+    return pre
 
 
 def ctc_loss_and_grad(logits: np.ndarray, target: str, vocab: Vocabulary) -> tuple[float, np.ndarray]:
-    """Loss plus its exact gradient with respect to the pre-softmax logits.
+    """CTC loss of ``target`` and its exact gradient with respect to the pre-softmax logits.
 
-    Uses the forward-backward posterior form: for each frame the gradient
-    is softmax(logits) minus the label-occupancy posterior, so each row of
-    the gradient sums to zero.
+    The loss is the negative log-likelihood summed over every frame-level
+    path whose collapse equals the target. Infeasible targets raise
+    :class:`InfeasibleTargetError` instead of returning +inf: in training
+    that always signals a data or downsampling bug. The gradient uses the
+    forward-backward posterior form: for each frame it is softmax(logits)
+    minus the label-occupancy posterior, so each row sums to zero.
     """
     logits = np.asarray(logits, dtype=np.float64)
     _check_feasible(logits.shape[0], target, vocab)
     log_probs = log_softmax(logits, axis=1)
     ext = _extended_target(target, vocab)
-    alpha = _forward_alphas(log_probs, ext)
-    beta = _backward_betas(log_probs, ext)
-    log_z = _total_log_prob(alpha)
+    emit = log_probs[:, ext]
+    alpha = _lattice(emit, ext) + emit
+    beta = _lattice(emit[::-1, ::-1], ext[::-1])[::-1, ::-1]
+    # a path ends in the final blank or the final label
+    log_z = float(np.logaddexp.reduce(alpha[-1, -2:]))
 
     n_frames, n_classes = log_probs.shape
     ab = alpha + beta  # joint posterior per lattice state, log-space
@@ -154,11 +114,6 @@ def ctc_loss_and_grad(logits: np.ndarray, target: str, vocab: Vocabulary) -> tup
             occupancy[:, k] = np.exp(total - log_z)
     grad = np.exp(log_probs) - occupancy
     return -log_z, grad
-
-
-def ctc_grad(logits: np.ndarray, target: str, vocab: Vocabulary) -> np.ndarray:
-    """Gradient of :func:`ctc_loss` with respect to each logit."""
-    return ctc_loss_and_grad(logits, target, vocab)[1]
 
 
 def collapse(path: list[int] | np.ndarray, vocab: Vocabulary) -> str:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -17,7 +17,6 @@ class WerReport:
     deletions: int
     ref_words: int
     wer: float
-    per_utterance: list[dict] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -83,14 +82,13 @@ def _tokenize(text: str, unit: str) -> list[str]:
     raise ValueError(f"unknown unit {unit!r}, expected 'word' or 'char'")
 
 
-def wer(pairs: list[tuple[str, str]], unit: str = "word", keep_per_utterance: bool = False) -> WerReport:
+def wer(pairs: list[tuple[str, str]], unit: str = "word") -> WerReport:
     """Corpus-level error rate over (reference, hypothesis) pairs.
 
     Edits are summed across utterances and divided by the summed reference
     token count (pooled, not a mean of per-utterance rates).
     """
     total_s = total_i = total_d = total_ref = 0
-    per_utt: list[dict] | None = [] if keep_per_utterance else None
     for ref_text, hyp_text in pairs:
         ref_toks = _tokenize(ref_text, unit)
         hyp_toks = _tokenize(hyp_text, unit)
@@ -99,12 +97,10 @@ def wer(pairs: list[tuple[str, str]], unit: str = "word", keep_per_utterance: bo
         total_i += ins
         total_d += d
         total_ref += len(ref_toks)
-        if per_utt is not None:
-            per_utt.append({"ref": ref_text, "hyp": hyp_text, "S": s, "I": ins, "D": d, "ref_len": len(ref_toks)})
     if total_ref == 0:
         raise ValueError("all references are empty; error rate is undefined")
     rate = (total_s + total_i + total_d) / total_ref
-    return WerReport(total_s, total_i, total_d, total_ref, rate, per_utt)
+    return WerReport(total_s, total_i, total_d, total_ref, rate)
 
 
 def relative_improvement(baseline_wer: float, new_wer: float) -> float:

@@ -254,15 +254,20 @@ def forward(
     return logits, cache
 
 
-def backward(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: np.ndarray) -> Parameters:
-    """Gradients of sum(dlogits * logits) with respect to every parameter."""
+def backward(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
+    """Gradient of sum(dlogits * logits) with respect to every parameter, as one flat vector.
+
+    The vector is in ``parameter_shapes`` order, like :func:`flatten`;
+    :func:`unflatten` gives named views into it.
+    """
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if cache.head_input is None or dlogits.shape != (cache.head_input.shape[0], cfg.vocab_size + 1):
         raise ValueError(f"dlogits shape {dlogits.shape} does not match the cached forward pass")
-    grads: Parameters = {}
+    flat = np.zeros(_layout(cfg).size)
+    grads = unflatten(cfg, flat)
 
-    grads["head_w"] = dlogits.T @ cache.head_input
-    grads["head_b"] = dlogits.sum(axis=0)
+    grads["head_w"][...] = dlogits.T @ cache.head_input
+    grads["head_b"][...] = dlogits.sum(axis=0)
     dx = dlogits @ params["head_w"]
 
     w = cfg.context_window
@@ -272,8 +277,8 @@ def backward(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: n
         u = pre.shape[0]
         dact = dx * mask if mask is not None else dx
         dz = dact * _gelu_grad(pre)
-        grads[f"ctx{j}_w"] = dz.T @ cache.ctx_windows[j]
-        grads[f"ctx{j}_b"] = dz.sum(axis=0)
+        grads[f"ctx{j}_w"][...] = dz.T @ cache.ctx_windows[j]
+        grads[f"ctx{j}_b"][...] = dz.sum(axis=0)
         dwindow = dz @ params[f"ctx{j}_w"]
         dpadded = np.zeros((u + 2 * w, cfg.hidden_dim))
         for k in range(2 * w + 1):
@@ -286,8 +291,8 @@ def backward(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: n
         pre = cache.conv_pre[i]
         patches = cache.conv_patches[i]
         dz = dx * _gelu_grad(pre)
-        grads[f"conv{i}_w"] = dz.T @ patches
-        grads[f"conv{i}_b"] = dz.sum(axis=0)
+        grads[f"conv{i}_w"][...] = dz.T @ patches
+        grads[f"conv{i}_b"][...] = dz.sum(axis=0)
         if i > 0:
             dpatches = dz @ params[f"conv{i}_w"]
             t_in = cache.conv_inputs_len[i]
@@ -295,7 +300,7 @@ def backward(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: n
             dx_flat = dpatches.reshape(pre.shape[0] * strides[i], in_dim)
             dx = np.zeros((t_in, in_dim))
             dx[: dx_flat.shape[0]] = dx_flat  # frames cropped by the stride get zero gradient
-    return grads
+    return flat
 
 
 def save_checkpoint(params: Parameters, cfg: NetConfig, path: str | Path) -> None:

@@ -152,9 +152,10 @@ def smoothed_ctc_objective(
 ) -> tuple[float, np.ndarray]:
     """CTC loss blended with a per-frame uniform-KL regularizer.
 
-    loss = (1-s) * ctc_loss + s * mean_u KL(uniform || softmax(logits_u)).
-    The KL term's logit gradient is softmax minus uniform, so the combined
-    gradient stays exact. With smoothing 0 this is plain CTC.
+    loss = (1-s) * ctc + s * mean_u KL(uniform || softmax(logits_u)), where
+    ctc and its gradient come from :func:`ctc.ctc_loss_and_grad`. The KL
+    term's logit gradient is softmax minus uniform, so the combined
+    gradient stays exact. With smoothing 0 this is plain CTC, returned as is.
     """
     if not 0.0 <= smoothing < 1.0:
         raise ValueError("smoothing must lie in [0, 1)")

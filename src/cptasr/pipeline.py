@@ -252,6 +252,8 @@ def run_cpt_pipeline(
     """
     if cpt_init not in ("fresh", "labeler"):
         raise ValueError("cpt_init must be 'fresh' or 'labeler'")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must lie in [0, 1]")
     _check_no_leak(labeled, (pool, eval_ds), eval_ds)
     if vocab is None:
         vocab = build_vocabulary(labeled.transcripts())

@@ -177,7 +177,7 @@ def train_stage(
                     logits, utt.transcript, vocab, stage.label_smoothing
                 )
                 epoch_loss += loss
-                grad_sum += net.flatten(cfg, net.backward(params, run_cfg, cache, dlogits))
+                grad_sum += net.backward(params, run_cfg, cache, dlogits)
             grads = grad_sum / len(members)
             if not np.all(np.isfinite(grads)):
                 bad = net.tensor_name(cfg, int(np.argmin(np.isfinite(grads))))

@@ -151,6 +151,30 @@ def test_pipeline_empty_pool_exit_code(run_config):
     assert main(["pipeline", "--config", str(cfg_path), "--threshold", "1.0"]) == EXIT_EMPTY_POOL
 
 
+def test_out_of_range_threshold_is_config_error_before_any_work(run_config):
+    cfg_path, out_dir = run_config
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["split", "--config", str(cfg_path),
+          "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    assert main(["pipeline", "--config", str(cfg_path), "--threshold", "1.5"]) == EXIT_CONFIG
+    assert not (out_dir / "labeler.ckpt").exists()
+    assert main(["pseudolabel", "--config", str(cfg_path), "--threshold", "-0.1"]) == EXIT_CONFIG
+
+
+def test_split_seed_flag_acts_like_config_seed(run_config, tmp_path):
+    cfg_path, out_dir = run_config
+    main(["gen-data", "--config", str(cfg_path)])
+    split = ["split", "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"]
+    assert main(split + ["--config", str(cfg_path), "--seed", "7"]) == EXIT_OK
+    by_flag = (out_dir / "eval.jsonl").read_bytes()
+    cfg = json.loads(cfg_path.read_text())
+    cfg["seed"] = 7
+    seven = tmp_path / "seven.json"
+    seven.write_text(json.dumps(cfg))
+    assert main(split + ["--config", str(seven)]) == EXIT_OK
+    assert (out_dir / "eval.jsonl").read_bytes() == by_flag
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert main(["gen-data", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 

@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cptasr.ctc as ctc_mod
 from cptasr.corpus import Vocabulary
 from cptasr.ctc import (
     InfeasibleTargetError,
     collapse,
-    ctc_grad,
-    ctc_loss,
     ctc_loss_and_grad,
     greedy_decode,
     log_softmax,
@@ -47,38 +47,38 @@ def test_log_softmax_exponentials_sum_to_one():
 
 def test_uniform_single_frame_loss_is_ln2():
     # one frame over {blank, a}: the only valid path is "a", probability 1/2
-    assert ctc_loss(np.zeros((1, 2)), "a", VA) == pytest.approx(math.log(2), abs=1e-12)
+    assert ctc_loss_and_grad(np.zeros((1, 2)), "a", VA)[0] == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_target_longer_than_frames_is_infeasible():
     with pytest.raises(InfeasibleTargetError):
-        ctc_loss(np.zeros((1, 3)), "ab", VAB)
+        ctc_loss_and_grad(np.zeros((1, 3)), "ab", VAB)
 
 
 def test_repeat_needs_separating_blank():
     assert min_frames("aa") == 3
     with pytest.raises(InfeasibleTargetError):
-        ctc_loss(np.zeros((2, 2)), "aa", VA)
-    assert math.isfinite(ctc_loss(np.zeros((3, 2)), "aa", VA))
+        ctc_loss_and_grad(np.zeros((2, 2)), "aa", VA)
+    assert math.isfinite(ctc_loss_and_grad(np.zeros((3, 2)), "aa", VA)[0])
 
 
 def test_character_outside_vocabulary_rejected():
     with pytest.raises(ValueError):
-        ctc_loss(np.zeros((2, 2)), "z", VA)
+        ctc_loss_and_grad(np.zeros((2, 2)), "z", VA)
 
 
 def test_two_frame_loss_matches_path_sum():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(2, 2))
     want = ctc_loss_by_enumeration(logits, "a", ("a",))
-    assert ctc_loss(logits, "a", VA) == pytest.approx(want, abs=1e-12)
+    assert ctc_loss_and_grad(logits, "a", VA)[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_loss_matches_enumeration_on_random_instances():
     rng = np.random.default_rng(42)
     for _ in range(200):
         logits, target, symbols = random_feasible_instance(rng)
-        got = ctc_loss(logits, target, Vocabulary(symbols))
+        got = ctc_loss_and_grad(logits, target, Vocabulary(symbols))[0]
         want = ctc_loss_by_enumeration(logits, target, symbols)
         assert got == pytest.approx(want, abs=1e-6)
 
@@ -87,7 +87,7 @@ def test_empty_target_is_all_blank_path():
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(3, 3))
     lp = log_softmax(logits, axis=1)
-    assert ctc_loss(logits, "", VAB) == pytest.approx(-lp[:, 0].sum(), abs=1e-12)
+    assert ctc_loss_and_grad(logits, "", VAB)[0] == pytest.approx(-lp[:, 0].sum(), abs=1e-12)
 
 
 def test_loss_nonnegative_and_shift_invariant():
@@ -95,10 +95,10 @@ def test_loss_nonnegative_and_shift_invariant():
     for _ in range(20):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        loss = ctc_loss(logits, target, vocab)
+        loss = ctc_loss_and_grad(logits, target, vocab)[0]
         assert loss >= 0
         shifted = logits + rng.normal() * np.ones_like(logits)
-        assert ctc_loss(shifted, target, vocab) == pytest.approx(loss, abs=1e-9)
+        assert ctc_loss_and_grad(shifted, target, vocab)[0] == pytest.approx(loss, abs=1e-9)
 
 
 def test_appending_frames_preserves_feasibility():
@@ -106,13 +106,13 @@ def test_appending_frames_preserves_feasibility():
     for _ in range(30):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        ctc_loss(logits, target, vocab)
+        ctc_loss_and_grad(logits, target, vocab)
         extended = np.vstack([logits, rng.normal(size=(1, logits.shape[1]))])
-        ctc_loss(extended, target, vocab)  # must not raise
+        ctc_loss_and_grad(extended, target, vocab)  # must not raise
 
 
 def test_gradient_single_frame_closed_form():
-    grad = ctc_grad(np.zeros((1, 2)), "a", VA)
+    grad = ctc_loss_and_grad(np.zeros((1, 2)), "a", VA)[1]
     np.testing.assert_allclose(grad, [[0.5, -0.5]], atol=1e-12)
 
 
@@ -120,7 +120,7 @@ def test_gradient_rows_sum_to_zero():
     rng = np.random.default_rng(5)
     for _ in range(20):
         logits, target, symbols = random_feasible_instance(rng)
-        grad = ctc_grad(logits, target, Vocabulary(symbols))
+        grad = ctc_loss_and_grad(logits, target, Vocabulary(symbols))[1]
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-10)
 
 
@@ -129,10 +129,39 @@ def test_gradient_matches_finite_differences():
     for _ in range(100):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        loss, grad = ctc_loss_and_grad(logits, target, vocab)
-        assert loss == pytest.approx(ctc_loss(logits, target, vocab), abs=1e-12)
-        numeric = central_difference_grad(lambda x: ctc_loss(x, target, vocab), logits.copy())
+        _, grad = ctc_loss_and_grad(logits, target, vocab)
+        numeric = central_difference_grad(lambda x: ctc_loss_and_grad(x, target, vocab)[0], logits.copy())
         assert_grad_close(grad, numeric)
+
+
+@st.composite
+def _training_shaped_instance(draw):
+    """Logits, target and vocabulary at training shapes, past the enumeration oracle's reach."""
+    symbols = tuple("abcdefghij"[: draw(st.integers(1, 10))])
+    target = "".join(draw(st.lists(st.sampled_from(symbols), max_size=30)))
+    n_frames = draw(st.integers(max(1, min_frames(target)), 60))
+    scale = draw(st.floats(0.5, 20.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(scale=scale, size=(n_frames, len(symbols) + 1)), target, Vocabulary(symbols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_training_shaped_instance())
+def test_lattice_posteriors_are_consistent_at_training_shapes(instance):
+    logits, target, vocab = instance
+    loss, grad = ctc_loss_and_grad(logits, target, vocab)
+    log_z = -loss
+    log_probs = log_softmax(logits, axis=1)
+    ext = ctc_mod._extended_target(target, vocab)
+    emit = log_probs[:, ext]
+    alpha = ctc_mod._lattice(emit, ext) + emit
+    beta = ctc_mod._lattice(emit[::-1, ::-1], ext[::-1])[::-1, ::-1]
+    # every path passes through exactly one state per frame
+    per_frame = np.logaddexp.reduce(alpha + beta, axis=1)
+    np.testing.assert_allclose(per_frame, log_z, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-10)
+    occupancy = np.exp(log_probs) - grad
+    assert np.all(occupancy >= -1e-12) and np.all(occupancy <= 1 + 1e-12)
 
 
 def test_collapse_examples():

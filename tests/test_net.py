@@ -103,7 +103,7 @@ def test_zero_dlogits_gives_zero_gradients():
     params = init_parameters(TINY, seed=0)
     x = np.random.default_rng(4).normal(size=(9, 5))
     logits, cache = forward(params, TINY, x)
-    grads = backward(params, TINY, cache, np.zeros_like(logits))
+    grads = unflatten(TINY, backward(params, TINY, cache, np.zeros_like(logits)))
     assert all(np.all(g == 0) for g in grads.values())
 
 
@@ -112,8 +112,8 @@ def test_backward_is_linear_in_dlogits():
     x = np.random.default_rng(5).normal(size=(9, 5))
     logits, cache = forward(params, TINY, x)
     dl = np.random.default_rng(6).normal(size=logits.shape)
-    g1 = backward(params, TINY, cache, dl)
-    g2 = backward(params, TINY, cache, 2.0 * dl)
+    g1 = unflatten(TINY, backward(params, TINY, cache, dl))
+    g2 = unflatten(TINY, backward(params, TINY, cache, 2.0 * dl))
     for name in g1:
         np.testing.assert_allclose(g2[name], 2.0 * g1[name], rtol=1e-12)
 
@@ -133,7 +133,7 @@ def _audit_config_gradients(cfg: NetConfig, train_mode: bool, seed) -> None:
     x = rng.normal(size=(9, cfg.feature_dim))
     logits, cache = forward(params, cfg, x, train_mode=train_mode, seed=seed)
     dl = rng.normal(size=logits.shape)
-    grads = backward(params, cfg, cache, dl)
+    grads = unflatten(cfg, backward(params, cfg, cache, dl))
 
     for name in params:
         def objective(tensor, name=name):

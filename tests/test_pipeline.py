@@ -136,6 +136,19 @@ def test_pipeline_threshold_one_aborts_with_empty_pool():
         run_cpt_pipeline(labeled, pool, eval_ds, s1, s2, s3, net_cfg, 1.0, vocab)
 
 
+def test_pipeline_rejects_bad_threshold_before_training(monkeypatch):
+    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture(n_utterances=120)
+    s1, s2, s3 = _quick_stages()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_stage ran before the threshold was checked")
+
+    monkeypatch.setattr("cptasr.train.train_stage", no_training)
+    for threshold in (1.5, -0.1):
+        with pytest.raises(ValueError, match="threshold"):
+            run_cpt_pipeline(labeled, pool, eval_ds, s1, s2, s3, net_cfg, threshold, vocab)
+
+
 def test_pipeline_rejects_id_overlap_and_speaker_leak():
     labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture(n_utterances=120)
     s1, s2, s3 = _quick_stages()

@@ -6,7 +6,7 @@ import pytest
 import cptasr.train as train_mod
 from cptasr.corpus import Dataset, SynthConfig, Utterance, build_vocabulary, generate_synthetic_corpus, speaker_disjoint_split
 from cptasr.metrics import WerReport, wer
-from cptasr.net import NetConfig, forward, init_parameters
+from cptasr.net import NetConfig, forward, init_parameters, unflatten
 from cptasr.ctc import greedy_decode
 from cptasr.optim import StageConfig
 from cptasr.train import decode_dataset, evaluate_wer, save_history, train_stage
@@ -188,7 +188,7 @@ def test_nonfinite_gradient_raises_without_clipping(monkeypatch):
 
     def poisoned(params, cfg, cache, dlogits):
         grads = real_backward(params, cfg, cache, dlogits)
-        grads["ctx0_b"][1] = np.nan
+        unflatten(cfg, grads)["ctx0_b"][1] = np.nan
         return grads
 
     monkeypatch.setattr(train_mod.net, "backward", poisoned)
