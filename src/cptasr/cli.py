@@ -265,17 +265,18 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     eval_ds = load_manifest(cfg.path("eval"))
     vocab = build_vocabulary(labeled.transcripts())
     net_cfg = cfg.net_config(vocab)
+    # every stage config is validated before any training starts
+    stages = [cfg.stage(name) for name in ("stage1", "stage2-cpt", "stage3-finetune")]
+    baseline_stage = cfg.stage("baseline") if args.with_baseline else None
     _save_vocab(vocab, cfg.out_dir / "vocab.json")
     final_params, report = pipeline.run_cpt_pipeline(
-        labeled, pool, eval_ds,
-        cfg.stage("stage1"), cfg.stage("stage2-cpt"), cfg.stage("stage3-finetune"),
-        net_cfg, cfg.threshold, vocab,
+        labeled, pool, eval_ds, *stages, net_cfg, cfg.threshold, vocab,
         out_dir=cfg.out_dir,
         cpt_init="labeler" if args.cpt_from_labeler else "fresh",
         include_labeled_in_cpt=args.mix_labeled,
     )
-    if args.with_baseline:
-        _, baseline_report, _ = pipeline.run_baseline(labeled, eval_ds, cfg.stage("baseline"), net_cfg, vocab)
+    if baseline_stage is not None:
+        _, baseline_report, _ = pipeline.run_baseline(labeled, eval_ds, baseline_stage, net_cfg, vocab)
         pipeline.attach_baseline(report, baseline_report)
         _write_json(baseline_report.to_dict(), cfg.out_dir / "baseline_wer.json")
     report_path = cfg.out_dir / "report.json"

@@ -27,15 +27,16 @@ Parameters = dict[str, np.ndarray]
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
+# x * x * x rather than x**3: numpy's float power calls pow() per element, ~40x slower
 def _gelu(x: np.ndarray) -> np.ndarray:
     """Smooth tanh-form GELU; differentiable everywhere, so finite-difference audits hold."""
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    x2 = x * x
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x2)
 
 
 class CheckpointError(ValueError):
@@ -90,15 +91,25 @@ class NetConfig:
 
 @dataclass
 class ForwardCache:
-    """Pre-activations and inputs retained for the backward pass of one utterance."""
+    """Inputs and pre-activations of one packed forward pass, retained for the backward pass.
 
-    conv_inputs_len: list[int] = field(default_factory=list)
+    The packed rows are the members' frames back to back, in member order.
+    """
+
+    lengths: np.ndarray | None = None  # output frames U_b of each member
+    conv_rows: list[np.ndarray] = field(default_factory=list)  # input rows each conv layer keeps
     conv_patches: list[np.ndarray] = field(default_factory=list)
     conv_pre: list[np.ndarray] = field(default_factory=list)
-    ctx_windows: list[np.ndarray] = field(default_factory=list)
+    ctx_rows: np.ndarray | None = None  # row of each packed frame in the zero-gapped copy
+    ctx_gapped: list[np.ndarray] = field(default_factory=list)  # each context layer's zero-gapped input
     ctx_pre: list[np.ndarray] = field(default_factory=list)
     ctx_masks: list[np.ndarray | None] = field(default_factory=list)
     head_input: np.ndarray | None = None
+
+    @property
+    def valid(self) -> np.ndarray:
+        """B x max(U_b) mask of the padded logit rows that hold a member's frame."""
+        return np.arange(self.lengths.max()) < self.lengths[:, None]
 
 
 def float32_exact(arr: np.ndarray) -> np.ndarray:
@@ -195,6 +206,95 @@ def _check_params(params: Parameters, cfg: NetConfig) -> None:
             raise ValueError(f"parameter {name}: shape {params[name].shape} != expected {shape}")
 
 
+def _leading_rows(lengths: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Packed-row index of the first ``keep[b]`` rows of each member b, where member b has ``lengths[b]`` rows."""
+    starts = np.cumsum(lengths) - lengths
+    return np.arange(keep.sum()) + np.repeat(starts - (np.cumsum(keep) - keep), keep)
+
+
+def _windows(gapped: np.ndarray, rows: np.ndarray, w: int) -> np.ndarray:
+    """Context window of each row in ``rows``: gapped rows r - w .. r + w, side by side."""
+    return gapped[rows[:, None] + np.arange(-w, w + 1)].reshape(len(rows), -1)
+
+
+def forward_batch(
+    params: Parameters,
+    cfg: NetConfig,
+    features: Sequence[np.ndarray],
+    train_mode: bool = False,
+    seeds: Sequence[int | Sequence[int]] | None = None,
+) -> tuple[np.ndarray, ForwardCache]:
+    """Map B utterances of T_b x D features to B x max(U_b) x (V+1) logits, U_b = floor(T_b / downsample_factor).
+
+    The members run as one packed (sum of T_b) x D float64 array. Each conv
+    layer keeps only the rows of each member that fill its stride, and the
+    context windows read a copy of the rows with ``context_window`` zero
+    rows before, between and after the members, so no frame sees another
+    utterance. Logit rows past a member's U_b are zero; ``cache.lengths``
+    holds the U_b. In ``train_mode``, member b's dropout masks are drawn
+    from ``seeds[b]`` (default 0) and recorded in the cache, so member b
+    gets exactly the pass of ``forward(..., seed=seeds[b])``. Eval mode is
+    deterministic.
+    """
+    feats = [np.asarray(f) for f in features]
+    if not feats:
+        raise ValueError("a batch needs at least one utterance")
+    for f in feats:
+        if f.ndim != 2 or f.shape[1] != cfg.feature_dim:
+            raise ValueError(f"features must be T x {cfg.feature_dim}, got {f.shape}")
+    n = np.array([f.shape[0] for f in feats])
+    if n.min() < cfg.downsample_factor:
+        raise InputTooShortError(
+            f"{n.min()} frames cannot fill one downsampled step of {cfg.downsample_factor}"
+        )
+    _check_params(params, cfg)
+    x = np.concatenate(feats, dtype=np.float64)
+
+    cache = ForwardCache()
+    for i, stride in enumerate(_layout(cfg).strides):
+        t_out = n // stride
+        rows = _leading_rows(n, t_out * stride)
+        patches = x[rows].reshape(-1, stride * x.shape[1])
+        pre = patches @ params[f"conv{i}_w"].T + params[f"conv{i}_b"]
+        cache.conv_rows.append(rows)
+        cache.conv_patches.append(patches)
+        cache.conv_pre.append(pre)
+        x = _gelu(pre)
+        n = t_out
+    cache.lengths = n
+
+    w = cfg.context_window
+    rows = np.arange(n.sum()) + w * np.repeat(np.arange(1, len(n) + 1), n)
+    cache.ctx_rows = rows
+    rngs = None
+    if train_mode and cfg.dropout_rate > 0:
+        rngs = [np.random.default_rng(s) for s in (seeds if seeds is not None else [0] * len(n))]
+        if len(rngs) != len(n):
+            raise ValueError(f"{len(n)} utterances need {len(n)} seeds, got {len(rngs)}")
+    for j in range(cfg.context_layers):
+        gapped = np.zeros((rows[-1] + w + 1, cfg.hidden_dim))
+        gapped[rows] = x
+        pre = _windows(gapped, rows, w) @ params[f"ctx{j}_w"].T + params[f"ctx{j}_b"]
+        act = _gelu(pre)
+        if rngs is not None:
+            keep = 1.0 - cfg.dropout_rate
+            draws = np.concatenate([rng.random((u, cfg.hidden_dim)) for rng, u in zip(rngs, n)])
+            mask = (draws < keep) / keep
+            dropped = act * mask
+        else:
+            mask = None
+            dropped = act
+        cache.ctx_gapped.append(gapped)
+        cache.ctx_pre.append(pre)
+        cache.ctx_masks.append(mask)
+        x = x + dropped
+
+    cache.head_input = x
+    logits = np.zeros((len(n), n.max(), cfg.vocab_size + 1))
+    logits[cache.valid] = x @ params["head_w"].T + params["head_b"]
+    return logits, cache
+
+
 def forward(
     params: Parameters,
     cfg: NetConfig,
@@ -204,89 +304,53 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Map T x D features to U x (V+1) logits, U = floor(T / downsample_factor).
 
-    Dropout is applied inside the context blocks only when ``train_mode``;
-    masks are drawn from ``seed`` and recorded in the cache, so a repeated
-    call with the same seed reproduces the pass exactly. Eval mode is
-    deterministic.
+    A batch of one through :func:`forward_batch`: dropout (``train_mode``
+    only) draws its masks from ``seed``, so a repeated call with the same
+    seed reproduces the pass exactly.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != cfg.feature_dim:
-        raise ValueError(f"features must be T x {cfg.feature_dim}, got {x.shape}")
-    if x.shape[0] < cfg.downsample_factor:
-        raise InputTooShortError(
-            f"{x.shape[0]} frames cannot fill one downsampled step of {cfg.downsample_factor}"
-        )
-    _check_params(params, cfg)
-
-    cache = ForwardCache()
-    rng = np.random.default_rng(seed) if train_mode and cfg.dropout_rate > 0 else None
-
-    for i, stride in enumerate(_layout(cfg).strides):
-        t_out = x.shape[0] // stride
-        patches = x[: t_out * stride].reshape(t_out, stride * x.shape[1])
-        pre = patches @ params[f"conv{i}_w"].T + params[f"conv{i}_b"]
-        cache.conv_inputs_len.append(x.shape[0])
-        cache.conv_patches.append(patches)
-        cache.conv_pre.append(pre)
-        x = _gelu(pre)
-
-    w = cfg.context_window
-    for j in range(cfg.context_layers):
-        u = x.shape[0]
-        padded = np.vstack([np.zeros((w, cfg.hidden_dim)), x, np.zeros((w, cfg.hidden_dim))])
-        window = np.concatenate([padded[k : k + u] for k in range(2 * w + 1)], axis=1)
-        pre = window @ params[f"ctx{j}_w"].T + params[f"ctx{j}_b"]
-        act = _gelu(pre)
-        if rng is not None:
-            keep = 1.0 - cfg.dropout_rate
-            mask = (rng.random(act.shape) < keep) / keep
-            dropped = act * mask
-        else:
-            mask = None
-            dropped = act
-        cache.ctx_windows.append(window)
-        cache.ctx_pre.append(pre)
-        cache.ctx_masks.append(mask)
-        x = x + dropped
-
-    cache.head_input = x
-    logits = x @ params["head_w"].T + params["head_b"]
-    return logits, cache
+    logits, cache = forward_batch(params, cfg, [features], train_mode, [seed])
+    return logits[0], cache
 
 
-def backward(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
-    """Gradient of sum(dlogits * logits) with respect to every parameter, as one flat vector.
+def backward_batch(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
+    """Gradient of sum(dlogits * logits) over a :func:`forward_batch` pass, as one flat vector.
 
-    The vector is in ``parameter_shapes`` order, like :func:`flatten`;
-    :func:`unflatten` gives named views into it.
+    ``dlogits`` is B x max(U_b) x (V+1) like the logits; rows past a
+    member's U_b are ignored. The vector is the sum over the members, in
+    ``parameter_shapes`` order like :func:`flatten`; :func:`unflatten`
+    gives named views into it.
     """
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    if cache.head_input is None or dlogits.shape != (cache.head_input.shape[0], cfg.vocab_size + 1):
+    valid = cache.valid
+    if cache.head_input is None or dlogits.shape != valid.shape + (cfg.vocab_size + 1,):
         raise ValueError(f"dlogits shape {dlogits.shape} does not match the cached forward pass")
     flat = np.zeros(_layout(cfg).size)
     grads = unflatten(cfg, flat)
 
+    dlogits = dlogits[valid]
     grads["head_w"][...] = dlogits.T @ cache.head_input
     grads["head_b"][...] = dlogits.sum(axis=0)
     dx = dlogits @ params["head_w"]
 
     w = cfg.context_window
+    rows = cache.ctx_rows
+    span = 2 * w + 1
     for j in range(cfg.context_layers - 1, -1, -1):
         pre = cache.ctx_pre[j]
         mask = cache.ctx_masks[j]
-        u = pre.shape[0]
         dact = dx * mask if mask is not None else dx
         dz = dact * _gelu_grad(pre)
-        grads[f"ctx{j}_w"][...] = dz.T @ cache.ctx_windows[j]
+        grads[f"ctx{j}_w"][...] = dz.T @ _windows(cache.ctx_gapped[j], rows, w)
         grads[f"ctx{j}_b"][...] = dz.sum(axis=0)
-        dwindow = dz @ params[f"ctx{j}_w"]
-        dpadded = np.zeros((u + 2 * w, cfg.hidden_dim))
-        for k in range(2 * w + 1):
-            dpadded[k : k + u] += dwindow[:, k * cfg.hidden_dim : (k + 1) * cfg.hidden_dim]
+        # window gradients of every gapped row r in [w, end - w), whose tap k read row r - w + k
+        dwindow = np.zeros((rows[-1] + 1 - w, span, cfg.hidden_dim))
+        dwindow[rows - w] = (dz @ params[f"ctx{j}_w"]).reshape(len(rows), span, cfg.hidden_dim)
+        dgapped = np.zeros((rows[-1] + w + 1, cfg.hidden_dim))
+        for k in range(span):
+            dgapped[k : k + len(dwindow)] += dwindow[:, k]
         # residual: gradient flows both around and through the block
-        dx = dx + dpadded[w : w + u]
+        dx = dx + dgapped[rows]
 
-    strides = _layout(cfg).strides
     for i in range(cfg.conv_layers - 1, -1, -1):
         pre = cache.conv_pre[i]
         patches = cache.conv_patches[i]
@@ -294,13 +358,18 @@ def backward(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: n
         grads[f"conv{i}_w"][...] = dz.T @ patches
         grads[f"conv{i}_b"][...] = dz.sum(axis=0)
         if i > 0:
-            dpatches = dz @ params[f"conv{i}_w"]
-            t_in = cache.conv_inputs_len[i]
-            in_dim = patches.shape[1] // strides[i]
-            dx_flat = dpatches.reshape(pre.shape[0] * strides[i], in_dim)
-            dx = np.zeros((t_in, in_dim))
-            dx[: dx_flat.shape[0]] = dx_flat  # frames cropped by the stride get zero gradient
+            rows = cache.conv_rows[i]
+            dx = np.zeros(cache.conv_pre[i - 1].shape)  # this layer's input
+            dx[rows] = (dz @ params[f"conv{i}_w"]).reshape(len(rows), -1)  # cropped frames get zero gradient
     return flat
+
+
+def backward(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
+    """Gradient of sum(dlogits * logits) over a :func:`forward` pass, as one flat vector.
+
+    ``dlogits`` is U x (V+1); this is a batch of one through :func:`backward_batch`.
+    """
+    return backward_batch(params, cfg, cache, np.asarray(dlogits, dtype=np.float64)[None])
 
 
 def save_checkpoint(params: Parameters, cfg: NetConfig, path: str | Path) -> None:

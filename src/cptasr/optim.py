@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -144,28 +145,50 @@ def adamw_step(
     return new_theta, OptState(m=m, v=v, step=t)
 
 
+def smoothed_ctc_objective_batch(
+    logits: np.ndarray,
+    lengths: Sequence[int],
+    targets: Sequence[str],
+    vocab: Vocabulary,
+    smoothing: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """CTC loss blended with a per-frame uniform-KL regularizer, per member of a padded batch.
+
+    ``logits`` is B x T x C and member b owns its first ``lengths[b]``
+    frames. loss_b = (1-s) * ctc_b + s * mean_u KL(uniform || softmax(logits_b,u)),
+    with the mean over member b's frames; ctc and its gradient come from
+    :func:`ctc.ctc_loss_and_grad_batch`, which shares this function's one
+    log-softmax. The KL term's logit gradient is softmax minus uniform, so
+    the combined gradient stays exact; rows of padded frames are zero.
+    With smoothing 0 this is plain CTC, returned as is.
+    """
+    if not 0.0 <= smoothing < 1.0:
+        raise ValueError("smoothing must lie in [0, 1)")
+    log_probs = ctc.log_softmax(logits, axis=2)
+    losses, grad = ctc.ctc_loss_and_grad_batch(log_probs, lengths, targets, vocab)
+    if smoothing == 0.0:
+        return losses, grad
+    lengths = np.asarray(lengths)
+    n_classes = log_probs.shape[2]
+    frame_ok = (np.arange(log_probs.shape[1]) < lengths[:, None])[:, :, None]
+    # KL(u || p) per frame = -log C - mean_k log p_k
+    kl = -math.log(n_classes) - np.sum(log_probs, axis=(1, 2), where=frame_ok) / (lengths * n_classes)
+    kl_grad = (smoothing / lengths[:, None, None]) * (np.exp(log_probs) - 1.0 / n_classes)
+    losses = (1.0 - smoothing) * losses + smoothing * kl
+    grad = (1.0 - smoothing) * grad + np.where(frame_ok, kl_grad, 0.0)
+    return losses, grad
+
+
 def smoothed_ctc_objective(
     logits: np.ndarray,
     target: str,
     vocab: Vocabulary,
     smoothing: float,
 ) -> tuple[float, np.ndarray]:
-    """CTC loss blended with a per-frame uniform-KL regularizer.
+    """Smoothed CTC loss and logit gradient of one T x C utterance.
 
-    loss = (1-s) * ctc + s * mean_u KL(uniform || softmax(logits_u)), where
-    ctc and its gradient come from :func:`ctc.ctc_loss_and_grad`. The KL
-    term's logit gradient is softmax minus uniform, so the combined
-    gradient stays exact. With smoothing 0 this is plain CTC, returned as is.
+    A batch of one through :func:`smoothed_ctc_objective_batch`.
     """
-    if not 0.0 <= smoothing < 1.0:
-        raise ValueError("smoothing must lie in [0, 1)")
-    base_loss, base_grad = ctc.ctc_loss_and_grad(logits, target, vocab)
-    if smoothing == 0.0:
-        return base_loss, base_grad
-    log_probs = ctc.log_softmax(np.asarray(logits, dtype=np.float64), axis=1)
-    n_frames, n_classes = log_probs.shape
-    # KL(u || p) per frame = -log C - mean_k log p_k
-    kl = -math.log(n_classes) - float(np.mean(log_probs))
-    loss = (1.0 - smoothing) * base_loss + smoothing * kl
-    grad = (1.0 - smoothing) * base_grad + (smoothing / n_frames) * (np.exp(log_probs) - 1.0 / n_classes)
-    return loss, grad
+    logits = np.asarray(logits, dtype=np.float64)
+    losses, grad = smoothed_ctc_objective_batch(logits[None], [logits.shape[0]], [target], vocab, smoothing)
+    return float(losses[0]), grad[0]

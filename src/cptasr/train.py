@@ -23,6 +23,9 @@ logger = logging.getLogger(__name__)
 # after downsampling; that level of loss signals a misconfigured net.
 MAX_SKIP_FRACTION = 0.10
 
+# Utterances per eval-mode forward pass in decode_dataset.
+DECODE_CHUNK = 8
+
 
 @dataclass
 class EpochRecord:
@@ -76,11 +79,14 @@ def save_history(history: TrainHistory, path: str | Path) -> None:
 
 
 def decode_dataset(params: Parameters, cfg: NetConfig, ds: Dataset, vocab: Vocabulary) -> list[ctc.DecodeResult]:
-    """Greedy-decode every utterance in eval mode, in dataset order."""
+    """Greedy-decode every utterance in eval mode, in dataset order, ``DECODE_CHUNK`` utterances per forward pass."""
+    utts = list(ds)
     results = []
-    for utt in ds:
-        logits, _ = net.forward(params, cfg, utt.features, train_mode=False)
-        results.append(ctc.greedy_decode(logits, vocab))
+    for start in range(0, len(utts), DECODE_CHUNK):
+        chunk = utts[start : start + DECODE_CHUNK]
+        logits, cache = net.forward_batch(params, cfg, [utt.features for utt in chunk], train_mode=False)
+        results.extend(ctc.greedy_decode_batch(logits, cache.lengths, vocab))
+        del logits, cache  # free this chunk's activations before the next forward pass
     return results
 
 
@@ -121,12 +127,15 @@ def train_stage(
     """Run one training stage and return the best-validation-WER parameters.
 
     The parameters live in one flat float64 vector. Each epoch shuffles the
-    data by (stage seed, epoch), sums each batch's smoothed-CTC gradient
-    vectors and divides by the member count; a non-finite result raises
-    ``FloatingPointError`` naming its tensor. The vector is clipped and
-    stepped by AdamW under the warmup/decay schedule, then projected to
-    float32-representable values in one op so checkpoints round-trip
-    bit-exactly. Validation WER is measured after every epoch; training
+    data by (stage seed, epoch) and runs each batch through one packed
+    :func:`net.forward_batch` (member ``pos`` of batch ``b`` draws its
+    dropout from ``[stage.seed, epoch, b, pos]``), one
+    :func:`optim.smoothed_ctc_objective_batch` and one
+    :func:`net.backward_batch`; the summed gradient is divided by the
+    member count, and a non-finite result raises ``FloatingPointError``
+    naming its tensor. The vector is clipped and stepped by AdamW under the
+    warmup/decay schedule, then projected to float32-representable values
+    in one op so checkpoints round-trip bit-exactly. Validation WER is measured after every epoch; training
     stops once ``stage.patience`` consecutive epochs fail to improve the
     best WER (patience None or 0 disables early stopping).
     """
@@ -164,21 +173,18 @@ def train_stage(
         order = np.random.default_rng([stage.seed, epoch]).permutation(len(usable))
         epoch_loss = 0.0
         for b in range(batches_per_epoch):
-            members = order[b * stage.batch_size : (b + 1) * stage.batch_size]
+            batch = [usable[idx] for idx in order[b * stage.batch_size : (b + 1) * stage.batch_size]]
             params = net.unflatten(cfg, theta)
-            grad_sum = np.zeros_like(theta)
-            for pos, idx in enumerate(members):
-                utt = usable[idx]
-                logits, cache = net.forward(
-                    params, run_cfg, utt.features,
-                    train_mode=True, seed=[stage.seed, epoch, b, pos],
-                )
-                loss, dlogits = optim.smoothed_ctc_objective(
-                    logits, utt.transcript, vocab, stage.label_smoothing
-                )
-                epoch_loss += loss
-                grad_sum += net.backward(params, run_cfg, cache, dlogits)
-            grads = grad_sum / len(members)
+            logits, cache = net.forward_batch(
+                params, run_cfg, [utt.features for utt in batch],
+                train_mode=True, seeds=[[stage.seed, epoch, b, pos] for pos in range(len(batch))],
+            )
+            losses, dlogits = optim.smoothed_ctc_objective_batch(
+                logits, cache.lengths, [utt.transcript for utt in batch], vocab, stage.label_smoothing
+            )
+            epoch_loss += float(np.sum(losses))
+            grads = net.backward_batch(params, run_cfg, cache, dlogits) / len(batch)
+            del logits, cache, dlogits  # free this batch's activations before the next forward pass
             if not np.all(np.isfinite(grads)):
                 bad = net.tensor_name(cfg, int(np.argmin(np.isfinite(grads))))
                 raise FloatingPointError(f"non-finite gradient in {bad!r} at step {global_step}")

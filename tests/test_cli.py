@@ -161,6 +161,18 @@ def test_out_of_range_threshold_is_config_error_before_any_work(run_config):
     assert main(["pseudolabel", "--config", str(cfg_path), "--threshold", "-0.1"]) == EXIT_CONFIG
 
 
+def test_bad_baseline_stage_is_config_error_before_any_training(run_config):
+    cfg_path, out_dir = run_config
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["split", "--config", str(cfg_path),
+          "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    cfg = json.loads(cfg_path.read_text())
+    cfg["stages"]["baseline"]["learning_rate"] = -1
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["pipeline", "--config", str(cfg_path), "--with-baseline"]) == EXIT_CONFIG
+    assert not list(out_dir.glob("*.ckpt"))
+
+
 def test_split_seed_flag_acts_like_config_seed(run_config, tmp_path):
     cfg_path, out_dir = run_config
     main(["gen-data", "--config", str(cfg_path)])

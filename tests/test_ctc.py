@@ -12,6 +12,7 @@ from cptasr.ctc import (
     InfeasibleTargetError,
     collapse,
     ctc_loss_and_grad,
+    ctc_loss_and_grad_batch,
     greedy_decode,
     log_softmax,
     min_frames,
@@ -154,14 +155,56 @@ def test_lattice_posteriors_are_consistent_at_training_shapes(instance):
     log_probs = log_softmax(logits, axis=1)
     ext = ctc_mod._extended_target(target, vocab)
     emit = log_probs[:, ext]
-    alpha = ctc_mod._lattice(emit, ext) + emit
-    beta = ctc_mod._lattice(emit[::-1, ::-1], ext[::-1])[::-1, ::-1]
+    alpha = ctc_mod._lattice(emit[None], ext[None])[0] + emit
+    beta = ctc_mod._lattice(emit[None, ::-1, ::-1], ext[None, ::-1])[0, ::-1, ::-1]
     # every path passes through exactly one state per frame
     per_frame = np.logaddexp.reduce(alpha + beta, axis=1)
     np.testing.assert_allclose(per_frame, log_z, rtol=0, atol=1e-9)
     np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-10)
     occupancy = np.exp(log_probs) - grad
     assert np.all(occupancy >= -1e-12) and np.all(occupancy <= 1 + 1e-12)
+
+
+@st.composite
+def _ragged_batch(draw):
+    """1-6 members of mixed frame counts and target lengths (some empty), padded with junk logits."""
+    symbols = tuple("abcd"[: draw(st.integers(1, 4))])
+    targets = [
+        "".join(draw(st.lists(st.sampled_from(symbols), max_size=draw(st.sampled_from([0, 3, 8])))))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    lengths = [draw(st.integers(max(1, min_frames(t)), max(1, min_frames(t)) + 12)) for t in targets]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(scale=draw(st.floats(0.5, 10.0)), size=(len(targets), max(lengths), len(symbols) + 1))
+    return logits, lengths, targets, symbols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ragged_batch())
+def test_batched_ctc_matches_single_utterance_calls(batch):
+    logits, lengths, targets, symbols = batch
+    vocab = Vocabulary(symbols)
+    losses, grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=2), lengths, targets, vocab)
+    assert losses.shape == (len(targets),) and grad.shape == logits.shape
+    for b, (n, target) in enumerate(zip(lengths, targets)):
+        loss, member_grad = ctc_loss_and_grad(logits[b, :n], target, vocab)
+        assert abs(losses[b] - loss) <= 1e-12
+        np.testing.assert_allclose(grad[b, :n], member_grad, rtol=0, atol=1e-12)
+        assert np.all(grad[b, n:] == 0.0)  # padded frames
+        if n <= 5 and len(symbols) <= 3:
+            assert losses[b] == pytest.approx(ctc_loss_by_enumeration(logits[b, :n], target, symbols), abs=1e-9)
+
+
+def test_batched_ctc_rejects_bad_lengths_and_infeasible_members():
+    log_probs = log_softmax(np.zeros((2, 4, 3)), axis=2)
+    with pytest.raises(ValueError):
+        ctc_loss_and_grad_batch(log_probs, [4, 5], ["a", "b"], VAB)
+    with pytest.raises(ValueError):
+        ctc_loss_and_grad_batch(log_probs, [4, 0], ["a", ""], VAB)
+    with pytest.raises(ValueError):
+        ctc_loss_and_grad_batch(log_probs, [4], ["a", "b"], VAB)
+    with pytest.raises(InfeasibleTargetError):
+        ctc_loss_and_grad_batch(log_probs, [4, 2], ["a", "aab"], VAB)
 
 
 def test_collapse_examples():

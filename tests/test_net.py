@@ -10,10 +10,12 @@ from cptasr.net import (
     InputTooShortError,
     NetConfig,
     backward,
+    backward_batch,
     count_parameters,
     flatten,
     float32_exact,
     forward,
+    forward_batch,
     init_parameters,
     load_checkpoint,
     parameter_shapes,
@@ -155,6 +157,81 @@ def test_full_finite_difference_audit_with_dropout():
                     conv_channels=6, context_layers=2, hidden_dim=8, context_window=1,
                     dropout_rate=0.3)
     _audit_config_gradients(cfg, train_mode=True, seed=[2, 5])
+
+
+# strides 2 and 3, so members of these lengths lose 0-5 frames to cropping
+RAGGED = NetConfig(feature_dim=4, vocab_size=3, downsample_factor=6, conv_layers=2, conv_channels=5,
+                   context_layers=2, hidden_dim=6, context_window=2, dropout_rate=0.3)
+
+
+def _ragged_features(lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(t, RAGGED.feature_dim)).astype(np.float32) for t in lengths]
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_packed_pass_matches_single_utterance_passes(train_mode):
+    params = init_parameters(RAGGED, seed=2)
+    feats = _ragged_features([6, 31, 13, 47, 12, 17])
+    seeds = [[4, 1, 0, pos] for pos in range(len(feats))]
+    logits, cache = forward_batch(params, RAGGED, feats, train_mode=train_mode, seeds=seeds)
+    lengths = [len(f) // RAGGED.downsample_factor for f in feats]
+    assert cache.lengths.tolist() == lengths
+    assert logits.shape == (len(feats), max(lengths), RAGGED.vocab_size + 1)
+    dl = np.random.default_rng(3).normal(size=logits.shape)
+    total = np.zeros_like(backward_batch(params, RAGGED, cache, dl))
+    for b, (f, u) in enumerate(zip(feats, lengths)):
+        single, single_cache = forward(params, RAGGED, f, train_mode=train_mode, seed=seeds[b])
+        np.testing.assert_allclose(logits[b, :u], single, rtol=0, atol=1e-12)
+        assert np.all(logits[b, u:] == 0.0)
+        total += backward(params, RAGGED, single_cache, dl[b, :u])
+    np.testing.assert_allclose(backward_batch(params, RAGGED, cache, dl), total, rtol=0, atol=1e-12)
+
+
+def test_no_frame_sees_another_utterance():
+    params = init_parameters(RAGGED, seed=2)
+    feats = _ragged_features([13, 20, 9, 30])
+    base, _ = forward_batch(params, RAGGED, feats)
+    for b in range(len(feats)):
+        moved = list(feats)
+        moved[b] = feats[b] + 5.0
+        logits, _ = forward_batch(params, RAGGED, moved)
+        assert not np.array_equal(logits[b], base[b])
+        others = [k for k in range(len(feats)) if k != b]
+        np.testing.assert_array_equal(logits[others], base[others])
+
+
+def test_packed_backward_finite_difference_audit_with_dropout():
+    params = init_parameters(RAGGED, seed=1)
+    assert count_parameters(params) <= 2000
+    feats = _ragged_features([13, 7, 20], seed=11)
+    seeds = [[2, 5, pos] for pos in range(3)]
+    logits, cache = forward_batch(params, RAGGED, feats, train_mode=True, seeds=seeds)
+    assert any(m is not None and np.any(m == 0) for m in cache.ctx_masks)
+    dl = np.random.default_rng(12).normal(size=logits.shape)
+    grads = unflatten(RAGGED, backward_batch(params, RAGGED, cache, dl))
+
+    for name in params:
+        def objective(tensor, name=name):
+            probe = dict(params)
+            probe[name] = tensor
+            out, _ = forward_batch(probe, RAGGED, feats, train_mode=True, seeds=seeds)
+            return float(np.sum(dl * out))
+
+        numeric = central_difference_grad(objective, params[name].copy())
+        assert_grad_close(grads[name], numeric)
+
+
+def test_forward_batch_rejects_bad_members():
+    params = init_parameters(RAGGED, seed=0)
+    with pytest.raises(ValueError):
+        forward_batch(params, RAGGED, [])
+    with pytest.raises(ValueError):
+        forward_batch(params, RAGGED, [np.zeros((12, 4)), np.zeros((12, 3))])
+    with pytest.raises(InputTooShortError):
+        forward_batch(params, RAGGED, [np.zeros((12, 4)), np.zeros((5, 4))])
+    with pytest.raises(ValueError):
+        forward_batch(params, RAGGED, [np.zeros((12, 4))] * 2, train_mode=True, seeds=[1])
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

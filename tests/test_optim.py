@@ -19,6 +19,7 @@ from cptasr.optim import (
     lr_at,
     preset,
     smoothed_ctc_objective,
+    smoothed_ctc_objective_batch,
 )
 
 from oracles import assert_grad_close, central_difference_grad, random_feasible_instance
@@ -188,6 +189,21 @@ def test_smoothed_gradient_matches_finite_differences():
             lambda x: smoothed_ctc_objective(x, target, vocab, smoothing=0.1)[0], logits.copy()
         )
         assert_grad_close(grad, numeric)
+
+
+def test_smoothed_batch_matches_single_utterance_calls():
+    rng = np.random.default_rng(31)
+    vocab = Vocabulary(("a", "b", "c"))
+    targets = ["", "a", "abca", "cc", "b"]
+    lengths = [1, 4, 9, 3, 2]
+    logits = rng.normal(scale=3.0, size=(len(targets), max(lengths), 4))  # junk past each length
+    for smoothing in (0.0, 0.1):
+        losses, grad = smoothed_ctc_objective_batch(logits, lengths, targets, vocab, smoothing)
+        for b, (n, target) in enumerate(zip(lengths, targets)):
+            loss, member_grad = smoothed_ctc_objective(logits[b, :n], target, vocab, smoothing)
+            assert abs(losses[b] - loss) <= 1e-12
+            np.testing.assert_allclose(grad[b, :n], member_grad, rtol=0, atol=1e-12)
+            assert np.all(grad[b, n:] == 0.0)
 
 
 def test_presets_carry_stage_hyperparameters():

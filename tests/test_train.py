@@ -161,18 +161,30 @@ def test_evaluate_wer_perfect_and_empty_decodes():
     assert len(decodes) == len(train_ds)
 
 
+def test_chunked_decode_matches_single_utterance_decodes():
+    train_ds, _, vocab, net_cfg = _small_task(n_utts=40)
+    assert len(train_ds) > train_mod.DECODE_CHUNK  # crosses a chunk boundary
+    params = init_parameters(net_cfg, seed=3)
+    for utt, dec in zip(train_ds, decode_dataset(params, net_cfg, train_ds, vocab)):
+        logits, _ = forward(params, net_cfg, utt.features, train_mode=False)
+        single = greedy_decode(logits, vocab)
+        assert dec.hypothesis == single.hypothesis
+        np.testing.assert_array_equal(dec.frame_argmax, single.frame_argmax)
+        assert dec.confidence == pytest.approx(single.confidence, rel=1e-12)
+
+
 def test_every_utterance_trains_exactly_once_per_epoch(monkeypatch):
     train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
     seen: list[str] = []
     by_key = {u.features.tobytes(): u.id for u in train_ds}
-    real_forward = train_mod.net.forward
+    real_forward = train_mod.net.forward_batch
 
-    def spy(params, cfg, features, train_mode=False, seed=0):
+    def spy(params, cfg, features, train_mode=False, seeds=None):
         if train_mode:
-            seen.append(by_key[np.asarray(features, dtype=np.float32).tobytes()])
-        return real_forward(params, cfg, features, train_mode=train_mode, seed=seed)
+            seen.extend(by_key[np.asarray(f, dtype=np.float32).tobytes()] for f in features)
+        return real_forward(params, cfg, features, train_mode=train_mode, seeds=seeds)
 
-    monkeypatch.setattr(train_mod.net, "forward", spy)
+    monkeypatch.setattr(train_mod.net, "forward_batch", spy)
     stage = _stage(epochs=2, batch_size=5)
     train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val_ds, stage, vocab)
     n = len(train_ds)
@@ -184,14 +196,14 @@ def test_every_utterance_trains_exactly_once_per_epoch(monkeypatch):
 
 def test_nonfinite_gradient_raises_without_clipping(monkeypatch):
     train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
-    real_backward = train_mod.net.backward
+    real_backward = train_mod.net.backward_batch
 
     def poisoned(params, cfg, cache, dlogits):
         grads = real_backward(params, cfg, cache, dlogits)
         unflatten(cfg, grads)["ctx0_b"][1] = np.nan
         return grads
 
-    monkeypatch.setattr(train_mod.net, "backward", poisoned)
+    monkeypatch.setattr(train_mod.net, "backward_batch", poisoned)
     stage = _stage(epochs=1, grad_clip_norm=None)
     with pytest.raises(FloatingPointError, match="'ctx0_b'"):
         train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val_ds, stage, vocab)
