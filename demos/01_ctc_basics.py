@@ -8,7 +8,7 @@ import itertools
 
 import numpy as np
 
-from cptasr import Vocabulary, collapse, ctc_loss_and_grad, greedy_decode, log_softmax
+from cptasr import Vocabulary, collapse, ctc_loss_and_grad_batch, greedy_decode_batch, log_softmax
 
 vocab = Vocabulary(("a", "b"))
 print("vocabulary:", vocab.symbols, "| blank reserved at index", vocab.blank_index)
@@ -33,20 +33,22 @@ for path in itertools.product(range(3), repeat=3):
         for t, k in enumerate(path):
             p *= probs[t, k]
         brute += p
-print(f"\nbrute-force path sum: {-np.log(brute):.10f}")
-print(f"ctc_loss_and_grad   : {ctc_loss_and_grad(logits, target, vocab)[0]:.10f}")
+print(f"\nbrute-force path sum   : {-np.log(brute):.10f}")
+# the kernels take a padded batch; here it is a batch of one
+losses, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [3], [target], vocab)
+print(f"ctc_loss_and_grad_batch: {losses[0]:.10f}")
 
 # --- gradient sanity: single frame, uniform logits --------------------------
 # With one frame and target "a", the only valid path emits "a", so the
 # gradient is softmax minus a one-hot on "a".
-_, grad = ctc_loss_and_grad(np.zeros((1, 2)), "a", Vocabulary(("a",)))
-print("\nsingle-frame gradient (expect [0.5, -0.5]):", grad[0])
+_, grad = ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 2)), axis=2), [1], ["a"], Vocabulary(("a",)))
+print("\nsingle-frame gradient (expect [0.5, -0.5]):", grad[0, 0])
 
 # --- greedy decoding with confidence ----------------------------------------
 # Confidence is the geometric mean of per-frame max posteriors: near 1 for
 # peaked logits, 1/(V+1) for uniform ones.
 peaked = np.array([[0, 9, 0], [9, 0, 0], [0, 0, 9]], dtype=float)
-result = greedy_decode(peaked, vocab)
+result = greedy_decode_batch(peaked[None], [3], vocab)[0]
 print(f"\npeaked logits  -> hypothesis {result.hypothesis!r}, confidence {result.confidence:.3f}")
-result = greedy_decode(np.zeros((4, 3)), vocab)
+result = greedy_decode_batch(np.zeros((1, 4, 3)), [4], vocab)[0]
 print(f"uniform logits -> hypothesis {result.hypothesis!r}, confidence {result.confidence:.3f}")

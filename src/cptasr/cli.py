@@ -41,6 +41,13 @@ class ConfigError(ValueError):
     """Raised for unusable run configuration."""
 
 
+def _typed(value, kinds: tuple[type, ...], what: str):
+    """``value`` if it is one of ``kinds`` (a JSON true/false never counts as a number), else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{what} must be {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    return value
+
+
 class RunConfig:
     """Parsed run-config file with preset-backed stage configs.
 
@@ -50,18 +57,19 @@ class RunConfig:
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ConfigError("run config must be a JSON object")
-        self.seed = int(raw.get("seed", 0))
-        self.threshold = float(raw.get("threshold", 0.75))
+        self.seed = _typed(raw.get("seed", 0), (int,), "seed")
+        self.threshold = float(_typed(raw.get("threshold", 0.75), (int, float), "threshold"))
         out_dir = os.environ.get(OUT_DIR_ENV) or raw.get("out_dir", "runs")
-        self.out_dir = Path(out_dir)
-        self.net_raw = raw.get("net", {})
-        self.synth_raw = raw.get("synth", {})
-        stages = raw.get("stages", {})
+        self.out_dir = Path(_typed(out_dir, (str,), "out_dir"))
+        self.net_raw = _typed(raw.get("net", {}), (dict,), "net")
+        self.synth_raw = _typed(raw.get("synth", {}), (dict,), "synth")
+        stages = _typed(raw.get("stages", {}), (dict,), "stages")
         unknown = set(stages) - set(STAGE_NAMES)
         if unknown:
             raise ConfigError(f"unknown stage names {sorted(unknown)}; expected {STAGE_NAMES}")
-        self.stage_raw = stages
-        self.paths = {k: Path(v) for k, v in raw.get("paths", {}).items()}
+        self.stage_raw = {name: _typed(entry, (dict,), f"stages.{name}") for name, entry in stages.items()}
+        paths = _typed(raw.get("paths", {}), (dict,), "paths")
+        self.paths = {k: Path(_typed(v, (str,), f"paths.{k}")) for k, v in paths.items()}
 
     def stage(self, name: str) -> StageConfig:
         overrides = dict(self.stage_raw.get(name, {}))

@@ -97,7 +97,8 @@ def ctc_loss_and_grad_batch(
     the B losses and the B x T x C gradient, softmax minus the
     label-occupancy posterior per frame, so each row sums to zero and rows
     of padded frames are exactly zero. An infeasible target raises
-    :class:`InfeasibleTargetError`.
+    :class:`InfeasibleTargetError` rather than returning +inf: in training
+    that signals a data or downsampling bug.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.intp)
@@ -141,20 +142,6 @@ def ctc_loss_and_grad_batch(
     return -log_z, grad
 
 
-def ctc_loss_and_grad(logits: np.ndarray, target: str, vocab: Vocabulary) -> tuple[float, np.ndarray]:
-    """CTC loss of ``target`` and its exact gradient with respect to the pre-softmax logits.
-
-    The loss is the negative log-likelihood summed over every frame-level
-    path whose collapse equals the target. Infeasible targets raise
-    :class:`InfeasibleTargetError` instead of returning +inf: in training
-    that always signals a data or downsampling bug. This is a batch of one
-    through :func:`ctc_loss_and_grad_batch`.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    losses, grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [logits.shape[0]], [target], vocab)
-    return float(losses[0]), grad[0]
-
-
 def collapse(path: Sequence[int] | np.ndarray, vocab: Vocabulary) -> str:
     """Merge adjacent repeated indices, then delete blanks."""
     path = np.asarray(path, dtype=np.intp)
@@ -184,9 +171,3 @@ def greedy_decode_batch(logits: np.ndarray, lengths: Sequence[int], vocab: Vocab
     confidence = np.exp(np.sum(np.max(log_probs, axis=2), axis=1, where=frame_ok) / lengths)
     return [DecodeResult(collapse(frame_argmax[b, :n], vocab), float(confidence[b]), frame_argmax[b, :n])
             for b, n in enumerate(lengths)]
-
-
-def greedy_decode(logits: np.ndarray, vocab: Vocabulary) -> DecodeResult:
-    """Best-path decode of one T x C utterance: a batch of one through :func:`greedy_decode_batch`."""
-    logits = np.asarray(logits, dtype=np.float64)
-    return greedy_decode_batch(logits[None], [logits.shape[0]], vocab)[0]

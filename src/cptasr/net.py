@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 CHECKPOINT_MAGIC = b"CPTN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 Parameters = dict[str, np.ndarray]
 
@@ -57,7 +57,6 @@ class NetConfig:
     context_layers: int = 2
     hidden_dim: int = 64
     context_window: int = 2
-    dropout_rate: float = 0.0
 
     def __post_init__(self):
         dims = (self.feature_dim, self.vocab_size, self.downsample_factor, self.conv_layers,
@@ -66,8 +65,6 @@ class NetConfig:
             raise ValueError("all NetConfig dimensions must be >= 1")
         if self.context_window < 0:
             raise ValueError("context_window must be >= 0")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
 
     def strides(self) -> list[int]:
         """Per-conv-layer strides; their product equals downsample_factor."""
@@ -221,7 +218,7 @@ def forward_batch(
     params: Parameters,
     cfg: NetConfig,
     features: Sequence[np.ndarray],
-    train_mode: bool = False,
+    dropout_rate: float = 0.0,
     seeds: Sequence[int | Sequence[int]] | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Map B utterances of T_b x D features to B x max(U_b) x (V+1) logits, U_b = floor(T_b / downsample_factor).
@@ -231,14 +228,18 @@ def forward_batch(
     context windows read a copy of the rows with ``context_window`` zero
     rows before, between and after the members, so no frame sees another
     utterance. Logit rows past a member's U_b are zero; ``cache.lengths``
-    holds the U_b. In ``train_mode``, member b's dropout masks are drawn
-    from ``seeds[b]`` (default 0) and recorded in the cache, so member b
-    gets exactly the pass of ``forward(..., seed=seeds[b])``. Eval mode is
-    deterministic.
+    holds the U_b. With ``dropout_rate`` above 0, member b's dropout masks
+    are drawn from ``seeds[b]`` and recorded in the cache, so a member's
+    pass does not depend on the rest of its batch. At rate 0 the pass is
+    deterministic and ``seeds`` is ignored.
     """
     feats = [np.asarray(f) for f in features]
     if not feats:
         raise ValueError("a batch needs at least one utterance")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
+    if dropout_rate > 0 and (seeds is None or len(seeds) != len(feats)):
+        raise ValueError(f"dropout over {len(feats)} utterances needs {len(feats)} seeds, got {seeds}")
     for f in feats:
         if f.ndim != 2 or f.shape[1] != cfg.feature_dim:
             raise ValueError(f"features must be T x {cfg.feature_dim}, got {f.shape}")
@@ -266,18 +267,14 @@ def forward_batch(
     w = cfg.context_window
     rows = np.arange(n.sum()) + w * np.repeat(np.arange(1, len(n) + 1), n)
     cache.ctx_rows = rows
-    rngs = None
-    if train_mode and cfg.dropout_rate > 0:
-        rngs = [np.random.default_rng(s) for s in (seeds if seeds is not None else [0] * len(n))]
-        if len(rngs) != len(n):
-            raise ValueError(f"{len(n)} utterances need {len(n)} seeds, got {len(rngs)}")
+    rngs = [np.random.default_rng(s) for s in seeds] if dropout_rate > 0 else None
     for j in range(cfg.context_layers):
         gapped = np.zeros((rows[-1] + w + 1, cfg.hidden_dim))
         gapped[rows] = x
         pre = _windows(gapped, rows, w) @ params[f"ctx{j}_w"].T + params[f"ctx{j}_b"]
         act = _gelu(pre)
         if rngs is not None:
-            keep = 1.0 - cfg.dropout_rate
+            keep = 1.0 - dropout_rate
             draws = np.concatenate([rng.random((u, cfg.hidden_dim)) for rng, u in zip(rngs, n)])
             mask = (draws < keep) / keep
             dropped = act * mask
@@ -293,23 +290,6 @@ def forward_batch(
     logits = np.zeros((len(n), n.max(), cfg.vocab_size + 1))
     logits[cache.valid] = x @ params["head_w"].T + params["head_b"]
     return logits, cache
-
-
-def forward(
-    params: Parameters,
-    cfg: NetConfig,
-    features: np.ndarray,
-    train_mode: bool = False,
-    seed: int | Sequence[int] = 0,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Map T x D features to U x (V+1) logits, U = floor(T / downsample_factor).
-
-    A batch of one through :func:`forward_batch`: dropout (``train_mode``
-    only) draws its masks from ``seed``, so a repeated call with the same
-    seed reproduces the pass exactly.
-    """
-    logits, cache = forward_batch(params, cfg, [features], train_mode, [seed])
-    return logits[0], cache
 
 
 def backward_batch(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
@@ -362,14 +342,6 @@ def backward_batch(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlog
             dx = np.zeros(cache.conv_pre[i - 1].shape)  # this layer's input
             dx[rows] = (dz @ params[f"conv{i}_w"]).reshape(len(rows), -1)  # cropped frames get zero gradient
     return flat
-
-
-def backward(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
-    """Gradient of sum(dlogits * logits) over a :func:`forward` pass, as one flat vector.
-
-    ``dlogits`` is U x (V+1); this is a batch of one through :func:`backward_batch`.
-    """
-    return backward_batch(params, cfg, cache, np.asarray(dlogits, dtype=np.float64)[None])
 
 
 def save_checkpoint(params: Parameters, cfg: NetConfig, path: str | Path) -> None:

@@ -177,18 +177,3 @@ def smoothed_ctc_objective_batch(
     losses = (1.0 - smoothing) * losses + smoothing * kl
     grad = (1.0 - smoothing) * grad + np.where(frame_ok, kl_grad, 0.0)
     return losses, grad
-
-
-def smoothed_ctc_objective(
-    logits: np.ndarray,
-    target: str,
-    vocab: Vocabulary,
-    smoothing: float,
-) -> tuple[float, np.ndarray]:
-    """Smoothed CTC loss and logit gradient of one T x C utterance.
-
-    A batch of one through :func:`smoothed_ctc_objective_batch`.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    losses, grad = smoothed_ctc_objective_batch(logits[None], [logits.shape[0]], [target], vocab, smoothing)
-    return float(losses[0]), grad[0]

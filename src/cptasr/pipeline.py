@@ -10,7 +10,6 @@ from pathlib import Path
 from . import net as net_mod
 from . import train as train_mod
 from .corpus import Dataset, Vocabulary, build_vocabulary, speaker_disjoint_split
-from .ctc import greedy_decode  # noqa: F401 -- kept importable as pipeline.greedy_decode
 from .metrics import WerReport, relative_improvement
 from .net import NetConfig, Parameters
 from .optim import StageConfig

@@ -6,7 +6,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +84,7 @@ def decode_dataset(params: Parameters, cfg: NetConfig, ds: Dataset, vocab: Vocab
     results = []
     for start in range(0, len(utts), DECODE_CHUNK):
         chunk = utts[start : start + DECODE_CHUNK]
-        logits, cache = net.forward_batch(params, cfg, [utt.features for utt in chunk], train_mode=False)
+        logits, cache = net.forward_batch(params, cfg, [utt.features for utt in chunk])
         results.extend(ctc.greedy_decode_batch(logits, cache.lengths, vocab))
         del logits, cache  # free this chunk's activations before the next forward pass
     return results
@@ -104,14 +104,18 @@ def _feasible_subset(data: Dataset, cfg: NetConfig, vocab: Vocabulary) -> tuple[
     skipped = 0
     for utt in data:
         u_frames = utt.duration_frames // cfg.downsample_factor
-        if u_frames < 1 or u_frames < ctc.min_frames(utt.transcript):
+        feasible = u_frames >= 1
+        try:
+            ctc._check_feasible(u_frames, utt.transcript, vocab)
+        except ctc.InfeasibleTargetError:
+            feasible = False
+        except ValueError as exc:
+            raise ValueError(f"utterance {utt.id!r}: {exc}") from None
+        if not feasible:
             logger.warning("skipping utterance %s: %d downsampled frames cannot emit %r",
                            utt.id, u_frames, utt.transcript)
             skipped += 1
             continue
-        for ch in utt.transcript:
-            if ch not in vocab:
-                raise ValueError(f"utterance {utt.id!r}: character {ch!r} not in vocabulary")
         usable.append(utt)
     return usable, skipped
 
@@ -129,7 +133,7 @@ def train_stage(
     The parameters live in one flat float64 vector. Each epoch shuffles the
     data by (stage seed, epoch) and runs each batch through one packed
     :func:`net.forward_batch` (member ``pos`` of batch ``b`` draws its
-    dropout from ``[stage.seed, epoch, b, pos]``), one
+    ``stage.dropout_rate`` masks from ``[stage.seed, epoch, b, pos]``), one
     :func:`optim.smoothed_ctc_objective_batch` and one
     :func:`net.backward_batch`; the summed gradient is divided by the
     member count, and a non-finite result raises ``FloatingPointError``
@@ -146,9 +150,7 @@ def train_stage(
     if len(data) == 0:
         raise ValueError("training data is empty")
 
-    # the stage owns the dropout rate; the net config just carries the default
-    run_cfg = replace(cfg, dropout_rate=stage.dropout_rate)
-    usable, skipped = _feasible_subset(data, run_cfg, vocab)
+    usable, skipped = _feasible_subset(data, cfg, vocab)
     if skipped > MAX_SKIP_FRACTION * len(data):
         raise ValueError(
             f"{skipped}/{len(data)} utterances are CTC-infeasible after downsampling; "
@@ -176,14 +178,14 @@ def train_stage(
             batch = [usable[idx] for idx in order[b * stage.batch_size : (b + 1) * stage.batch_size]]
             params = net.unflatten(cfg, theta)
             logits, cache = net.forward_batch(
-                params, run_cfg, [utt.features for utt in batch],
-                train_mode=True, seeds=[[stage.seed, epoch, b, pos] for pos in range(len(batch))],
+                params, cfg, [utt.features for utt in batch],
+                dropout_rate=stage.dropout_rate, seeds=[[stage.seed, epoch, b, pos] for pos in range(len(batch))],
             )
             losses, dlogits = optim.smoothed_ctc_objective_batch(
                 logits, cache.lengths, [utt.transcript for utt in batch], vocab, stage.label_smoothing
             )
             epoch_loss += float(np.sum(losses))
-            grads = net.backward_batch(params, run_cfg, cache, dlogits) / len(batch)
+            grads = net.backward_batch(params, cfg, cache, dlogits) / len(batch)
             del logits, cache, dlogits  # free this batch's activations before the next forward pass
             if not np.all(np.isfinite(grads)):
                 bad = net.tensor_name(cfg, int(np.argmin(np.isfinite(grads))))
@@ -195,7 +197,7 @@ def train_stage(
             theta = net.float32_exact(theta)
             global_step += 1
 
-        val_report = evaluate_wer(net.unflatten(cfg, theta), run_cfg, val, vocab)
+        val_report = evaluate_wer(net.unflatten(cfg, theta), cfg, val, vocab)
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss / len(usable),

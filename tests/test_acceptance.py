@@ -14,10 +14,10 @@ import pytest
 
 import cptasr.train as train_mod
 from cptasr.corpus import Dataset, SynthConfig, Vocabulary, build_vocabulary, generate_synthetic_corpus, speaker_disjoint_split
-from cptasr.ctc import ctc_loss_and_grad
+from cptasr.ctc import ctc_loss_and_grad_batch, log_softmax
 from cptasr.metrics import WerReport, edit_distance, relative_improvement, wer
-from cptasr.net import NetConfig, backward, count_parameters, forward, init_parameters, unflatten
-from cptasr.optim import StageConfig, preset, smoothed_ctc_objective
+from cptasr.net import NetConfig, backward_batch, count_parameters, forward_batch, init_parameters, unflatten
+from cptasr.optim import StageConfig, preset, smoothed_ctc_objective_batch
 from cptasr.pipeline import filter_pseudo_labels, generate_pseudo_labels, run_baseline, run_cpt_pipeline
 from cptasr.train import train_stage
 
@@ -105,7 +105,7 @@ def test_criterion_1_ctc_oracle_equivalence():
     for _ in range(200):
         logits, target, symbols = random_feasible_instance(rng, max_frames=6, max_vocab=3, max_target=3)
         vocab = Vocabulary(symbols)
-        got = ctc_loss_and_grad(logits, target, vocab)[0]
+        got = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)[0][0]
         want = ctc_loss_by_enumeration(logits, target, symbols)
         assert got == pytest.approx(want, abs=1e-6)
         worst = max(worst, abs(got - want))
@@ -122,17 +122,20 @@ def test_criterion_2_gradient_audits():
     for _ in range(100):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        _, grad = ctc_loss_and_grad(logits, target, vocab)
-        numeric = central_difference_grad(lambda x: ctc_loss_and_grad(x, target, vocab)[0], logits.copy())
-        assert_grad_close(grad, numeric, rel_tol=1e-4)
+        _, grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)
+        numeric = central_difference_grad(
+            lambda x: ctc_loss_and_grad_batch(log_softmax(x, axis=1)[None], [len(x)], [target], vocab)[0][0],
+            logits.copy())
+        assert_grad_close(grad[0], numeric, rel_tol=1e-4)
 
     for _ in range(100):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        _, grad = smoothed_ctc_objective(logits, target, vocab, smoothing=0.1)
+        _, grad = smoothed_ctc_objective_batch(logits[None], [len(logits)], [target], vocab, smoothing=0.1)
         numeric = central_difference_grad(
-            lambda x: smoothed_ctc_objective(x, target, vocab, smoothing=0.1)[0], logits.copy())
-        assert_grad_close(grad, numeric, rel_tol=1e-4)
+            lambda x: smoothed_ctc_objective_batch(x[None], [len(x)], [target], vocab, smoothing=0.1)[0][0],
+            logits.copy())
+        assert_grad_close(grad[0], numeric, rel_tol=1e-4)
 
     audit_cfg = NetConfig(feature_dim=5, vocab_size=3, downsample_factor=2, conv_layers=2,
                           conv_channels=6, context_layers=2, hidden_dim=8, context_window=1)
@@ -140,14 +143,14 @@ def test_criterion_2_gradient_audits():
     n_params = count_parameters(params)
     assert n_params <= 2000
     x = rng.normal(size=(9, audit_cfg.feature_dim))
-    logits, cache = forward(params, audit_cfg, x)
-    dl = rng.normal(size=logits.shape)
-    grads = unflatten(audit_cfg, backward(params, audit_cfg, cache, dl))
+    logits, cache = forward_batch(params, audit_cfg, [x])
+    dl = rng.normal(size=logits[0].shape)
+    grads = unflatten(audit_cfg, backward_batch(params, audit_cfg, cache, dl[None]))
     for name in params:
         def objective(tensor, name=name):
             probe = dict(params)
             probe[name] = tensor
-            out, _ = forward(probe, audit_cfg, x)
+            out = forward_batch(probe, audit_cfg, [x])[0][0]
             return float(np.sum(dl * out))
         numeric = central_difference_grad(objective, params[name].copy())
         assert_grad_close(grads[name], numeric, rel_tol=1e-4)

@@ -173,6 +173,39 @@ def test_bad_baseline_stage_is_config_error_before_any_training(run_config):
     assert not list(out_dir.glob("*.ckpt"))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("seed", "x"),
+    ("threshold", "abc"),
+    ("paths", ["a"]),
+    ("stages", ["stage1"]),
+    ("net", [1]),
+    ("synth", [1]),
+    ("stages", {"stage1": [1]}),
+], ids=["seed-str", "threshold-str", "paths-list", "stages-list", "net-list", "synth-list", "stage-entry-list"])
+def test_wrongly_typed_run_config_field_is_config_error(run_config, capsys, field, value):
+    cfg_path, out_dir = run_config
+    cfg = json.loads(cfg_path.read_text())
+    cfg[field] = value
+    cfg_path.write_text(json.dumps(cfg))
+    for command in ("gen-data", "train-labeler"):
+        assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert "config error: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_net_dropout_rate_is_config_error_before_any_training(run_config, capsys):
+    cfg_path, out_dir = run_config
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["split", "--config", str(cfg_path),
+          "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    cfg = json.loads(cfg_path.read_text())
+    cfg["net"]["dropout_rate"] = 0.3
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["pipeline", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "dropout_rate" in capsys.readouterr().err
+    assert not list(out_dir.glob("*.ckpt"))
+
+
 def test_split_seed_flag_acts_like_config_seed(run_config, tmp_path):
     cfg_path, out_dir = run_config
     main(["gen-data", "--config", str(cfg_path)])

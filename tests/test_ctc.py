@@ -11,9 +11,8 @@ from cptasr.corpus import Vocabulary
 from cptasr.ctc import (
     InfeasibleTargetError,
     collapse,
-    ctc_loss_and_grad,
     ctc_loss_and_grad_batch,
-    greedy_decode,
+    greedy_decode_batch,
     log_softmax,
     min_frames,
 )
@@ -48,38 +47,41 @@ def test_log_softmax_exponentials_sum_to_one():
 
 def test_uniform_single_frame_loss_is_ln2():
     # one frame over {blank, a}: the only valid path is "a", probability 1/2
-    assert ctc_loss_and_grad(np.zeros((1, 2)), "a", VA)[0] == pytest.approx(math.log(2), abs=1e-12)
+    losses, _ = ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 2)), axis=2), [1], ["a"], VA)
+    assert losses[0] == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_target_longer_than_frames_is_infeasible():
     with pytest.raises(InfeasibleTargetError):
-        ctc_loss_and_grad(np.zeros((1, 3)), "ab", VAB)
+        ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 3)), axis=2), [1], ["ab"], VAB)
 
 
 def test_repeat_needs_separating_blank():
     assert min_frames("aa") == 3
     with pytest.raises(InfeasibleTargetError):
-        ctc_loss_and_grad(np.zeros((2, 2)), "aa", VA)
-    assert math.isfinite(ctc_loss_and_grad(np.zeros((3, 2)), "aa", VA)[0])
+        ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 2, 2)), axis=2), [2], ["aa"], VA)
+    assert math.isfinite(ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 3, 2)), axis=2), [3], ["aa"], VA)[0][0])
 
 
 def test_character_outside_vocabulary_rejected():
     with pytest.raises(ValueError):
-        ctc_loss_and_grad(np.zeros((2, 2)), "z", VA)
+        ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 2, 2)), axis=2), [2], ["z"], VA)
 
 
 def test_two_frame_loss_matches_path_sum():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(2, 2))
     want = ctc_loss_by_enumeration(logits, "a", ("a",))
-    assert ctc_loss_and_grad(logits, "a", VA)[0] == pytest.approx(want, abs=1e-12)
+    losses, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [2], ["a"], VA)
+    assert losses[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_loss_matches_enumeration_on_random_instances():
     rng = np.random.default_rng(42)
     for _ in range(200):
         logits, target, symbols = random_feasible_instance(rng)
-        got = ctc_loss_and_grad(logits, target, Vocabulary(symbols))[0]
+        vocab = Vocabulary(symbols)
+        got = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)[0][0]
         want = ctc_loss_by_enumeration(logits, target, symbols)
         assert got == pytest.approx(want, abs=1e-6)
 
@@ -88,7 +90,7 @@ def test_empty_target_is_all_blank_path():
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(3, 3))
     lp = log_softmax(logits, axis=1)
-    assert ctc_loss_and_grad(logits, "", VAB)[0] == pytest.approx(-lp[:, 0].sum(), abs=1e-12)
+    assert ctc_loss_and_grad_batch(lp[None], [3], [""], VAB)[0][0] == pytest.approx(-lp[:, 0].sum(), abs=1e-12)
 
 
 def test_loss_nonnegative_and_shift_invariant():
@@ -96,10 +98,11 @@ def test_loss_nonnegative_and_shift_invariant():
     for _ in range(20):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        loss = ctc_loss_and_grad(logits, target, vocab)[0]
+        loss = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)[0][0]
         assert loss >= 0
         shifted = logits + rng.normal() * np.ones_like(logits)
-        assert ctc_loss_and_grad(shifted, target, vocab)[0] == pytest.approx(loss, abs=1e-9)
+        shifted_loss = ctc_loss_and_grad_batch(log_softmax(shifted, axis=1)[None], [len(shifted)], [target], vocab)[0][0]
+        assert shifted_loss == pytest.approx(loss, abs=1e-9)
 
 
 def test_appending_frames_preserves_feasibility():
@@ -107,13 +110,13 @@ def test_appending_frames_preserves_feasibility():
     for _ in range(30):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        ctc_loss_and_grad(logits, target, vocab)
+        ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)
         extended = np.vstack([logits, rng.normal(size=(1, logits.shape[1]))])
-        ctc_loss_and_grad(extended, target, vocab)  # must not raise
+        ctc_loss_and_grad_batch(log_softmax(extended, axis=1)[None], [len(extended)], [target], vocab)  # must not raise
 
 
 def test_gradient_single_frame_closed_form():
-    grad = ctc_loss_and_grad(np.zeros((1, 2)), "a", VA)[1]
+    grad = ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 2)), axis=2), [1], ["a"], VA)[1][0]
     np.testing.assert_allclose(grad, [[0.5, -0.5]], atol=1e-12)
 
 
@@ -121,7 +124,8 @@ def test_gradient_rows_sum_to_zero():
     rng = np.random.default_rng(5)
     for _ in range(20):
         logits, target, symbols = random_feasible_instance(rng)
-        grad = ctc_loss_and_grad(logits, target, Vocabulary(symbols))[1]
+        vocab = Vocabulary(symbols)
+        grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)[1][0]
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-10)
 
 
@@ -130,8 +134,11 @@ def test_gradient_matches_finite_differences():
     for _ in range(100):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        _, grad = ctc_loss_and_grad(logits, target, vocab)
-        numeric = central_difference_grad(lambda x: ctc_loss_and_grad(x, target, vocab)[0], logits.copy())
+        grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)[1][0]
+        numeric = central_difference_grad(
+            lambda x: ctc_loss_and_grad_batch(log_softmax(x, axis=1)[None], [len(x)], [target], vocab)[0][0],
+            logits.copy(),
+        )
         assert_grad_close(grad, numeric)
 
 
@@ -150,9 +157,9 @@ def _training_shaped_instance(draw):
 @given(_training_shaped_instance())
 def test_lattice_posteriors_are_consistent_at_training_shapes(instance):
     logits, target, vocab = instance
-    loss, grad = ctc_loss_and_grad(logits, target, vocab)
-    log_z = -loss
     log_probs = log_softmax(logits, axis=1)
+    losses, grads = ctc_loss_and_grad_batch(log_probs[None], [len(logits)], [target], vocab)
+    log_z, grad = -losses[0], grads[0]
     ext = ctc_mod._extended_target(target, vocab)
     emit = log_probs[:, ext]
     alpha = ctc_mod._lattice(emit[None], ext[None])[0] + emit
@@ -187,9 +194,10 @@ def test_batched_ctc_matches_single_utterance_calls(batch):
     losses, grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=2), lengths, targets, vocab)
     assert losses.shape == (len(targets),) and grad.shape == logits.shape
     for b, (n, target) in enumerate(zip(lengths, targets)):
-        loss, member_grad = ctc_loss_and_grad(logits[b, :n], target, vocab)
-        assert abs(losses[b] - loss) <= 1e-12
-        np.testing.assert_allclose(grad[b, :n], member_grad, rtol=0, atol=1e-12)
+        member_log_probs = log_softmax(logits[b, :n], axis=1)[None]
+        member_loss, member_grad = ctc_loss_and_grad_batch(member_log_probs, [n], [target], vocab)
+        assert abs(losses[b] - member_loss[0]) <= 1e-12
+        np.testing.assert_allclose(grad[b, :n], member_grad[0], rtol=0, atol=1e-12)
         assert np.all(grad[b, n:] == 0.0)  # padded frames
         if n <= 5 and len(symbols) <= 3:
             assert losses[b] == pytest.approx(ctc_loss_by_enumeration(logits[b, :n], target, symbols), abs=1e-9)
@@ -219,14 +227,14 @@ def test_collapse_examples():
 def test_greedy_decode_dominant_logits():
     big = 50.0
     logits = np.array([[0, big, 0], [big, 0, 0], [0, 0, big]], dtype=float)
-    result = greedy_decode(logits, VAB)
+    result = greedy_decode_batch(logits[None], [len(logits)], VAB)[0]
     assert result.hypothesis == "ab"
     assert result.confidence == pytest.approx(1.0, abs=1e-10)
     assert list(result.frame_argmax) == [1, 0, 2]
 
 
 def test_greedy_decode_uniform_confidence_is_one_third():
-    result = greedy_decode(np.zeros((4, 3)), VAB)
+    result = greedy_decode_batch(np.zeros((1, 4, 3)), [4], VAB)[0]
     assert result.confidence == pytest.approx(1 / 3, abs=1e-15)
     assert result.hypothesis == ""  # blank wins ties at the lowest index
 
@@ -234,7 +242,7 @@ def test_greedy_decode_uniform_confidence_is_one_third():
 def test_greedy_decode_confidence_matches_scalar_recompute():
     rng = np.random.default_rng(88)
     logits = rng.normal(scale=3.0, size=(7, 4))
-    result = greedy_decode(logits, Vocabulary(("a", "b", "c")))
+    result = greedy_decode_batch(logits[None], [len(logits)], Vocabulary(("a", "b", "c")))[0]
     per_frame = []
     for row in logits:
         shifted = row - row.max()
@@ -248,19 +256,19 @@ def test_greedy_decode_confidence_strictly_below_one_for_finite_logits():
     rng = np.random.default_rng(3)
     for _ in range(20):
         logits = rng.normal(scale=5.0, size=(rng.integers(1, 6), 3))
-        result = greedy_decode(logits, VAB)
+        result = greedy_decode_batch(logits[None], [len(logits)], VAB)[0]
         assert 0.0 < result.confidence < 1.0
 
 
 def test_greedy_decode_shift_invariance():
     rng = np.random.default_rng(10)
     logits = rng.normal(size=(5, 3))
-    base = greedy_decode(logits, VAB)
-    shifted = greedy_decode(logits + 13.5, VAB)
+    base = greedy_decode_batch(logits[None], [len(logits)], VAB)[0]
+    shifted = greedy_decode_batch(logits[None] + 13.5, [len(logits)], VAB)[0]
     assert shifted.hypothesis == base.hypothesis
     assert shifted.confidence == pytest.approx(base.confidence, abs=1e-9)
 
 
 def test_greedy_decode_rejects_nonfinite():
     with pytest.raises(ValueError):
-        greedy_decode(np.array([[np.inf, 0.0]]), VA)
+        greedy_decode_batch(np.array([[[np.inf, 0.0]]]), [1], VA)

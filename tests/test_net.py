@@ -1,20 +1,22 @@
 """Acoustic model: shapes, determinism, full gradient audit, checkpoint format."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cptasr.net as net_mod
 from cptasr.net import (
+    CHECKPOINT_MAGIC,
     CheckpointError,
     InputTooShortError,
     NetConfig,
-    backward,
     backward_batch,
     count_parameters,
     flatten,
     float32_exact,
-    forward,
     forward_batch,
     init_parameters,
     load_checkpoint,
@@ -62,41 +64,38 @@ def test_downsampling_law():
     params = init_parameters(TINY, seed=0)
     rng = np.random.default_rng(0)
     for t in (2, 3, 8, 9, 17):
-        logits, _ = forward(params, TINY, rng.normal(size=(t, 5)))
+        logits = forward_batch(params, TINY, [rng.normal(size=(t, 5))])[0][0]
         assert logits.shape == (t // TINY.downsample_factor, TINY.vocab_size + 1)
 
 
 def test_doubling_input_doubles_output():
     params = init_parameters(TINY, seed=0)
     x = np.random.default_rng(1).normal(size=(8, 5))
-    u1, _ = forward(params, TINY, x)
-    u2, _ = forward(params, TINY, np.vstack([x, x]))
+    u1 = forward_batch(params, TINY, [x])[0][0]
+    u2 = forward_batch(params, TINY, [np.vstack([x, x])])[0][0]
     assert u2.shape[0] == 2 * u1.shape[0]
 
 
 def test_input_too_short_raises():
     params = init_parameters(TINY, seed=0)
     with pytest.raises(InputTooShortError):
-        forward(params, TINY, np.zeros((1, 5)))
+        forward_batch(params, TINY, [np.zeros((1, 5))])
 
 
 def test_eval_mode_is_deterministic():
     params = init_parameters(TINY, seed=0)
     x = np.random.default_rng(2).normal(size=(10, 5))
-    a, _ = forward(params, TINY, x, train_mode=False)
-    b, _ = forward(params, TINY, x, train_mode=False)
+    a, _ = forward_batch(params, TINY, [x])
+    b, _ = forward_batch(params, TINY, [x])
     np.testing.assert_array_equal(a, b)
 
 
 def test_train_mode_dropout_reproducible_by_seed():
-    cfg = NetConfig(feature_dim=5, vocab_size=3, downsample_factor=2, conv_layers=2,
-                    conv_channels=6, context_layers=2, hidden_dim=8, context_window=1,
-                    dropout_rate=0.4)
-    params = init_parameters(cfg, seed=0)
+    params = init_parameters(TINY, seed=0)
     x = np.random.default_rng(3).normal(size=(10, 5))
-    a, _ = forward(params, cfg, x, train_mode=True, seed=9)
-    b, _ = forward(params, cfg, x, train_mode=True, seed=9)
-    c, _ = forward(params, cfg, x, train_mode=True, seed=10)
+    a, _ = forward_batch(params, TINY, [x], dropout_rate=0.4, seeds=[9])
+    b, _ = forward_batch(params, TINY, [x], dropout_rate=0.4, seeds=[9])
+    c, _ = forward_batch(params, TINY, [x], dropout_rate=0.4, seeds=[10])
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -104,18 +103,18 @@ def test_train_mode_dropout_reproducible_by_seed():
 def test_zero_dlogits_gives_zero_gradients():
     params = init_parameters(TINY, seed=0)
     x = np.random.default_rng(4).normal(size=(9, 5))
-    logits, cache = forward(params, TINY, x)
-    grads = unflatten(TINY, backward(params, TINY, cache, np.zeros_like(logits)))
+    logits, cache = forward_batch(params, TINY, [x])
+    grads = unflatten(TINY, backward_batch(params, TINY, cache, np.zeros_like(logits)))
     assert all(np.all(g == 0) for g in grads.values())
 
 
 def test_backward_is_linear_in_dlogits():
     params = init_parameters(TINY, seed=0)
     x = np.random.default_rng(5).normal(size=(9, 5))
-    logits, cache = forward(params, TINY, x)
+    logits, cache = forward_batch(params, TINY, [x])
     dl = np.random.default_rng(6).normal(size=logits.shape)
-    g1 = unflatten(TINY, backward(params, TINY, cache, dl))
-    g2 = unflatten(TINY, backward(params, TINY, cache, 2.0 * dl))
+    g1 = unflatten(TINY, backward_batch(params, TINY, cache, dl))
+    g2 = unflatten(TINY, backward_batch(params, TINY, cache, 2.0 * dl))
     for name in g1:
         np.testing.assert_allclose(g2[name], 2.0 * g1[name], rtol=1e-12)
 
@@ -123,25 +122,25 @@ def test_backward_is_linear_in_dlogits():
 def test_backward_shape_mismatch_rejected():
     params = init_parameters(TINY, seed=0)
     x = np.random.default_rng(7).normal(size=(9, 5))
-    logits, cache = forward(params, TINY, x)
+    logits, cache = forward_batch(params, TINY, [x])
     with pytest.raises(ValueError):
-        backward(params, TINY, cache, np.zeros((logits.shape[0] + 1, logits.shape[1])))
+        backward_batch(params, TINY, cache, np.zeros((1, logits.shape[1] + 1, logits.shape[2])))
 
 
-def _audit_config_gradients(cfg: NetConfig, train_mode: bool, seed) -> None:
+def _audit_config_gradients(cfg: NetConfig, dropout_rate: float, seed) -> None:
     params = init_parameters(cfg, seed=1)
     assert count_parameters(params) <= 2000
     rng = np.random.default_rng(11)
     x = rng.normal(size=(9, cfg.feature_dim))
-    logits, cache = forward(params, cfg, x, train_mode=train_mode, seed=seed)
+    logits, cache = forward_batch(params, cfg, [x], dropout_rate=dropout_rate, seeds=[seed])
     dl = rng.normal(size=logits.shape)
-    grads = unflatten(cfg, backward(params, cfg, cache, dl))
+    grads = unflatten(cfg, backward_batch(params, cfg, cache, dl))
 
     for name in params:
         def objective(tensor, name=name):
             probe = dict(params)
             probe[name] = tensor
-            out, _ = forward(probe, cfg, x, train_mode=train_mode, seed=seed)
+            out, _ = forward_batch(probe, cfg, [x], dropout_rate=dropout_rate, seeds=[seed])
             return float(np.sum(dl * out))
 
         numeric = central_difference_grad(objective, params[name].copy())
@@ -149,19 +148,17 @@ def _audit_config_gradients(cfg: NetConfig, train_mode: bool, seed) -> None:
 
 
 def test_full_finite_difference_audit_eval_mode():
-    _audit_config_gradients(TINY, train_mode=False, seed=0)
+    _audit_config_gradients(TINY, dropout_rate=0.0, seed=0)
 
 
 def test_full_finite_difference_audit_with_dropout():
-    cfg = NetConfig(feature_dim=5, vocab_size=3, downsample_factor=2, conv_layers=2,
-                    conv_channels=6, context_layers=2, hidden_dim=8, context_window=1,
-                    dropout_rate=0.3)
-    _audit_config_gradients(cfg, train_mode=True, seed=[2, 5])
+    _audit_config_gradients(TINY, dropout_rate=0.3, seed=[2, 5])
 
 
 # strides 2 and 3, so members of these lengths lose 0-5 frames to cropping
 RAGGED = NetConfig(feature_dim=4, vocab_size=3, downsample_factor=6, conv_layers=2, conv_channels=5,
-                   context_layers=2, hidden_dim=6, context_window=2, dropout_rate=0.3)
+                   context_layers=2, hidden_dim=6, context_window=2)
+RAGGED_DROPOUT = 0.3
 
 
 def _ragged_features(lengths, seed=0):
@@ -169,22 +166,23 @@ def _ragged_features(lengths, seed=0):
     return [rng.normal(size=(t, RAGGED.feature_dim)).astype(np.float32) for t in lengths]
 
 
-@pytest.mark.parametrize("train_mode", [False, True])
-def test_packed_pass_matches_single_utterance_passes(train_mode):
+@pytest.mark.parametrize("dropout", [False, True])
+def test_packed_pass_matches_single_utterance_passes(dropout):
     params = init_parameters(RAGGED, seed=2)
     feats = _ragged_features([6, 31, 13, 47, 12, 17])
     seeds = [[4, 1, 0, pos] for pos in range(len(feats))]
-    logits, cache = forward_batch(params, RAGGED, feats, train_mode=train_mode, seeds=seeds)
+    rate = RAGGED_DROPOUT if dropout else 0.0
+    logits, cache = forward_batch(params, RAGGED, feats, dropout_rate=rate, seeds=seeds)
     lengths = [len(f) // RAGGED.downsample_factor for f in feats]
     assert cache.lengths.tolist() == lengths
     assert logits.shape == (len(feats), max(lengths), RAGGED.vocab_size + 1)
     dl = np.random.default_rng(3).normal(size=logits.shape)
     total = np.zeros_like(backward_batch(params, RAGGED, cache, dl))
     for b, (f, u) in enumerate(zip(feats, lengths)):
-        single, single_cache = forward(params, RAGGED, f, train_mode=train_mode, seed=seeds[b])
-        np.testing.assert_allclose(logits[b, :u], single, rtol=0, atol=1e-12)
+        single, single_cache = forward_batch(params, RAGGED, [f], dropout_rate=rate, seeds=[seeds[b]])
+        np.testing.assert_allclose(logits[b, :u], single[0], rtol=0, atol=1e-12)
         assert np.all(logits[b, u:] == 0.0)
-        total += backward(params, RAGGED, single_cache, dl[b, :u])
+        total += backward_batch(params, RAGGED, single_cache, dl[b, :u][None])
     np.testing.assert_allclose(backward_batch(params, RAGGED, cache, dl), total, rtol=0, atol=1e-12)
 
 
@@ -206,7 +204,7 @@ def test_packed_backward_finite_difference_audit_with_dropout():
     assert count_parameters(params) <= 2000
     feats = _ragged_features([13, 7, 20], seed=11)
     seeds = [[2, 5, pos] for pos in range(3)]
-    logits, cache = forward_batch(params, RAGGED, feats, train_mode=True, seeds=seeds)
+    logits, cache = forward_batch(params, RAGGED, feats, dropout_rate=RAGGED_DROPOUT, seeds=seeds)
     assert any(m is not None and np.any(m == 0) for m in cache.ctx_masks)
     dl = np.random.default_rng(12).normal(size=logits.shape)
     grads = unflatten(RAGGED, backward_batch(params, RAGGED, cache, dl))
@@ -215,7 +213,7 @@ def test_packed_backward_finite_difference_audit_with_dropout():
         def objective(tensor, name=name):
             probe = dict(params)
             probe[name] = tensor
-            out, _ = forward_batch(probe, RAGGED, feats, train_mode=True, seeds=seeds)
+            out, _ = forward_batch(probe, RAGGED, feats, dropout_rate=RAGGED_DROPOUT, seeds=seeds)
             return float(np.sum(dl * out))
 
         numeric = central_difference_grad(objective, params[name].copy())
@@ -231,7 +229,9 @@ def test_forward_batch_rejects_bad_members():
     with pytest.raises(InputTooShortError):
         forward_batch(params, RAGGED, [np.zeros((12, 4)), np.zeros((5, 4))])
     with pytest.raises(ValueError):
-        forward_batch(params, RAGGED, [np.zeros((12, 4))] * 2, train_mode=True, seeds=[1])
+        forward_batch(params, RAGGED, [np.zeros((12, 4))] * 2, dropout_rate=RAGGED_DROPOUT, seeds=[1])
+    with pytest.raises(ValueError):
+        forward_batch(params, RAGGED, [np.zeros((12, 4))] * 2, dropout_rate=RAGGED_DROPOUT)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -302,6 +302,14 @@ def test_checkpoint_truncated_file(tmp_path):
         load_checkpoint(path)
 
 
+def test_version_1_checkpoint_is_rejected(tmp_path):
+    path = tmp_path / "old.ckpt"
+    cfg_blob = json.dumps({**TINY.to_dict(), "dropout_rate": 0.0}).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(cfg_blob)) + cfg_blob)
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_config_mismatch(tmp_path):
     params = init_parameters(TINY, seed=8)
     path = tmp_path / "model.ckpt"
@@ -316,7 +324,7 @@ def test_net_config_validation():
     with pytest.raises(ValueError):
         NetConfig(feature_dim=0, vocab_size=3)
     with pytest.raises(ValueError):
-        NetConfig(feature_dim=3, vocab_size=3, dropout_rate=1.0)
+        forward_batch(init_parameters(TINY, seed=0), TINY, [np.zeros((4, 5))], dropout_rate=1.0, seeds=[0])
     with pytest.raises(ValueError):
         NetConfig(feature_dim=3, vocab_size=3, context_window=-1)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cptasr.corpus import Vocabulary
-from cptasr.ctc import ctc_loss_and_grad
+from cptasr.ctc import ctc_loss_and_grad_batch, log_softmax
 from cptasr.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -18,7 +18,6 @@ from cptasr.optim import (
     global_grad_norm,
     lr_at,
     preset,
-    smoothed_ctc_objective,
     smoothed_ctc_objective_batch,
 )
 
@@ -159,15 +158,17 @@ VOCAB = Vocabulary(("a", "b"))
 def test_smoothing_zero_equals_plain_ctc():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(4, 3))
-    loss, grad = smoothed_ctc_objective(logits, "ab", VOCAB, smoothing=0.0)
-    assert loss == pytest.approx(ctc_loss_and_grad(logits, "ab", VOCAB)[0], abs=1e-12)
-    np.testing.assert_allclose(grad, ctc_loss_and_grad(logits, "ab", VOCAB)[1], atol=1e-12)
+    loss, grad = smoothed_ctc_objective_batch(logits[None], [4], ["ab"], VOCAB, smoothing=0.0)
+    plain_loss, plain_grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [4], ["ab"], VOCAB)
+    assert loss[0] == pytest.approx(plain_loss[0], abs=1e-12)
+    np.testing.assert_allclose(grad[0], plain_grad[0], atol=1e-12)
 
 
 def test_uniform_logits_have_zero_kl_term():
     logits = np.zeros((3, 3))
-    loss, _ = smoothed_ctc_objective(logits, "a", VOCAB, smoothing=0.3)
-    assert loss == pytest.approx(0.7 * ctc_loss_and_grad(logits, "a", VOCAB)[0], abs=1e-12)
+    loss, _ = smoothed_ctc_objective_batch(logits[None], [3], ["a"], VOCAB, smoothing=0.3)
+    plain_loss, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [3], ["a"], VOCAB)
+    assert loss[0] == pytest.approx(0.7 * plain_loss[0], abs=1e-12)
 
 
 def test_smoothed_loss_lower_bounded_by_scaled_ctc():
@@ -175,8 +176,9 @@ def test_smoothed_loss_lower_bounded_by_scaled_ctc():
     for _ in range(20):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        loss, _ = smoothed_ctc_objective(logits, target, vocab, smoothing=0.1)
-        assert loss >= 0.9 * ctc_loss_and_grad(logits, target, vocab)[0] - 1e-12
+        loss, _ = smoothed_ctc_objective_batch(logits[None], [len(logits)], [target], vocab, smoothing=0.1)
+        plain_loss, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)
+        assert loss[0] >= 0.9 * plain_loss[0] - 1e-12
 
 
 def test_smoothed_gradient_matches_finite_differences():
@@ -184,11 +186,12 @@ def test_smoothed_gradient_matches_finite_differences():
     for _ in range(100):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        _, grad = smoothed_ctc_objective(logits, target, vocab, smoothing=0.1)
+        _, grad = smoothed_ctc_objective_batch(logits[None], [len(logits)], [target], vocab, smoothing=0.1)
         numeric = central_difference_grad(
-            lambda x: smoothed_ctc_objective(x, target, vocab, smoothing=0.1)[0], logits.copy()
+            lambda x: smoothed_ctc_objective_batch(x[None], [len(x)], [target], vocab, smoothing=0.1)[0][0],
+            logits.copy(),
         )
-        assert_grad_close(grad, numeric)
+        assert_grad_close(grad[0], numeric)
 
 
 def test_smoothed_batch_matches_single_utterance_calls():
@@ -200,9 +203,9 @@ def test_smoothed_batch_matches_single_utterance_calls():
     for smoothing in (0.0, 0.1):
         losses, grad = smoothed_ctc_objective_batch(logits, lengths, targets, vocab, smoothing)
         for b, (n, target) in enumerate(zip(lengths, targets)):
-            loss, member_grad = smoothed_ctc_objective(logits[b, :n], target, vocab, smoothing)
-            assert abs(losses[b] - loss) <= 1e-12
-            np.testing.assert_allclose(grad[b, :n], member_grad, rtol=0, atol=1e-12)
+            loss, member_grad = smoothed_ctc_objective_batch(logits[b, :n][None], [n], [target], vocab, smoothing)
+            assert abs(losses[b] - loss[0]) <= 1e-12
+            np.testing.assert_allclose(grad[b, :n], member_grad[0], rtol=0, atol=1e-12)
             assert np.all(grad[b, n:] == 0.0)
 
 

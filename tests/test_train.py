@@ -6,8 +6,8 @@ import pytest
 import cptasr.train as train_mod
 from cptasr.corpus import Dataset, SynthConfig, Utterance, build_vocabulary, generate_synthetic_corpus, speaker_disjoint_split
 from cptasr.metrics import WerReport, wer
-from cptasr.net import NetConfig, forward, init_parameters, unflatten
-from cptasr.ctc import greedy_decode
+from cptasr.net import NetConfig, forward_batch, init_parameters, unflatten
+from cptasr.ctc import greedy_decode_batch
 from cptasr.optim import StageConfig
 from cptasr.train import decode_dataset, evaluate_wer, save_history, train_stage
 
@@ -139,14 +139,22 @@ def test_too_many_infeasible_utterances_abort():
         train_stage(params, net_cfg, data, val_ds, stage, vocab)
 
 
+def test_out_of_vocabulary_training_character_names_the_utterance():
+    train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
+    odd = Utterance("odd01", "spk000", np.zeros((40, 32), dtype=np.float32), "ab z")
+    data = Dataset(train_ds.utterances + [odd], "labeled")
+    with pytest.raises(ValueError, match="'odd01'.*'z' not in vocabulary"):
+        train_stage(init_parameters(net_cfg, seed=0), net_cfg, data, val_ds, _stage(epochs=1), vocab)
+
+
 def test_evaluate_wer_matches_external_decode():
     train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
     params = init_parameters(net_cfg, seed=3)
     report = evaluate_wer(params, net_cfg, val_ds, vocab)
     pairs = []
     for utt in val_ds:
-        logits, _ = forward(params, net_cfg, utt.features, train_mode=False)
-        pairs.append((utt.transcript, greedy_decode(logits, vocab).hypothesis))
+        logits, cache = forward_batch(params, net_cfg, [utt.features])
+        pairs.append((utt.transcript, greedy_decode_batch(logits, cache.lengths, vocab)[0].hypothesis))
     assert report.to_dict() == wer(pairs).to_dict()
 
 
@@ -166,8 +174,8 @@ def test_chunked_decode_matches_single_utterance_decodes():
     assert len(train_ds) > train_mod.DECODE_CHUNK  # crosses a chunk boundary
     params = init_parameters(net_cfg, seed=3)
     for utt, dec in zip(train_ds, decode_dataset(params, net_cfg, train_ds, vocab)):
-        logits, _ = forward(params, net_cfg, utt.features, train_mode=False)
-        single = greedy_decode(logits, vocab)
+        logits, cache = forward_batch(params, net_cfg, [utt.features])
+        single = greedy_decode_batch(logits, cache.lengths, vocab)[0]
         assert dec.hypothesis == single.hypothesis
         np.testing.assert_array_equal(dec.frame_argmax, single.frame_argmax)
         assert dec.confidence == pytest.approx(single.confidence, rel=1e-12)
@@ -179,10 +187,10 @@ def test_every_utterance_trains_exactly_once_per_epoch(monkeypatch):
     by_key = {u.features.tobytes(): u.id for u in train_ds}
     real_forward = train_mod.net.forward_batch
 
-    def spy(params, cfg, features, train_mode=False, seeds=None):
-        if train_mode:
+    def spy(params, cfg, features, dropout_rate=0.0, seeds=None):
+        if seeds is not None:
             seen.extend(by_key[np.asarray(f, dtype=np.float32).tobytes()] for f in features)
-        return real_forward(params, cfg, features, train_mode=train_mode, seeds=seeds)
+        return real_forward(params, cfg, features, dropout_rate=dropout_rate, seeds=seeds)
 
     monkeypatch.setattr(train_mod.net, "forward_batch", spy)
     stage = _stage(epochs=2, batch_size=5)
