@@ -34,14 +34,14 @@ for path in itertools.product(range(3), repeat=3):
             p *= probs[t, k]
         brute += p
 print(f"\nbrute-force path sum   : {-np.log(brute):.10f}")
-# the kernels take a padded batch; here it is a batch of one
-losses, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [3], [target], vocab)
+# the kernels take a padded batch, here a batch of one, and targets as label indices
+losses, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [3], [vocab.encode(target)])
 print(f"ctc_loss_and_grad_batch: {losses[0]:.10f}")
 
 # --- gradient sanity: single frame, uniform logits --------------------------
 # With one frame and target "a", the only valid path emits "a", so the
 # gradient is softmax minus a one-hot on "a".
-_, grad = ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 2)), axis=2), [1], ["a"], Vocabulary(("a",)))
+_, grad = ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 2)), axis=2), [1], [Vocabulary(("a",)).encode("a")])
 print("\nsingle-frame gradient (expect [0.5, -0.5]):", grad[0, 0])
 
 # --- greedy decoding with confidence ----------------------------------------

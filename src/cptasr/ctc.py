@@ -35,28 +35,10 @@ def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def min_frames(target: str) -> int:
-    """Fewest frames that can emit ``target``: its length plus one blank per adjacent repeat."""
+def min_frames(target: Sequence) -> int:
+    """Fewest frames that can emit ``target`` (characters or label indices): its length plus one blank per adjacent repeat."""
     repeats = sum(1 for a, b in zip(target, target[1:]) if a == b)
     return len(target) + repeats
-
-
-def _extended_target(target: str, vocab: Vocabulary) -> np.ndarray:
-    """Blank-interleaved label sequence: [blank, t1, blank, t2, ..., blank]."""
-    ext = np.zeros(2 * len(target) + 1, dtype=np.intp)
-    ext[1::2] = vocab.encode(target)
-    return ext
-
-
-def _check_feasible(n_frames: int, target: str, vocab: Vocabulary) -> None:
-    for ch in target:
-        if ch not in vocab:
-            raise ValueError(f"target character {ch!r} not in vocabulary")
-    needed = min_frames(target)
-    if n_frames < needed:
-        raise InfeasibleTargetError(
-            f"target of length {len(target)} needs at least {needed} frames, got {n_frames}"
-        )
 
 
 def _lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
@@ -65,55 +47,71 @@ def _lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
     ``emit[b, t, s]`` is the log-probability of ``ext[b, s]`` at frame t of
     member b. The alphas are ``pre + emit``; run on each member's lattice
     reversed in frames and states, the same recursion gives the betas.
-    Padded cells must carry an emission of -inf.
+    Padded cells must carry an emission of -inf. A path advances at most
+    two states per frame, so frame t computes only the states below 2t + 2;
+    the cells beyond stay -inf, as the full-width recursion would leave them.
     """
-    n_frames = emit.shape[1]
-    # a state may skip from s-2 only if it is a non-blank label different from the one two back
-    skip_cost = np.where((ext[:, 2:] != 0) & (ext[:, 2:] != ext[:, :-2]), 0.0, NEG_INF)
+    n_frames, n_states = emit.shape[1:]
+    # only a label (odd) state may skip from s-2: if it is non-blank and differs from the label two back
+    skip_cost = np.where((ext[:, 3::2] != 0) & (ext[:, 3::2] != ext[:, 1:-2:2]), 0.0, NEG_INF)
 
     pre = np.full(emit.shape, NEG_INF)
     pre[:, 0, :2] = 0.0
     for t in range(1, n_frames):
-        prev = pre[:, t - 1] + emit[:, t - 1]
-        acc = pre[:, t]
+        reach = min(n_states, 2 * t + 2)
+        prev = pre[:, t - 1, :reach] + emit[:, t - 1, :reach]
+        acc = pre[:, t, :reach]
         acc[:, 0] = prev[:, 0]
         np.logaddexp(prev[:, 1:], prev[:, :-1], out=acc[:, 1:])
-        np.logaddexp(acc[:, 2:], prev[:, :-2] + skip_cost, out=acc[:, 2:])
+        skips = acc[:, 3::2]
+        np.logaddexp(skips, prev[:, 1 : reach - 2 : 2] + skip_cost[:, : skips.shape[1]], out=skips)
     return pre
 
 
 def ctc_loss_and_grad_batch(
     log_probs: np.ndarray,
     lengths: Sequence[int],
-    targets: Sequence[str],
-    vocab: Vocabulary,
+    labels: Sequence[Sequence[int]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """CTC losses of a padded batch and their exact gradients with respect to the logits.
 
     ``log_probs`` is the B x T x C log-softmax of the logits; member b owns
-    its first ``lengths[b]`` frames and rows past them are ignored. All
-    members share one forward-backward recursion over a B x T x S lattice
-    padded to the longest member and the longest extended target. Returns
-    the B losses and the B x T x C gradient, softmax minus the
-    label-occupancy posterior per frame, so each row sums to zero and rows
-    of padded frames are exactly zero. An infeasible target raises
-    :class:`InfeasibleTargetError` rather than returning +inf: in training
-    that signals a data or downsampling bug.
+    its first ``lengths[b]`` frames and rows past them are ignored.
+    ``labels[b]`` is member b's target as label indices in [1, C), as
+    :meth:`Vocabulary.encode` gives them. All members share one
+    forward-backward recursion over a B x T x S lattice padded to the
+    longest member and the longest extended target. Returns the B losses
+    and the B x T x C gradient, softmax minus the label-occupancy posterior
+    per frame, so each row sums to zero and rows of padded frames are
+    exactly zero. Label range, lengths and feasibility are checked on every
+    call; an infeasible target raises :class:`InfeasibleTargetError` rather
+    than returning +inf: in training that signals a data or downsampling bug.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.intp)
     n_batch, n_frames, n_classes = log_probs.shape
-    if lengths.shape != (n_batch,) or len(targets) != n_batch:
-        raise ValueError(f"{n_batch} members need {n_batch} lengths and targets")
+    if lengths.shape != (n_batch,) or len(labels) != n_batch:
+        raise ValueError(f"{n_batch} members need {n_batch} lengths and label sequences")
     if n_batch == 0 or lengths.min() < 1 or lengths.max() > n_frames:
         raise ValueError(f"lengths must lie in [1, {n_frames}], got {lengths.tolist()}")
-    for n, target in zip(lengths, targets):
-        _check_feasible(int(n), target, vocab)
 
-    n_states = 2 * np.array([len(t) for t in targets], dtype=np.intp) + 1
-    ext = np.zeros((n_batch, n_states.max()), dtype=np.intp)  # padded with blanks
-    for b, target in enumerate(targets):
-        ext[b, : n_states[b]] = _extended_target(target, vocab)
+    n_labels = np.array([len(seq) for seq in labels], dtype=np.intp)
+    label_ok = np.arange(n_labels.max()) < n_labels[:, None]
+    padded = np.zeros(label_ok.shape, dtype=np.intp)  # padded with blanks
+    padded[label_ok] = np.concatenate([np.asarray(seq, dtype=np.intp) for seq in labels])
+    if np.any(label_ok & ((padded < 1) | (padded >= n_classes))):
+        raise ValueError(f"labels must lie in [1, {n_classes - 1}]")
+    needed = n_labels + np.sum((padded[:, 1:] == padded[:, :-1]) & label_ok[:, 1:], axis=1)
+    short = np.flatnonzero(lengths < needed)
+    if short.size:
+        b = short[0]
+        raise InfeasibleTargetError(
+            f"member {b}: target of length {n_labels[b]} needs at least {needed[b]} frames, got {lengths[b]}"
+        )
+
+    n_states = 2 * n_labels + 1
+    ext = np.zeros((n_batch, n_states.max()), dtype=np.intp)  # blank-interleaved: [blank, l1, blank, ..., blank]
+    ext[:, 1::2] = padded
     frames, states = np.arange(n_frames), np.arange(ext.shape[1])
     frame_ok = frames < lengths[:, None]
     state_ok = states < n_states[:, None]

@@ -3,17 +3,24 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import ctc
-from .corpus import Vocabulary
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+def _require(value, kind: type, name: str, none_ok: bool = False) -> None:
+    """TypeError unless ``value`` is a ``kind`` (a bool never counts) or, with ``none_ok``, None."""
+    if (value is None and none_ok) or (isinstance(value, kind) and not isinstance(value, bool)):
+        return
+    raise TypeError(f"{name} must be {'an integer' if kind is numbers.Integral else 'a number'}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,11 @@ class StageConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "patience", "seed"):
+            _require(getattr(self, name), numbers.Integral, name, none_ok=name == "patience")
+        for name in ("learning_rate", "warmup_ratio", "weight_decay", "label_smoothing", "grad_clip_norm",
+                     "dropout_rate"):
+            _require(getattr(self, name), numbers.Real, name, none_ok=name == "grad_clip_norm")
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("learning_rate, epochs and batch_size must be positive")
         if not 0.0 <= self.warmup_ratio < 1.0:
@@ -93,9 +105,9 @@ def global_grad_norm(grads: np.ndarray) -> float:
 
 
 def clip_gradients(grads: np.ndarray, max_norm: float) -> tuple[np.ndarray, float]:
-    """Scale the gradient vector so its L2 norm is at most ``max_norm``.
+    """Scale the gradient vector in place so its L2 norm is at most ``max_norm``.
 
-    Returns the (possibly rescaled) vector and the applied scale.
+    Returns the vector and the applied scale.
     Non-finite gradients raise, since they signal divergence.
     """
     if max_norm <= 0:
@@ -106,7 +118,8 @@ def clip_gradients(grads: np.ndarray, max_norm: float) -> tuple[np.ndarray, floa
     if norm <= max_norm:
         return grads, 1.0
     scale = max_norm / norm
-    return grads * scale, scale
+    grads *= scale
+    return grads, scale
 
 
 @dataclass
@@ -128,34 +141,48 @@ def adamw_step(
     state: OptState,
     lr: float,
     cfg: StageConfig,
-) -> tuple[np.ndarray, OptState]:
-    """One bias-corrected Adam step with decoupled weight decay on the parameter vector.
+) -> None:
+    """One bias-corrected Adam step with decoupled weight decay on the parameter vector, in place.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * weight_decay * theta.
-    Inputs are not mutated; a fresh vector and state are returned.
+    ``theta``, ``state.m`` and ``state.v`` are overwritten and ``state.step``
+    advances; ``grads`` is only read. Each element goes through the same
+    operations in the same order as the textbook expression, so the result
+    is bit-identical to it. Two vectors of scratch live for the call only.
     """
     if grads.shape != theta.shape:
         raise ValueError(f"gradient shape {grads.shape} != parameter shape {theta.shape}")
     t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    new_theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - lr * cfg.weight_decay * theta
-    return new_theta, OptState(m=m, v=v, step=t)
+    m, v = state.m, state.v
+    scratch = np.multiply(grads, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
+    m += scratch
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=scratch)
+    scratch *= grads
+    v *= ADAM_BETA2
+    v += scratch
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=scratch)  # m_hat
+    scratch *= lr
+    denom = np.divide(v, 1.0 - ADAM_BETA2**t)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    scratch /= denom  # the Adam update
+    np.multiply(theta, lr * cfg.weight_decay, out=denom)  # the decay, from the old theta
+    theta -= scratch
+    theta -= denom
+    state.step = t
 
 
 def smoothed_ctc_objective_batch(
     logits: np.ndarray,
     lengths: Sequence[int],
-    targets: Sequence[str],
-    vocab: Vocabulary,
+    labels: Sequence[Sequence[int]],
     smoothing: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """CTC loss blended with a per-frame uniform-KL regularizer, per member of a padded batch.
 
     ``logits`` is B x T x C and member b owns its first ``lengths[b]``
-    frames. loss_b = (1-s) * ctc_b + s * mean_u KL(uniform || softmax(logits_b,u)),
+    frames and ``labels[b]`` is its target as label indices. loss_b = (1-s) * ctc_b + s * mean_u KL(uniform || softmax(logits_b,u)),
     with the mean over member b's frames; ctc and its gradient come from
     :func:`ctc.ctc_loss_and_grad_batch`, which shares this function's one
     log-softmax. The KL term's logit gradient is softmax minus uniform, so
@@ -165,7 +192,7 @@ def smoothed_ctc_objective_batch(
     if not 0.0 <= smoothing < 1.0:
         raise ValueError("smoothing must lie in [0, 1)")
     log_probs = ctc.log_softmax(logits, axis=2)
-    losses, grad = ctc.ctc_loss_and_grad_batch(log_probs, lengths, targets, vocab)
+    losses, grad = ctc.ctc_loss_and_grad_batch(log_probs, lengths, labels)
     if smoothing == 0.0:
         return losses, grad
     lengths = np.asarray(lengths)

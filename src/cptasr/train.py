@@ -99,25 +99,24 @@ def evaluate_wer(params: Parameters, cfg: NetConfig, ds: Dataset, vocab: Vocabul
     return wer(pairs, unit="word")
 
 
-def _feasible_subset(data: Dataset, cfg: NetConfig, vocab: Vocabulary) -> tuple[list, int]:
-    usable = []
+def _feasible_subset(data: Dataset, cfg: NetConfig, vocab: Vocabulary) -> tuple[list, list[np.ndarray], int]:
+    """The utterances CTC can train on, each one's transcript as label indices, and the count skipped."""
+    usable, labels = [], []
     skipped = 0
     for utt in data:
-        u_frames = utt.duration_frames // cfg.downsample_factor
-        feasible = u_frames >= 1
         try:
-            ctc._check_feasible(u_frames, utt.transcript, vocab)
-        except ctc.InfeasibleTargetError:
-            feasible = False
+            encoded = np.array(vocab.encode(utt.transcript), dtype=np.intp)
         except ValueError as exc:
             raise ValueError(f"utterance {utt.id!r}: {exc}") from None
-        if not feasible:
+        u_frames = utt.duration_frames // cfg.downsample_factor
+        if u_frames < max(1, ctc.min_frames(utt.transcript)):
             logger.warning("skipping utterance %s: %d downsampled frames cannot emit %r",
                            utt.id, u_frames, utt.transcript)
             skipped += 1
             continue
         usable.append(utt)
-    return usable, skipped
+        labels.append(encoded)
+    return usable, labels, skipped
 
 
 def train_stage(
@@ -130,8 +129,9 @@ def train_stage(
 ) -> tuple[Parameters, TrainHistory]:
     """Run one training stage and return the best-validation-WER parameters.
 
-    The parameters live in one flat float64 vector. Each epoch shuffles the
-    data by (stage seed, epoch) and runs each batch through one packed
+    The parameters live in one flat float64 vector, updated in place; the
+    transcripts are encoded as label indices once per stage. Each epoch
+    shuffles the data by (stage seed, epoch) and runs each batch through one packed
     :func:`net.forward_batch` (member ``pos`` of batch ``b`` draws its
     ``stage.dropout_rate`` masks from ``[stage.seed, epoch, b, pos]``), one
     :func:`optim.smoothed_ctc_objective_batch` and one
@@ -139,7 +139,8 @@ def train_stage(
     member count, and a non-finite result raises ``FloatingPointError``
     naming its tensor. The vector is clipped and stepped by AdamW under the
     warmup/decay schedule, then projected to float32-representable values
-    in one op so checkpoints round-trip bit-exactly. Validation WER is measured after every epoch; training
+    in one op so checkpoints round-trip bit-exactly. ``start`` is not
+    modified. Validation WER is measured after every epoch; training
     stops once ``stage.patience`` consecutive epochs fail to improve the
     best WER (patience None or 0 disables early stopping).
     """
@@ -150,7 +151,7 @@ def train_stage(
     if len(data) == 0:
         raise ValueError("training data is empty")
 
-    usable, skipped = _feasible_subset(data, cfg, vocab)
+    usable, labels, skipped = _feasible_subset(data, cfg, vocab)
     if skipped > MAX_SKIP_FRACTION * len(data):
         raise ValueError(
             f"{skipped}/{len(data)} utterances are CTC-infeasible after downsampling; "
@@ -160,13 +161,14 @@ def train_stage(
         raise ValueError("no feasible training utterances remain")
 
     theta = net.flatten(cfg, start)
+    params = net.unflatten(cfg, theta)  # views: they follow every in-place update of theta
     state = optim.OptState.zeros_like(theta)
     batches_per_epoch = math.ceil(len(usable) / stage.batch_size)
     total_steps = stage.epochs * batches_per_epoch
 
     history = TrainHistory(skipped_utterances=skipped)
     best_wer = math.inf
-    best = theta
+    best = theta.copy()
     bad_epochs = 0
     global_step = 0
 
@@ -175,29 +177,30 @@ def train_stage(
         order = np.random.default_rng([stage.seed, epoch]).permutation(len(usable))
         epoch_loss = 0.0
         for b in range(batches_per_epoch):
-            batch = [usable[idx] for idx in order[b * stage.batch_size : (b + 1) * stage.batch_size]]
-            params = net.unflatten(cfg, theta)
+            members = order[b * stage.batch_size : (b + 1) * stage.batch_size]
+            batch = [usable[idx] for idx in members]
             logits, cache = net.forward_batch(
                 params, cfg, [utt.features for utt in batch],
                 dropout_rate=stage.dropout_rate, seeds=[[stage.seed, epoch, b, pos] for pos in range(len(batch))],
             )
             losses, dlogits = optim.smoothed_ctc_objective_batch(
-                logits, cache.lengths, [utt.transcript for utt in batch], vocab, stage.label_smoothing
+                logits, cache.lengths, [labels[idx] for idx in members], stage.label_smoothing
             )
             epoch_loss += float(np.sum(losses))
-            grads = net.backward_batch(params, cfg, cache, dlogits) / len(batch)
+            grads = net.backward_batch(params, cfg, cache, dlogits)
+            grads /= len(batch)
             del logits, cache, dlogits  # free this batch's activations before the next forward pass
             if not np.all(np.isfinite(grads)):
                 bad = net.tensor_name(cfg, int(np.argmin(np.isfinite(grads))))
                 raise FloatingPointError(f"non-finite gradient in {bad!r} at step {global_step}")
             if stage.grad_clip_norm is not None:
-                grads, _ = optim.clip_gradients(grads, stage.grad_clip_norm)
+                optim.clip_gradients(grads, stage.grad_clip_norm)  # scales grads in place
             lr = optim.lr_at(global_step, total_steps, stage)
-            theta, state = optim.adamw_step(theta, grads, state, lr, stage)
-            theta = net.float32_exact(theta)
+            optim.adamw_step(theta, grads, state, lr, stage)
+            theta[:] = theta.astype(np.float32)  # the float32 projection, written back
             global_step += 1
 
-        val_report = evaluate_wer(net.unflatten(cfg, theta), cfg, val, vocab)
+        val_report = evaluate_wer(params, cfg, val, vocab)
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss / len(usable),
@@ -210,7 +213,7 @@ def train_stage(
 
         if record.val_wer < best_wer:
             best_wer = record.val_wer
-            best = theta.copy()
+            best[:] = theta
             history.best_epoch = epoch
             bad_epochs = 0
         else:

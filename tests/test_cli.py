@@ -193,6 +193,32 @@ def test_wrongly_typed_run_config_field_is_config_error(run_config, capsys, fiel
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("section,field,value", [
+    ("net", "hidden_dim", 24.5),
+    ("net", "context_window", True),
+    ("stage1", "epochs", 2.5),
+    ("stage1", "batch_size", 2.5),
+    ("stage1", "seed", "x"),
+    ("stage1", "patience", 1.5),
+    ("stage1", "learning_rate", True),
+    ("stage1", "weight_decay", True),
+], ids=["hidden_dim-float", "context_window-bool", "epochs-float", "batch_size-float", "seed-str",
+        "patience-float", "learning_rate-bool", "weight_decay-bool"])
+def test_wrongly_typed_net_or_stage_field_is_config_error_before_any_work(run_config, capsys, section, field, value):
+    cfg_path, out_dir = run_config
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["split", "--config", str(cfg_path),
+          "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    cfg = json.loads(cfg_path.read_text())
+    (cfg["net"] if section == "net" else cfg["stages"][section])[field] = value
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+    assert not (out_dir / "labeler.ckpt").exists() and not (out_dir / "vocab.json").exists()
+
+
 def test_net_dropout_rate_is_config_error_before_any_training(run_config, capsys):
     cfg_path, out_dir = run_config
     main(["gen-data", "--config", str(cfg_path)])

@@ -1,6 +1,7 @@
 """CTC loss against exhaustive enumeration, gradient audits, collapse, decoding."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,32 +48,35 @@ def test_log_softmax_exponentials_sum_to_one():
 
 def test_uniform_single_frame_loss_is_ln2():
     # one frame over {blank, a}: the only valid path is "a", probability 1/2
-    losses, _ = ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 2)), axis=2), [1], ["a"], VA)
+    losses, _ = ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 2)), axis=2), [1], [VA.encode("a")])
     assert losses[0] == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_target_longer_than_frames_is_infeasible():
     with pytest.raises(InfeasibleTargetError):
-        ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 3)), axis=2), [1], ["ab"], VAB)
+        ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 3)), axis=2), [1], [VAB.encode("ab")])
 
 
 def test_repeat_needs_separating_blank():
-    assert min_frames("aa") == 3
+    assert min_frames("aa") == min_frames(VA.encode("aa")) == 3
     with pytest.raises(InfeasibleTargetError):
-        ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 2, 2)), axis=2), [2], ["aa"], VA)
-    assert math.isfinite(ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 3, 2)), axis=2), [3], ["aa"], VA)[0][0])
+        ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 2, 2)), axis=2), [2], [VA.encode("aa")])
+    assert math.isfinite(ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 3, 2)), axis=2), [3], [VA.encode("aa")])[0][0])
 
 
 def test_character_outside_vocabulary_rejected():
     with pytest.raises(ValueError):
-        ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 2, 2)), axis=2), [2], ["z"], VA)
+        VA.encode("z")
+    for label in (0, 2):  # the blank, and one past the last class
+        with pytest.raises(ValueError):
+            ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 2, 2)), axis=2), [2], [[label]])
 
 
 def test_two_frame_loss_matches_path_sum():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(2, 2))
     want = ctc_loss_by_enumeration(logits, "a", ("a",))
-    losses, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [2], ["a"], VA)
+    losses, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [2], [VA.encode("a")])
     assert losses[0] == pytest.approx(want, abs=1e-12)
 
 
@@ -81,7 +85,7 @@ def test_loss_matches_enumeration_on_random_instances():
     for _ in range(200):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        got = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)[0][0]
+        got = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])[0][0]
         want = ctc_loss_by_enumeration(logits, target, symbols)
         assert got == pytest.approx(want, abs=1e-6)
 
@@ -90,7 +94,7 @@ def test_empty_target_is_all_blank_path():
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(3, 3))
     lp = log_softmax(logits, axis=1)
-    assert ctc_loss_and_grad_batch(lp[None], [3], [""], VAB)[0][0] == pytest.approx(-lp[:, 0].sum(), abs=1e-12)
+    assert ctc_loss_and_grad_batch(lp[None], [3], [VAB.encode("")])[0][0] == pytest.approx(-lp[:, 0].sum(), abs=1e-12)
 
 
 def test_loss_nonnegative_and_shift_invariant():
@@ -98,10 +102,10 @@ def test_loss_nonnegative_and_shift_invariant():
     for _ in range(20):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        loss = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)[0][0]
+        loss = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])[0][0]
         assert loss >= 0
         shifted = logits + rng.normal() * np.ones_like(logits)
-        shifted_loss = ctc_loss_and_grad_batch(log_softmax(shifted, axis=1)[None], [len(shifted)], [target], vocab)[0][0]
+        shifted_loss = ctc_loss_and_grad_batch(log_softmax(shifted, axis=1)[None], [len(shifted)], [vocab.encode(target)])[0][0]
         assert shifted_loss == pytest.approx(loss, abs=1e-9)
 
 
@@ -110,13 +114,13 @@ def test_appending_frames_preserves_feasibility():
     for _ in range(30):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)
+        ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])
         extended = np.vstack([logits, rng.normal(size=(1, logits.shape[1]))])
-        ctc_loss_and_grad_batch(log_softmax(extended, axis=1)[None], [len(extended)], [target], vocab)  # must not raise
+        ctc_loss_and_grad_batch(log_softmax(extended, axis=1)[None], [len(extended)], [vocab.encode(target)])  # must not raise
 
 
 def test_gradient_single_frame_closed_form():
-    grad = ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 2)), axis=2), [1], ["a"], VA)[1][0]
+    grad = ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 2)), axis=2), [1], [VA.encode("a")])[1][0]
     np.testing.assert_allclose(grad, [[0.5, -0.5]], atol=1e-12)
 
 
@@ -125,7 +129,7 @@ def test_gradient_rows_sum_to_zero():
     for _ in range(20):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)[1][0]
+        grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])[1][0]
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-10)
 
 
@@ -134,9 +138,9 @@ def test_gradient_matches_finite_differences():
     for _ in range(100):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)[1][0]
+        grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])[1][0]
         numeric = central_difference_grad(
-            lambda x: ctc_loss_and_grad_batch(log_softmax(x, axis=1)[None], [len(x)], [target], vocab)[0][0],
+            lambda x: ctc_loss_and_grad_batch(log_softmax(x, axis=1)[None], [len(x)], [vocab.encode(target)])[0][0],
             logits.copy(),
         )
         assert_grad_close(grad, numeric)
@@ -158,9 +162,10 @@ def _training_shaped_instance(draw):
 def test_lattice_posteriors_are_consistent_at_training_shapes(instance):
     logits, target, vocab = instance
     log_probs = log_softmax(logits, axis=1)
-    losses, grads = ctc_loss_and_grad_batch(log_probs[None], [len(logits)], [target], vocab)
+    losses, grads = ctc_loss_and_grad_batch(log_probs[None], [len(logits)], [vocab.encode(target)])
     log_z, grad = -losses[0], grads[0]
-    ext = ctc_mod._extended_target(target, vocab)
+    ext = np.zeros(2 * len(target) + 1, dtype=np.intp)
+    ext[1::2] = vocab.encode(target)
     emit = log_probs[:, ext]
     alpha = ctc_mod._lattice(emit[None], ext[None])[0] + emit
     beta = ctc_mod._lattice(emit[None, ::-1, ::-1], ext[None, ::-1])[0, ::-1, ::-1]
@@ -191,11 +196,11 @@ def _ragged_batch(draw):
 def test_batched_ctc_matches_single_utterance_calls(batch):
     logits, lengths, targets, symbols = batch
     vocab = Vocabulary(symbols)
-    losses, grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=2), lengths, targets, vocab)
+    losses, grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=2), lengths, [vocab.encode(t) for t in targets])
     assert losses.shape == (len(targets),) and grad.shape == logits.shape
     for b, (n, target) in enumerate(zip(lengths, targets)):
         member_log_probs = log_softmax(logits[b, :n], axis=1)[None]
-        member_loss, member_grad = ctc_loss_and_grad_batch(member_log_probs, [n], [target], vocab)
+        member_loss, member_grad = ctc_loss_and_grad_batch(member_log_probs, [n], [vocab.encode(target)])
         assert abs(losses[b] - member_loss[0]) <= 1e-12
         np.testing.assert_allclose(grad[b, :n], member_grad[0], rtol=0, atol=1e-12)
         assert np.all(grad[b, n:] == 0.0)  # padded frames
@@ -203,16 +208,41 @@ def test_batched_ctc_matches_single_utterance_calls(batch):
             assert losses[b] == pytest.approx(ctc_loss_by_enumeration(logits[b, :n], target, symbols), abs=1e-9)
 
 
+def _full_width_lattice(emit, ext):
+    """The lattice recursion over every state at every frame, trying the skip at every state from 2 on."""
+    skip_cost = np.where((ext[:, 2:] != 0) & (ext[:, 2:] != ext[:, :-2]), 0.0, -np.inf)
+    pre = np.full(emit.shape, -np.inf)
+    pre[:, 0, :2] = 0.0
+    for t in range(1, emit.shape[1]):
+        prev = pre[:, t - 1] + emit[:, t - 1]
+        pre[:, t, 0] = prev[:, 0]
+        pre[:, t, 1:] = np.logaddexp(prev[:, 1:], prev[:, :-1])
+        pre[:, t, 2:] = np.logaddexp(pre[:, t, 2:], prev[:, :-2] + skip_cost)
+    return pre
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ragged_batch())
+def test_lattice_matches_full_width_recursion_bit_for_bit(batch):
+    """The banded, label-state-only recursion leaves every cell, padding included, as the full one does."""
+    logits, lengths, targets, symbols = batch
+    vocab = Vocabulary(symbols)
+    with mock.patch.object(ctc_mod, "_lattice", wraps=ctc_mod._lattice) as spy:
+        ctc_loss_and_grad_batch(log_softmax(logits, axis=2), lengths, [vocab.encode(t) for t in targets])
+    (emit, ext), _ = spy.call_args  # the members' lattices, then the same lattices flipped
+    assert np.array_equal(ctc_mod._lattice(emit, ext), _full_width_lattice(emit, ext))
+
+
 def test_batched_ctc_rejects_bad_lengths_and_infeasible_members():
     log_probs = log_softmax(np.zeros((2, 4, 3)), axis=2)
     with pytest.raises(ValueError):
-        ctc_loss_and_grad_batch(log_probs, [4, 5], ["a", "b"], VAB)
+        ctc_loss_and_grad_batch(log_probs, [4, 5], [VAB.encode("a"), VAB.encode("b")])
     with pytest.raises(ValueError):
-        ctc_loss_and_grad_batch(log_probs, [4, 0], ["a", ""], VAB)
+        ctc_loss_and_grad_batch(log_probs, [4, 0], [VAB.encode("a"), VAB.encode("")])
     with pytest.raises(ValueError):
-        ctc_loss_and_grad_batch(log_probs, [4], ["a", "b"], VAB)
+        ctc_loss_and_grad_batch(log_probs, [4], [VAB.encode("a"), VAB.encode("b")])
     with pytest.raises(InfeasibleTargetError):
-        ctc_loss_and_grad_batch(log_probs, [4, 2], ["a", "aab"], VAB)
+        ctc_loss_and_grad_batch(log_probs, [4, 2], [VAB.encode("a"), VAB.encode("aab")])
 
 
 def test_collapse_examples():

@@ -28,6 +28,25 @@ from cptasr.net import (
 
 from oracles import assert_grad_close, central_difference_grad
 
+# activation shapes of one batch of 8: the acceptance net on `pipeline`'s short
+# utterances (one conv layer to 32 channels), and the default net on
+# `long-utt`'s ~215-frame utterances (conv to 32, then 64 channels)
+@pytest.mark.parametrize("shape", [(72, 32), (860, 32), (430, 64)], ids=["pipeline", "long-utt-conv0", "long-utt"])
+def test_gelu_matches_one_line_expressions_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0])
+    x = rng.normal(scale=3.0, size=shape)
+    x.flat[:7] = [0.0, -0.0, 5e-324, -1e-310, -40.0, 40.0, 1e3]  # zeros, subnormals, saturated tanh
+    before = x.copy()
+    c = np.sqrt(2.0 / np.pi)
+    want = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
+    x2 = x * x
+    t = np.tanh(c * (x + 0.044715 * (x2 * x)))
+    want_grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x2)
+    assert np.array_equal(net_mod._gelu(x), want)
+    assert np.array_equal(net_mod._gelu_grad(x), want_grad)
+    assert np.array_equal(x, before)  # the pre-activations are cached for the backward pass
+
+
 TINY = NetConfig(feature_dim=5, vocab_size=3, downsample_factor=2, conv_layers=2,
                  conv_channels=6, context_layers=2, hidden_dim=8, context_window=1)
 

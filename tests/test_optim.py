@@ -77,9 +77,9 @@ def test_clip_halves_norm_two():
 def test_clip_post_norm_and_idempotence():
     rng = np.random.default_rng(0)
     grads = np.concatenate([rng.normal(size=(3, 4)).ravel(), rng.normal(size=5)])
-    out, _ = clip_gradients(grads, 1.0)
+    out, _ = clip_gradients(grads.copy(), 1.0)  # clipping scales its argument in place
     assert global_grad_norm(out) == pytest.approx(min(global_grad_norm(grads), 1.0), abs=1e-9)
-    again, scale2 = clip_gradients(out, 1.0)
+    again, scale2 = clip_gradients(out.copy(), 1.0)
     assert scale2 == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(again, out, rtol=1e-12)
 
@@ -93,8 +93,8 @@ def test_adamw_pure_decay_with_zero_gradient():
     cfg = _cfg(weight_decay=0.01)
     theta = np.array([1.0])
     state = OptState.zeros_like(theta)
-    out, state = adamw_step(theta, np.array([0.0]), state, lr=0.1, cfg=cfg)
-    assert out[0] == pytest.approx(0.999, abs=1e-15)
+    adamw_step(theta, np.array([0.0]), state, lr=0.1, cfg=cfg)
+    assert theta[0] == pytest.approx(0.999, abs=1e-15)
     assert state.step == 1
 
 
@@ -102,9 +102,9 @@ def test_adamw_first_step_is_signed_unit_as_eps_vanishes():
     cfg = _cfg(weight_decay=0.0)
     theta = np.array([0.3])
     state = OptState.zeros_like(theta)
-    out, _ = adamw_step(theta, np.array([7.0]), state, lr=0.01, cfg=cfg)
+    adamw_step(theta, np.array([7.0]), state, lr=0.01, cfg=cfg)
     # first bias-corrected step: m_hat/sqrt(v_hat) = g/|g| up to eps
-    assert out[0] == pytest.approx(0.3 - 0.01, abs=1e-8)
+    assert theta[0] == pytest.approx(0.3 - 0.01, abs=1e-8)
 
 
 def test_adamw_matches_scalar_oracle_three_steps():
@@ -113,7 +113,7 @@ def test_adamw_matches_scalar_oracle_three_steps():
     state = OptState.zeros_like(theta)
     w, m, v = 0.7, 0.0, 0.0
     for t, g in enumerate([0.3, -0.2, 0.5], start=1):
-        theta, state = adamw_step(theta, np.array([g]), state, lr=0.05, cfg=cfg)
+        adamw_step(theta, np.array([g]), state, lr=0.05, cfg=cfg)
         m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1**t)
@@ -127,21 +127,47 @@ def test_adamw_tensors_update_independently():
     rng = np.random.default_rng(1)
     theta = rng.normal(size=6)  # two 3-element tensors: a = [:3], b = [3:]
     grads = rng.normal(size=6)
-    state = OptState.zeros_like(theta)
-    joint, _ = adamw_step(theta, grads, state, lr=0.01, cfg=cfg)
-    solo_a, _ = adamw_step(theta[:3], grads[:3], OptState.zeros_like(theta[:3]), lr=0.01, cfg=cfg)
+    joint = theta.copy()  # the step writes in place, and a slice would be a view of theta
+    adamw_step(joint, grads, OptState.zeros_like(theta), lr=0.01, cfg=cfg)
+    solo_a = theta[:3].copy()
+    adamw_step(solo_a, grads[:3].copy(), OptState.zeros_like(solo_a), lr=0.01, cfg=cfg)
     np.testing.assert_allclose(joint[:3], solo_a, rtol=1e-15)
 
 
 def test_adamw_does_not_mutate_inputs():
+    """In place: theta, m and v are written and the step advances; the gradient is only read."""
     cfg = _cfg()
     theta = np.array([1.0])
     grads = np.array([2.0])
     state = OptState.zeros_like(theta)
-    adamw_step(theta, grads, state, lr=0.1, cfg=cfg)
-    assert theta[0] == 1.0
-    assert state.step == 0
-    assert state.m[0] == 0.0
+    m, v = state.m, state.v
+    assert adamw_step(theta, grads, state, lr=0.1, cfg=cfg) is None
+    assert grads[0] == 2.0
+    assert theta[0] != 1.0
+    assert state.step == 1
+    assert state.m is m and state.v is v
+    assert state.m[0] != 0.0 and state.v[0] != 0.0
+
+
+def test_adamw_in_place_matches_out_of_place_formulas_bit_for_bit():
+    cfg = _cfg(weight_decay=0.01)
+    rng = np.random.default_rng(20)
+    theta = rng.normal(size=500)
+    state = OptState.zeros_like(theta)
+    want_theta, want_m, want_v = theta.copy(), np.zeros(500), np.zeros(500)
+    for t in range(1, 21):
+        grads = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=500)
+        grads.flags.writeable = False  # any write to the gradient raises
+        lr = 1e-3 * rng.uniform(0.1, 1.0)
+        adamw_step(theta, grads, state, lr, cfg)
+        want_m = ADAM_BETA1 * want_m + (1.0 - ADAM_BETA1) * grads
+        want_v = ADAM_BETA2 * want_v + (1.0 - ADAM_BETA2) * grads * grads
+        m_hat = want_m / (1.0 - ADAM_BETA1**t)
+        v_hat = want_v / (1.0 - ADAM_BETA2**t)
+        want_theta = want_theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - lr * cfg.weight_decay * want_theta
+        assert np.array_equal(state.m, want_m) and np.array_equal(state.v, want_v)
+        assert np.array_equal(theta, want_theta)
+        assert state.step == t
 
 
 def test_adamw_shape_mismatch_rejected():
@@ -158,16 +184,16 @@ VOCAB = Vocabulary(("a", "b"))
 def test_smoothing_zero_equals_plain_ctc():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(4, 3))
-    loss, grad = smoothed_ctc_objective_batch(logits[None], [4], ["ab"], VOCAB, smoothing=0.0)
-    plain_loss, plain_grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [4], ["ab"], VOCAB)
+    loss, grad = smoothed_ctc_objective_batch(logits[None], [4], [VOCAB.encode("ab")], smoothing=0.0)
+    plain_loss, plain_grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [4], [VOCAB.encode("ab")])
     assert loss[0] == pytest.approx(plain_loss[0], abs=1e-12)
     np.testing.assert_allclose(grad[0], plain_grad[0], atol=1e-12)
 
 
 def test_uniform_logits_have_zero_kl_term():
     logits = np.zeros((3, 3))
-    loss, _ = smoothed_ctc_objective_batch(logits[None], [3], ["a"], VOCAB, smoothing=0.3)
-    plain_loss, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [3], ["a"], VOCAB)
+    loss, _ = smoothed_ctc_objective_batch(logits[None], [3], [VOCAB.encode("a")], smoothing=0.3)
+    plain_loss, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [3], [VOCAB.encode("a")])
     assert loss[0] == pytest.approx(0.7 * plain_loss[0], abs=1e-12)
 
 
@@ -176,8 +202,8 @@ def test_smoothed_loss_lower_bounded_by_scaled_ctc():
     for _ in range(20):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        loss, _ = smoothed_ctc_objective_batch(logits[None], [len(logits)], [target], vocab, smoothing=0.1)
-        plain_loss, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [target], vocab)
+        loss, _ = smoothed_ctc_objective_batch(logits[None], [len(logits)], [vocab.encode(target)], smoothing=0.1)
+        plain_loss, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])
         assert loss[0] >= 0.9 * plain_loss[0] - 1e-12
 
 
@@ -186,9 +212,9 @@ def test_smoothed_gradient_matches_finite_differences():
     for _ in range(100):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        _, grad = smoothed_ctc_objective_batch(logits[None], [len(logits)], [target], vocab, smoothing=0.1)
+        _, grad = smoothed_ctc_objective_batch(logits[None], [len(logits)], [vocab.encode(target)], smoothing=0.1)
         numeric = central_difference_grad(
-            lambda x: smoothed_ctc_objective_batch(x[None], [len(x)], [target], vocab, smoothing=0.1)[0][0],
+            lambda x: smoothed_ctc_objective_batch(x[None], [len(x)], [vocab.encode(target)], smoothing=0.1)[0][0],
             logits.copy(),
         )
         assert_grad_close(grad[0], numeric)
@@ -201,9 +227,9 @@ def test_smoothed_batch_matches_single_utterance_calls():
     lengths = [1, 4, 9, 3, 2]
     logits = rng.normal(scale=3.0, size=(len(targets), max(lengths), 4))  # junk past each length
     for smoothing in (0.0, 0.1):
-        losses, grad = smoothed_ctc_objective_batch(logits, lengths, targets, vocab, smoothing)
+        losses, grad = smoothed_ctc_objective_batch(logits, lengths, [vocab.encode(t) for t in targets], smoothing)
         for b, (n, target) in enumerate(zip(lengths, targets)):
-            loss, member_grad = smoothed_ctc_objective_batch(logits[b, :n][None], [n], [target], vocab, smoothing)
+            loss, member_grad = smoothed_ctc_objective_batch(logits[b, :n][None], [n], [vocab.encode(target)], smoothing)
             assert abs(losses[b] - loss[0]) <= 1e-12
             np.testing.assert_allclose(grad[b, :n], member_grad[0], rtol=0, atol=1e-12)
             assert np.all(grad[b, n:] == 0.0)

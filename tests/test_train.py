@@ -95,6 +95,29 @@ def test_ties_do_not_reset_patience(monkeypatch):
     assert history.best_epoch == 5
 
 
+def test_start_is_untouched_and_best_is_not_the_live_vector(monkeypatch):
+    """The parameter vector is updated in place, so the best epoch's weights must be a copy."""
+    train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
+    scripted = iter([0.2, 0.5, 0.5])  # epoch 1 is best of 3
+    evaluated = []
+
+    def fake_eval(params, cfg, ds, vocab):
+        evaluated.append({name: value.copy() for name, value in params.items()})
+        w = next(scripted)
+        return WerReport(0, 0, 0, 1, w)
+
+    monkeypatch.setattr(train_mod, "evaluate_wer", fake_eval)
+    start = init_parameters(net_cfg, seed=0)
+    start_copy = {name: value.copy() for name, value in start.items()}
+    best, history = train_stage(start, net_cfg, train_ds, val_ds, _stage(epochs=3), vocab)
+    assert history.best_epoch == 1 and len(evaluated) == 3
+    for name in start:
+        assert np.array_equal(start[name], start_copy[name])
+        assert np.array_equal(best[name], evaluated[0][name])  # the weights after epoch 1, bit for bit
+        assert not np.shares_memory(best[name], start[name])
+    assert any(not np.array_equal(best[name], evaluated[2][name]) for name in best)
+
+
 def test_best_epoch_weights_reproduce_recorded_wer():
     train_ds, val_ds, vocab, net_cfg = _small_task()
     stage = _stage(epochs=6, patience=None)
