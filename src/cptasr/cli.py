@@ -82,10 +82,6 @@ class RunConfig:
     def synth_config(self) -> SynthConfig:
         raw = dict(self.synth_raw)
         raw.setdefault("seed", self.seed + SEED_OFFSETS["synth"])
-        if "chars_per_utterance" in raw:
-            raw["chars_per_utterance"] = tuple(raw["chars_per_utterance"])
-        if "frames_per_char" in raw:
-            raw["frames_per_char"] = tuple(raw["frames_per_char"])
         try:
             return SynthConfig(**raw)
         except (TypeError, ValueError) as exc:

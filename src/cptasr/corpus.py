@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import base64
 import json
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +20,10 @@ KINDS = ("labeled", "unlabeled", "pseudo_labeled")
 
 class ManifestError(ValueError):
     """Raised for malformed manifests or feature files."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -184,6 +190,20 @@ class SynthConfig:
     alphabet: str = "abcde"
 
     def __post_init__(self):
+        for name in ("n_speakers", "n_utterances", "feature_dim", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("chars_per_utterance", "frames_per_char"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))):
+                raise TypeError(f"{name} must be a pair of integers, got {pair!r}")
+            setattr(self, name, tuple(pair))
+        for name in ("labeled_fraction", "noise_sigma", "speaker_shift_sigma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.alphabet, str):
+            raise TypeError(f"alphabet must be a string, got {self.alphabet!r}")
         if self.n_speakers < 1 or self.n_utterances < 1 or self.feature_dim < 1:
             raise ValueError("n_speakers, n_utterances and feature_dim must be >= 1")
         if not 0.0 <= self.labeled_fraction <= 1.0:
@@ -194,8 +214,8 @@ class SynthConfig:
         lo, hi = self.frames_per_char
         if not (1 <= lo <= hi):
             raise ValueError("frames_per_char range is empty")
-        if self.noise_sigma < 0 or self.speaker_shift_sigma < 0:
-            raise ValueError("sigmas must be >= 0")
+        if not (0 <= self.noise_sigma < math.inf and 0 <= self.speaker_shift_sigma < math.inf):
+            raise ValueError("sigmas must be finite and >= 0")
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise ValueError("alphabet must be non-empty with unique characters")
         if " " in self.alphabet:
@@ -223,23 +243,18 @@ def character_prototypes(cfg: SynthConfig) -> dict[str, np.ndarray]:
     return {ch: protos[i].astype(np.float64) for i, ch in enumerate(chars)}
 
 
-def _random_transcript(rng: np.random.Generator, cfg: SynthConfig) -> str:
+def _random_codes(rng: np.random.Generator, cfg: SynthConfig) -> list[int]:
+    """One transcript as alphabet indices, with len(alphabet) for the space."""
     target_len = int(rng.integers(cfg.chars_per_utterance[0], cfg.chars_per_utterance[1] + 1))
-    alphabet = list(cfg.alphabet)
-    words: list[str] = []
-    length = 0
-    while length < target_len:
-        word_len = int(rng.integers(2, 5))
-        chars = []
-        for i in rng.integers(0, len(alphabet), size=word_len):
-            ch = alphabet[int(i)]
-            if chars and ch == chars[-1]:
-                # no adjacent repeats: keeps targets feasible at tight frame budgets
-                ch = alphabet[(int(i) + 1) % len(alphabet)]
-            chars.append(ch)
-        words.append("".join(chars))
-        length += word_len + (1 if length else 0)
-    return " ".join(words)
+    n_letters = len(cfg.alphabet)
+    codes: list[int] = []
+    while len(codes) < target_len:
+        if codes:
+            codes.append(n_letters)
+        for i in rng.integers(0, n_letters, size=int(rng.integers(2, 5))).tolist():
+            # no adjacent repeats: keeps targets feasible at tight frame budgets
+            codes.append((i + 1) % n_letters if codes and i == codes[-1] else i)
+    return codes
 
 
 def generate_synthetic_corpus(cfg: SynthConfig) -> tuple[Dataset, Dataset, dict[str, str]]:
@@ -251,35 +266,40 @@ def generate_synthetic_corpus(cfg: SynthConfig) -> tuple[Dataset, Dataset, dict[
     chars_per_utterance is a lower target, overshot by at most one word.
     Unlabeled utterances drop their transcript; the ground truth for those
     ids is returned separately for test-only use. Output is deterministic
-    given the seed.
+    given the seed, and the order of generator draws is part of it: per
+    utterance the speaker, the transcript, then each character's frame count
+    followed by its frames' noise. Reordering them changes every corpus.
     """
-    protos = character_prototypes(cfg)
+    chars = cfg.alphabet + " "
+    proto_table = np.stack(list(character_prototypes(cfg).values()))  # rows in `chars` order
     rng = np.random.default_rng([cfg.seed, 1])
-    shifts = {
-        f"spk{j:03d}": rng.normal(scale=cfg.speaker_shift_sigma, size=cfg.feature_dim)
-        if cfg.speaker_shift_sigma > 0
-        else np.zeros(cfg.feature_dim)
-        for j in range(cfg.n_speakers)
-    }
-    speaker_ids = sorted(shifts)
+    sigma_s = cfg.speaker_shift_sigma
+    tables = {f"spk{j:03d}": proto_table + (rng.normal(scale=sigma_s, size=cfg.feature_dim) if sigma_s > 0 else 0.0)
+              for j in range(cfg.n_speakers)}  # per speaker: shifted prototypes, characters x D
+    speaker_ids = sorted(tables)
 
     n_labeled = int(round(cfg.labeled_fraction * cfg.n_utterances))
     labeled: list[Utterance] = []
     unlabeled: list[Utterance] = []
     truth: dict[str, str] = {}
     lo_f, hi_f = cfg.frames_per_char
+    # scratch rows for the longest transcript: the target, then one overshooting space and word
+    noise, frames = np.empty((2, (cfg.chars_per_utterance[1] + 4) * hi_f, cfg.feature_dim))
     for i in range(cfg.n_utterances):
         utt_id = f"utt{i:05d}"
         speaker = speaker_ids[int(rng.integers(0, cfg.n_speakers))]
-        transcript = _random_transcript(rng, cfg)
-        rows = []
-        for ch in transcript:
-            n_frames = int(rng.integers(lo_f, hi_f + 1))
-            block = np.tile(protos[ch], (n_frames, 1)) + shifts[speaker]
+        codes = _random_codes(rng, cfg)
+        counts, t = [], 0
+        for _ in codes:
+            counts.append(int(rng.integers(lo_f, hi_f + 1)))
             if cfg.noise_sigma > 0:
-                block = block + rng.normal(scale=cfg.noise_sigma, size=block.shape)
-            rows.append(block)
-        features = np.concatenate(rows, axis=0).astype(np.float32)
+                rng.standard_normal(out=noise[t:t + counts[-1]])
+            t += counts[-1]
+        feats = np.take(tables[speaker], np.repeat(codes, counts), axis=0, out=frames[:t])
+        if cfg.noise_sigma > 0:  # normal(scale=s) is 0.0 + s * z, so scaling z afterwards is exact
+            feats += np.multiply(noise[:t], cfg.noise_sigma, out=noise[:t])
+        features = feats.astype(np.float32)
+        transcript = "".join(chars[c] for c in codes)
         if i < n_labeled:
             labeled.append(Utterance(utt_id, speaker, features, transcript))
         else:
@@ -372,9 +392,15 @@ def load_manifest(path: str | Path, kind: str | None = None) -> Dataset:
             if utt_id in seen:
                 raise ManifestError(f"{path}: line {lineno}: duplicate utterance id {utt_id!r}")
             seen.add(utt_id)
-            t, d = int(record["frames"]), int(record["dim"])
+            t, d = record["frames"], record["dim"]
+            if not (_is_int(t) and _is_int(d) and t >= 1 and d >= 1):
+                raise ManifestError(f"{path}: line {lineno}: frames and dim must be positive integers, "
+                                    f"got {t!r} and {d!r}")
             if "features_b64" in record:
-                raw = base64.b64decode(record["features_b64"])
+                try:
+                    raw = base64.b64decode(record["features_b64"])
+                except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+                    raise ManifestError(f"{path}: line {lineno}: undecodable features_b64 ({exc})") from None
                 if len(raw) != 4 * t * d:
                     raise ManifestError(f"{path}: line {lineno}: feature payload does not match declared T x D")
                 feats = np.frombuffer(raw, dtype="<f4").reshape(t, d).copy()
@@ -386,7 +412,10 @@ def load_manifest(path: str | Path, kind: str | None = None) -> Dataset:
                 raise ManifestError(f"{path}: line {lineno}: record has neither features_b64 nor features_path")
             transcript = record.get("transcript")
             any_transcript = any_transcript or transcript is not None
-            utterances.append(Utterance(utt_id, record["speaker_id"], feats, transcript))
+            try:
+                utterances.append(Utterance(utt_id, record["speaker_id"], feats, transcript))
+            except ValueError as exc:
+                raise ManifestError(f"{path}: line {lineno}: {exc}") from None
     if kind is None:
         kind = "labeled" if any_transcript else "unlabeled"
     try:

@@ -219,6 +219,31 @@ def test_wrongly_typed_net_or_stage_field_is_config_error_before_any_work(run_co
     assert not (out_dir / "labeler.ckpt").exists() and not (out_dir / "vocab.json").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_utterances", 90.5),
+    ("feature_dim", 32.0),
+    ("seed", 1.5),
+    ("n_speakers", True),
+    ("chars_per_utterance", 5),
+    ("frames_per_char", [6.5, 10]),
+    ("labeled_fraction", True),
+    ("noise_sigma", True),
+    ("speaker_shift_sigma", False),
+    ("alphabet", ["a", "b", "c"]),
+], ids=["n_utterances-float", "feature_dim-float", "seed-float", "n_speakers-bool", "chars_per_utterance-int",
+        "frames_per_char-float-pair", "labeled_fraction-bool", "noise_sigma-bool", "speaker_shift_sigma-bool",
+        "alphabet-list"])
+def test_wrongly_typed_synth_field_is_config_error_before_any_work(run_config, capsys, field, value):
+    cfg_path, out_dir = run_config
+    cfg = json.loads(cfg_path.read_text())
+    cfg["synth"][field] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+    assert not (out_dir / "labeled.jsonl").exists() and not (out_dir / "unlabeled.jsonl").exists()
+
+
 def test_net_dropout_rate_is_config_error_before_any_training(run_config, capsys):
     cfg_path, out_dir = run_config
     main(["gen-data", "--config", str(cfg_path)])
@@ -285,6 +310,23 @@ def test_missing_manifest_is_data_error(run_config):
     cfg_path, out_dir = run_config
     assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_DATA
     assert not (out_dir / "labeler.ckpt").exists()
+
+
+@pytest.mark.parametrize("field,value", [("frames", "abc"), ("features_b64", "AACAPw=")],
+                         ids=["frames-str", "b64-padding"])
+def test_bad_manifest_record_data_is_data_error(run_config, capsys, field, value):
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    manifest = out_dir / "labeled.jsonl"
+    lines = manifest.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[field] = value
+    lines[1] = json.dumps(record)
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["split", "--config", str(cfg_path), "--manifest", str(manifest), "--eval-count", "8"]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {manifest}: line 2: ")
+    assert not (out_dir / "train.jsonl").exists()
 
 
 def test_report_renders_delta_table(tmp_path, capsys):

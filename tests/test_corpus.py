@@ -1,7 +1,10 @@
 """Vocabulary, splits, synthetic corpus generation, and manifest round-trips."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cptasr.corpus import (
     Dataset,
@@ -141,6 +144,92 @@ def test_generation_is_deterministic():
         np.testing.assert_array_equal(x.features, y.features)
 
 
+def _reference_corpus(cfg: SynthConfig):
+    """The generator as a plain per-character loop, kept to pin its draws and arithmetic.
+
+    Per character: a tiled prototype plus the speaker shift, plus its own
+    ``rng.normal(scale=noise_sigma)`` block; blocks are concatenated and cast
+    to float32 at the end. Returns (id, speaker, transcript, features) rows
+    in id order and the truth map of the unlabeled ids.
+    """
+    protos = character_prototypes(cfg)
+    rng = np.random.default_rng([cfg.seed, 1])
+    shifts = {
+        f"spk{j:03d}": rng.normal(scale=cfg.speaker_shift_sigma, size=cfg.feature_dim)
+        if cfg.speaker_shift_sigma > 0
+        else np.zeros(cfg.feature_dim)
+        for j in range(cfg.n_speakers)
+    }
+    speaker_ids = sorted(shifts)
+    n_labeled = int(round(cfg.labeled_fraction * cfg.n_utterances))
+    rows, truth = [], {}
+    for i in range(cfg.n_utterances):
+        speaker = speaker_ids[int(rng.integers(0, cfg.n_speakers))]
+        target_len = int(rng.integers(cfg.chars_per_utterance[0], cfg.chars_per_utterance[1] + 1))
+        words, length = [], 0
+        while length < target_len:
+            word_len = int(rng.integers(2, 5))
+            chars = []
+            for k in rng.integers(0, len(cfg.alphabet), size=word_len):
+                ch = cfg.alphabet[int(k)]
+                if chars and ch == chars[-1]:
+                    ch = cfg.alphabet[(int(k) + 1) % len(cfg.alphabet)]
+                chars.append(ch)
+            words.append("".join(chars))
+            length += word_len + (1 if length else 0)
+        transcript = " ".join(words)
+        blocks = []
+        for ch in transcript:
+            n_frames = int(rng.integers(cfg.frames_per_char[0], cfg.frames_per_char[1] + 1))
+            block = np.tile(protos[ch], (n_frames, 1)) + shifts[speaker]
+            if cfg.noise_sigma > 0:
+                block = block + rng.normal(scale=cfg.noise_sigma, size=block.shape)
+            blocks.append(block)
+        features = np.concatenate(blocks, axis=0).astype(np.float32)
+        utt_id = f"utt{i:05d}"
+        rows.append((utt_id, speaker, transcript if i < n_labeled else None, features))
+        if i >= n_labeled:
+            truth[utt_id] = transcript
+    return rows, truth
+
+
+@st.composite
+def _synth_configs(draw):
+    chars_lo = draw(st.integers(1, 5))
+    frames_lo = draw(st.integers(1, 4))
+    return SynthConfig(
+        n_speakers=draw(st.integers(1, 4)),
+        n_utterances=draw(st.integers(1, 6)),
+        labeled_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        chars_per_utterance=(chars_lo, chars_lo + draw(st.integers(0, 3))),
+        frames_per_char=(frames_lo, frames_lo + draw(st.integers(0, 3))),
+        feature_dim=draw(st.integers(1, 10)),
+        noise_sigma=draw(st.sampled_from([0.0, 0.3, 0.55, 1.25])),
+        speaker_shift_sigma=draw(st.sampled_from([0.0, 0.9, 1.7])),
+        seed=draw(st.integers(0, 2**16)),
+        alphabet="".join(draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=6, unique=True))),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_synth_configs())
+@example(SynthConfig(n_speakers=3, n_utterances=6, labeled_fraction=0.5, seed=7))
+@example(SynthConfig(n_speakers=2, n_utterances=4, labeled_fraction=0.0, noise_sigma=0.0, seed=1))
+@example(SynthConfig(n_speakers=2, n_utterances=4, labeled_fraction=1.0, speaker_shift_sigma=0.0, seed=2))
+@example(SynthConfig(n_speakers=2, n_utterances=4, feature_dim=3, alphabet="abcdef", seed=3))
+@example(SynthConfig(n_speakers=1, n_utterances=3, chars_per_utterance=(4, 4), frames_per_char=(5, 5),
+                     alphabet="a", seed=4))
+def test_generator_matches_reference_loop_bit_for_bit(cfg):
+    labeled, unlabeled, truth = generate_synthetic_corpus(cfg)
+    rows, ref_truth = _reference_corpus(cfg)
+    assert truth == ref_truth
+    utts = list(labeled) + list(unlabeled)
+    assert [(u.id, u.speaker_id, u.transcript) for u in utts] == [row[:3] for row in rows]
+    for utt, row in zip(utts, rows):
+        assert utt.features.dtype == np.float32
+        assert np.array_equal(utt.features, row[3])
+
+
 def test_labeled_fraction_arithmetic():
     cfg = SynthConfig(n_speakers=5, n_utterances=1000, labeled_fraction=0.1, seed=1)
     labeled, unlabeled, truth = generate_synthetic_corpus(cfg)
@@ -173,10 +262,17 @@ def test_synth_config_validation():
         SynthConfig(labeled_fraction=1.5)
     with pytest.raises(ValueError):
         SynthConfig(chars_per_utterance=(5, 2))
-    with pytest.raises(ValueError):
-        SynthConfig(noise_sigma=-0.1)
+    for sigmas in (dict(noise_sigma=-0.1), dict(noise_sigma=float("nan")), dict(speaker_shift_sigma=float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            SynthConfig(**sigmas)
     with pytest.raises(ValueError):
         SynthConfig(alphabet="aab")
+    for bad in (dict(n_utterances=9.0), dict(seed=True), dict(frames_per_char=(6, 10.0)),
+                dict(chars_per_utterance=(3, 4, 5)), dict(noise_sigma="0.5"), dict(alphabet=("a", "b"))):
+        with pytest.raises(TypeError, match=next(iter(bad))):
+            SynthConfig(**bad)
+    cfg = SynthConfig(n_utterances=np.int64(9), frames_per_char=[6, 10], noise_sigma=np.float32(0.5))
+    assert cfg.frames_per_char == (6, 10)
 
 
 def test_feature_file_round_trip(tmp_path):
@@ -221,6 +317,28 @@ def test_manifest_malformed_line_names_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "u1", "speaker_id": "A", "frames": 1, "dim": 1, "features_b64": "AACAPw=="}\nnot json\n')
     with pytest.raises(ManifestError, match="line 2"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("record,message", [
+    ('{"id": "u1", "speaker_id": "A", "frames": "abc", "dim": 1, "features_b64": "AACAPw=="}',
+     "line 2: frames and dim must be positive integers"),
+    ('{"id": "u1", "speaker_id": "A", "frames": 1, "dim": 1.5, "features_b64": "AACAPw=="}',
+     "line 2: frames and dim must be positive integers"),
+    ('{"id": "u1", "speaker_id": "A", "frames": -1, "dim": -1, "features_b64": "AACAPw=="}',
+     "line 2: frames and dim must be positive integers"),
+    ('{"id": "u1", "speaker_id": "A", "frames": 1, "dim": 1, "features_b64": "AACAPw="}',
+     "line 2: undecodable features_b64"),
+    ('{"id": "u1", "speaker_id": "A", "frames": 1, "dim": 1, "features_b64": 7}',
+     "line 2: undecodable features_b64"),
+    ('{"id": "u1", "speaker_id": "A", "frames": 1, "dim": 1, "features_b64": "AADAfw=="}',
+     "line 2: .*non-finite"),
+], ids=["frames-str", "dim-float", "frames-dim-negative", "b64-padding", "b64-not-str", "features-nan"])
+def test_manifest_bad_record_data_names_file_and_line(tmp_path, record, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "u0", "speaker_id": "A", "frames": 1, "dim": 1, "features_b64": "AACAPw=="}\n'
+                    + record + "\n")
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: {message}"):
         load_manifest(path)
 
 
