@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import corpus, net, pipeline, train
 from .corpus import ManifestError, SynthConfig, Vocabulary, build_vocabulary, load_manifest, save_manifest
+from .fieldcheck import check_field
 from .metrics import relative_improvement
 from .optim import StageConfig, preset
 from .pipeline import EmptyPseudoLabelPoolError
@@ -41,35 +42,38 @@ class ConfigError(ValueError):
     """Raised for unusable run configuration."""
 
 
-def _typed(value, kinds: tuple[type, ...], what: str):
-    """``value`` if it is one of ``kinds`` (a JSON true/false never counts as a number), else a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"{what} must be {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
-    return value
-
-
 class RunConfig:
     """Parsed run-config file with preset-backed stage configs.
 
+    ``overrides`` (the parsed command line) replace the file's seed,
+    threshold and out_dir, and each field is checked after its override.
     Relative paths resolve against the working directory.
     """
 
-    def __init__(self, raw: dict):
+    def __init__(self, raw: dict, overrides: argparse.Namespace | None = None):
         if not isinstance(raw, dict):
             raise ConfigError("run config must be a JSON object")
-        self.seed = _typed(raw.get("seed", 0), (int,), "seed")
-        self.threshold = float(_typed(raw.get("threshold", 0.75), (int, float), "threshold"))
-        out_dir = os.environ.get(OUT_DIR_ENV) or raw.get("out_dir", "runs")
-        self.out_dir = Path(_typed(out_dir, (str,), "out_dir"))
-        self.net_raw = _typed(raw.get("net", {}), (dict,), "net")
-        self.synth_raw = _typed(raw.get("synth", {}), (dict,), "synth")
-        stages = _typed(raw.get("stages", {}), (dict,), "stages")
+        raw = {**raw, "out_dir": os.environ.get(OUT_DIR_ENV) or raw.get("out_dir", "runs")}
+        for key in ("seed", "threshold", "out_dir"):
+            if getattr(overrides, key, None) is not None:
+                raw[key] = getattr(overrides, key)
+        try:
+            self.seed = check_field("seed", raw.get("seed", 0), "int")
+            self.threshold = float(check_field("threshold", raw.get("threshold", 0.75), "float"))
+            self.out_dir = Path(check_field("out_dir", raw["out_dir"], "str"))
+            self.net_raw = check_field("net", raw.get("net", {}), "dict")
+            self.synth_raw = check_field("synth", raw.get("synth", {}), "dict")
+            stages = check_field("stages", raw.get("stages", {}), "dict")
+            self.stage_raw = {name: check_field(f"stages.{name}", entry, "dict") for name, entry in stages.items()}
+            paths = check_field("paths", raw.get("paths", {}), "dict")
+            self.paths = {k: Path(check_field(f"paths.{k}", v, "str")) for k, v in paths.items()}
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         unknown = set(stages) - set(STAGE_NAMES)
         if unknown:
             raise ConfigError(f"unknown stage names {sorted(unknown)}; expected {STAGE_NAMES}")
-        self.stage_raw = {name: _typed(entry, (dict,), f"stages.{name}") for name, entry in stages.items()}
-        paths = _typed(raw.get("paths", {}), (dict,), "paths")
-        self.paths = {k: Path(_typed(v, (str,), f"paths.{k}")) for k, v in paths.items()}
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
 
     def stage(self, name: str) -> StageConfig:
         overrides = dict(self.stage_raw.get(name, {}))
@@ -111,17 +115,7 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
         raise ConfigError(f"config file {path} does not exist") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from None
-    cfg = RunConfig(raw)
-    if overrides is not None:
-        if getattr(overrides, "seed", None) is not None:
-            cfg.seed = overrides.seed
-        if getattr(overrides, "threshold", None) is not None:
-            cfg.threshold = overrides.threshold
-        if getattr(overrides, "out_dir", None) is not None:
-            cfg.out_dir = Path(overrides.out_dir)
-    if not 0.0 <= cfg.threshold <= 1.0:
-        raise ConfigError(f"threshold {cfg.threshold} outside [0, 1]")
-    return cfg
+    return RunConfig(raw, overrides)
 
 
 def _save_vocab(vocab: Vocabulary, path: Path) -> None:

@@ -4,26 +4,19 @@ from __future__ import annotations
 
 import base64
 import json
-import math
-import numbers
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-FEATURE_MAGIC = b"CPTF"
-FEATURE_VERSION = 1
+from .fieldcheck import check_field
 
 KINDS = ("labeled", "unlabeled", "pseudo_labeled")
 
 
 class ManifestError(ValueError):
-    """Raised for malformed manifests or feature files."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """Raised for malformed manifests."""
 
 
 @dataclass(frozen=True)
@@ -34,13 +27,11 @@ class Vocabulary:
     """
 
     symbols: tuple[str, ...]
-    blank_index: int = 0
+    blank_index: ClassVar[int] = 0
 
     def __post_init__(self):
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("vocabulary symbols must be unique")
-        if self.blank_index != 0:
-            raise ValueError("blank index is fixed at 0")
         object.__setattr__(self, "_index", {ch: i + 1 for i, ch in enumerate(self.symbols)})
 
     @property
@@ -92,6 +83,9 @@ class Utterance:
     transcript: str | None = None
 
     def __post_init__(self):
+        for name, value in (("id", self.id), ("speaker_id", self.speaker_id), ("transcript", self.transcript)):
+            if not isinstance(value, str) and (name != "transcript" or value is not None):
+                raise ValueError(f"utterance {self.id!r}: {name} must be a string, got {value!r}")
         feats = np.asarray(self.features, dtype=np.float32)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ValueError(f"utterance {self.id!r}: features must be a T x D matrix with T,D >= 1")
@@ -190,20 +184,8 @@ class SynthConfig:
     alphabet: str = "abcde"
 
     def __post_init__(self):
-        for name in ("n_speakers", "n_utterances", "feature_dim", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("chars_per_utterance", "frames_per_char"):
-            pair = getattr(self, name)
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))):
-                raise TypeError(f"{name} must be a pair of integers, got {pair!r}")
-            setattr(self, name, tuple(pair))
-        for name in ("labeled_fraction", "noise_sigma", "speaker_shift_sigma"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-        if not isinstance(self.alphabet, str):
-            raise TypeError(f"alphabet must be a string, got {self.alphabet!r}")
+        for f in fields(self):
+            setattr(self, f.name, check_field(f.name, getattr(self, f.name), f.type))
         if self.n_speakers < 1 or self.n_utterances < 1 or self.feature_dim < 1:
             raise ValueError("n_speakers, n_utterances and feature_dim must be >= 1")
         if not 0.0 <= self.labeled_fraction <= 1.0:
@@ -214,14 +196,12 @@ class SynthConfig:
         lo, hi = self.frames_per_char
         if not (1 <= lo <= hi):
             raise ValueError("frames_per_char range is empty")
-        if not (0 <= self.noise_sigma < math.inf and 0 <= self.speaker_shift_sigma < math.inf):
+        if self.noise_sigma < 0 or self.speaker_shift_sigma < 0:
             raise ValueError("sigmas must be finite and >= 0")
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise ValueError("alphabet must be non-empty with unique characters")
         if " " in self.alphabet:
             raise ValueError("alphabet holds word characters only; the space separator is implicit")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 def character_prototypes(cfg: SynthConfig) -> dict[str, np.ndarray]:
@@ -308,44 +288,10 @@ def generate_synthetic_corpus(cfg: SynthConfig) -> tuple[Dataset, Dataset, dict[
     return Dataset(labeled, "labeled"), Dataset(unlabeled, "unlabeled"), truth
 
 
-def write_feature_file(path: str | Path, features: np.ndarray) -> None:
-    """Binary feature matrix: magic, version, T, D, then row-major float32."""
-    feats = np.ascontiguousarray(features, dtype="<f4")
-    t, d = feats.shape
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<III", FEATURE_VERSION, t, d))
-        fh.write(feats.tobytes())
-
-
-def read_feature_file(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FEATURE_MAGIC:
-            raise ManifestError(f"{path}: bad feature-file magic {magic!r}")
-        header = fh.read(12)
-        if len(header) != 12:
-            raise ManifestError(f"{path}: truncated feature-file header")
-        version, t, d = struct.unpack("<III", header)
-        if version != FEATURE_VERSION:
-            raise ManifestError(f"{path}: unsupported feature-file version {version}")
-        payload = fh.read(4 * t * d)
-        if len(payload) != 4 * t * d:
-            raise ManifestError(f"{path}: truncated feature payload")
-        return np.frombuffer(payload, dtype="<f4").reshape(t, d).copy()
-
-
-def save_manifest(ds: Dataset, path: str | Path, features_dir: str | Path | None = None) -> None:
-    """Write one JSON record per line. Features are inlined base64 by default.
-
-    With ``features_dir`` set, each utterance's features go to a separate
-    binary file and the record stores its path relative to the manifest.
-    """
+def save_manifest(ds: Dataset, path: str | Path) -> None:
+    """Write one JSON record per line, the features inlined as base64 float32."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if features_dir is not None:
-        features_dir = Path(features_dir)
-        features_dir.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for utt in ds:
             record: dict = {"id": utt.id, "speaker_id": utt.speaker_id}
@@ -354,13 +300,8 @@ def save_manifest(ds: Dataset, path: str | Path, features_dir: str | Path | None
             t, d = utt.features.shape
             record["frames"] = t
             record["dim"] = d
-            if features_dir is None:
-                raw = np.ascontiguousarray(utt.features, dtype="<f4").tobytes()
-                record["features_b64"] = base64.b64encode(raw).decode("ascii")
-            else:
-                feat_path = features_dir / f"{utt.id}.cptf"
-                write_feature_file(feat_path, utt.features)
-                record["features_path"] = str(feat_path.relative_to(path.parent))
+            raw = np.ascontiguousarray(utt.features, dtype="<f4").tobytes()
+            record["features_b64"] = base64.b64encode(raw).decode("ascii")
             fh.write(json.dumps(record) + "\n")
 
 
@@ -385,37 +326,36 @@ def load_manifest(path: str | Path, kind: str | None = None) -> Dataset:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            for key in ("id", "speaker_id", "frames", "dim"):
+            if not isinstance(record, dict):
+                raise ManifestError(f"{path}: line {lineno}: record must be a JSON object")
+            for key in ("id", "speaker_id", "frames", "dim", "features_b64"):
                 if key not in record:
                     raise ManifestError(f"{path}: line {lineno}: missing required field {key!r}")
-            utt_id = record["id"]
-            if utt_id in seen:
-                raise ManifestError(f"{path}: line {lineno}: duplicate utterance id {utt_id!r}")
-            seen.add(utt_id)
             t, d = record["frames"], record["dim"]
-            if not (_is_int(t) and _is_int(d) and t >= 1 and d >= 1):
+            try:
+                positive = min(check_field("frames and dim", (t, d), "tuple[int, int]")) >= 1
+            except TypeError:
+                positive = False
+            if not positive:
                 raise ManifestError(f"{path}: line {lineno}: frames and dim must be positive integers, "
                                     f"got {t!r} and {d!r}")
-            if "features_b64" in record:
-                try:
-                    raw = base64.b64decode(record["features_b64"])
-                except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-                    raise ManifestError(f"{path}: line {lineno}: undecodable features_b64 ({exc})") from None
-                if len(raw) != 4 * t * d:
-                    raise ManifestError(f"{path}: line {lineno}: feature payload does not match declared T x D")
-                feats = np.frombuffer(raw, dtype="<f4").reshape(t, d).copy()
-            elif "features_path" in record:
-                feats = read_feature_file(path.parent / record["features_path"])
-                if feats.shape != (t, d):
-                    raise ManifestError(f"{path}: line {lineno}: feature file shape {feats.shape} does not match declared ({t}, {d})")
-            else:
-                raise ManifestError(f"{path}: line {lineno}: record has neither features_b64 nor features_path")
+            try:
+                raw = base64.b64decode(record["features_b64"])
+            except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+                raise ManifestError(f"{path}: line {lineno}: undecodable features_b64 ({exc})") from None
+            if len(raw) != 4 * t * d:
+                raise ManifestError(f"{path}: line {lineno}: feature payload does not match declared T x D")
+            feats = np.frombuffer(raw, dtype="<f4").reshape(t, d).copy()
             transcript = record.get("transcript")
             any_transcript = any_transcript or transcript is not None
             try:
-                utterances.append(Utterance(utt_id, record["speaker_id"], feats, transcript))
+                utt = Utterance(record["id"], record["speaker_id"], feats, transcript)
             except ValueError as exc:
                 raise ManifestError(f"{path}: line {lineno}: {exc}") from None
+            if utt.id in seen:
+                raise ManifestError(f"{path}: line {lineno}: duplicate utterance id {utt.id!r}")
+            seen.add(utt.id)
+            utterances.append(utt)
     if kind is None:
         kind = "labeled" if any_transcript else "unlabeled"
     try:

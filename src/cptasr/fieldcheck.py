@@ -1,0 +1,41 @@
+"""The one rule set for config fields, shared by every config class and the run-config reader."""
+
+from __future__ import annotations
+
+import math
+import numbers
+
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+          "str": (str, "a string"), "dict": (dict, "an object")}
+
+
+def check_field(name: str, value, kind: str):
+    """``value`` if it is of ``kind``, else a TypeError (or ValueError) naming the field ``name``.
+
+    ``kind`` is a field annotation as written, so a dataclass can pass each
+    ``fields(self)`` type (a string, since the package's modules use
+    ``from __future__ import annotations``). "int" is a non-bool
+    ``numbers.Integral``, "float" a finite non-bool ``numbers.Real`` (JSON
+    reads NaN and Infinity as floats), "str" and "dict" the types, and
+    "tuple[int, int]" a list or tuple of two integers, returned as a tuple.
+    "<kind> | None" also admits None. A field named ``seed`` must be >= 0.
+    """
+    optional = kind.endswith(" | None")
+    kind = kind.removesuffix(" | None")
+    if value is None and optional:
+        return None
+    if kind == "tuple[int, int]":
+        if isinstance(value, (tuple, list)) and len(value) == 2:
+            try:
+                return tuple(check_field(name, v, "int") for v in value)
+            except TypeError:
+                pass
+        raise TypeError(f"{name} must be a pair of integers, got {value!r}")
+    cls, what = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, cls):
+        raise TypeError(f"{name} must be {what}{' or None' if optional else ''}, got {value!r}")
+    if kind == "float" and not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if name == "seed" and value < 0:
+        raise ValueError(f"seed must be >= 0, got {value!r}")
+    return value

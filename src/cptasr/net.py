@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
@@ -19,6 +18,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .fieldcheck import check_field
 
 CHECKPOINT_MAGIC = b"CPTN"
 CHECKPOINT_VERSION = 2
@@ -87,9 +88,7 @@ class NetConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{f.name} must be an integer, got {value!r}")
+            check_field(f.name, getattr(self, f.name), f.type)
         dims = (self.feature_dim, self.vocab_size, self.downsample_factor, self.conv_layers,
                 self.conv_channels, self.context_layers, self.hidden_dim)
         if any(d < 1 for d in dims):

@@ -3,24 +3,17 @@
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import ctc
+from .fieldcheck import check_field
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-def _require(value, kind: type, name: str, none_ok: bool = False) -> None:
-    """TypeError unless ``value`` is a ``kind`` (a bool never counts) or, with ``none_ok``, None."""
-    if (value is None and none_ok) or (isinstance(value, kind) and not isinstance(value, bool)):
-        return
-    raise TypeError(f"{name} must be {'an integer' if kind is numbers.Integral else 'a number'}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,11 +32,8 @@ class StageConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "patience", "seed"):
-            _require(getattr(self, name), numbers.Integral, name, none_ok=name == "patience")
-        for name in ("learning_rate", "warmup_ratio", "weight_decay", "label_smoothing", "grad_clip_norm",
-                     "dropout_rate"):
-            _require(getattr(self, name), numbers.Real, name, none_ok=name == "grad_clip_norm")
+        for f in fields(self):
+            check_field(f.name, getattr(self, f.name), f.type)
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("learning_rate, epochs and batch_size must be positive")
         if not 0.0 <= self.warmup_ratio < 1.0:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import net as net_mod
 from . import train as train_mod
-from .corpus import Dataset, Vocabulary, build_vocabulary, speaker_disjoint_split
+from .corpus import Dataset, Vocabulary, speaker_disjoint_split
 from .metrics import WerReport, relative_improvement
 from .net import NetConfig, Parameters
 from .optim import StageConfig
@@ -238,7 +238,7 @@ def run_baseline(
 def run_cpt_pipeline(
     labeled: Dataset, pool: Dataset, eval_ds: Dataset,
     stage1: StageConfig, stage2: StageConfig, stage3: StageConfig,
-    net: NetConfig, threshold: float, vocab: Vocabulary | None = None, out_dir: str | Path | None = None,
+    net: NetConfig, threshold: float, vocab: Vocabulary, out_dir: str | Path | None = None,
     cpt_init: str = "fresh", include_labeled_in_cpt: bool = False,
 ) -> tuple[Parameters, PipelineReport]:
     """Run stages A-D and return the finetuned model plus a report.
@@ -254,8 +254,6 @@ def run_cpt_pipeline(
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
     _check_no_leak(labeled, (pool, eval_ds), eval_ds)
-    if vocab is None:
-        vocab = build_vocabulary(labeled.transcripts())
 
     out_path = Path(out_dir) if out_dir is not None else None
 

@@ -181,7 +181,9 @@ def test_bad_baseline_stage_is_config_error_before_any_training(run_config):
     ("net", [1]),
     ("synth", [1]),
     ("stages", {"stage1": [1]}),
-], ids=["seed-str", "threshold-str", "paths-list", "stages-list", "net-list", "synth-list", "stage-entry-list"])
+    ("seed", -3),
+], ids=["seed-str", "threshold-str", "paths-list", "stages-list", "net-list", "synth-list", "stage-entry-list",
+        "seed-negative"])
 def test_wrongly_typed_run_config_field_is_config_error(run_config, capsys, field, value):
     cfg_path, out_dir = run_config
     cfg = json.loads(cfg_path.read_text())
@@ -202,8 +204,13 @@ def test_wrongly_typed_run_config_field_is_config_error(run_config, capsys, fiel
     ("stage1", "patience", 1.5),
     ("stage1", "learning_rate", True),
     ("stage1", "weight_decay", True),
+    ("stage1", "learning_rate", float("nan")),
+    ("stage1", "weight_decay", float("inf")),
+    ("stage1", "grad_clip_norm", float("nan")),
+    ("stage1", "seed", -3),
 ], ids=["hidden_dim-float", "context_window-bool", "epochs-float", "batch_size-float", "seed-str",
-        "patience-float", "learning_rate-bool", "weight_decay-bool"])
+        "patience-float", "learning_rate-bool", "weight_decay-bool", "learning_rate-nan", "weight_decay-inf",
+        "grad_clip_norm-nan", "seed-negative"])
 def test_wrongly_typed_net_or_stage_field_is_config_error_before_any_work(run_config, capsys, section, field, value):
     cfg_path, out_dir = run_config
     main(["gen-data", "--config", str(cfg_path)])
@@ -242,6 +249,23 @@ def test_wrongly_typed_synth_field_is_config_error_before_any_work(run_config, c
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
     assert not (out_dir / "labeled.jsonl").exists() and not (out_dir / "unlabeled.jsonl").exists()
+
+
+def test_negative_seed_flag_is_config_error_before_any_work(run_config, capsys):
+    cfg_path, out_dir = run_config
+    main(["gen-data", "--config", str(cfg_path)])
+    split = ["split", "--config", str(cfg_path), "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"]
+    capsys.readouterr()
+    assert main(split + ["--seed", "-7"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "seed" in err
+    assert not (out_dir / "train.jsonl").exists()
+    assert main(split) == EXIT_OK
+    capsys.readouterr()
+    assert main(["train-labeler", "--config", str(cfg_path), "--seed", "-7"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "seed" in err
+    assert not (out_dir / "vocab.json").exists() and not list(out_dir.glob("*.ckpt"))
 
 
 def test_net_dropout_rate_is_config_error_before_any_training(run_config, capsys):
@@ -312,8 +336,13 @@ def test_missing_manifest_is_data_error(run_config):
     assert not (out_dir / "labeler.ckpt").exists()
 
 
-@pytest.mark.parametrize("field,value", [("frames", "abc"), ("features_b64", "AACAPw=")],
-                         ids=["frames-str", "b64-padding"])
+@pytest.mark.parametrize("field,value", [
+    ("frames", "abc"),
+    ("features_b64", "AACAPw="),
+    ("transcript", 5),
+    ("speaker_id", 7),
+    ("id", 3),
+], ids=["frames-str", "b64-padding", "transcript-int", "speaker-int", "id-int"])
 def test_bad_manifest_record_data_is_data_error(run_config, capsys, field, value):
     cfg_path, out_dir = run_config
     assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK

@@ -15,10 +15,8 @@ from cptasr.corpus import (
     character_prototypes,
     generate_synthetic_corpus,
     load_manifest,
-    read_feature_file,
     save_manifest,
     speaker_disjoint_split,
-    write_feature_file,
 )
 
 
@@ -275,20 +273,6 @@ def test_synth_config_validation():
     assert cfg.frames_per_char == (6, 10)
 
 
-def test_feature_file_round_trip(tmp_path):
-    feats = np.arange(12, dtype=np.float32).reshape(4, 3)
-    path = tmp_path / "u.cptf"
-    write_feature_file(path, feats)
-    np.testing.assert_array_equal(read_feature_file(path), feats)
-
-
-def test_feature_file_bad_magic(tmp_path):
-    path = tmp_path / "u.cptf"
-    path.write_bytes(b"XXXX" + b"\x00" * 16)
-    with pytest.raises(ManifestError):
-        read_feature_file(path)
-
-
 def test_manifest_round_trip_inline(tmp_path):
     cfg = SynthConfig(n_speakers=3, n_utterances=12, labeled_fraction=0.5, seed=8)
     labeled, unlabeled, _ = generate_synthetic_corpus(cfg)
@@ -301,16 +285,6 @@ def test_manifest_round_trip_inline(tmp_path):
         for x, y in zip(ds, loaded):
             assert (x.id, x.speaker_id, x.transcript) == (y.id, y.speaker_id, y.transcript)
             np.testing.assert_array_equal(x.features, y.features)
-
-
-def test_manifest_round_trip_feature_files(tmp_path):
-    cfg = SynthConfig(n_speakers=2, n_utterances=6, labeled_fraction=1.0, seed=9)
-    labeled, _, _ = generate_synthetic_corpus(cfg)
-    path = tmp_path / "labeled.jsonl"
-    save_manifest(labeled, path, features_dir=tmp_path / "feats")
-    loaded = load_manifest(path)
-    for x, y in zip(labeled, loaded):
-        np.testing.assert_array_equal(x.features, y.features)
 
 
 def test_manifest_malformed_line_names_line_number(tmp_path):
@@ -333,7 +307,17 @@ def test_manifest_malformed_line_names_line_number(tmp_path):
      "line 2: undecodable features_b64"),
     ('{"id": "u1", "speaker_id": "A", "frames": 1, "dim": 1, "features_b64": "AADAfw=="}',
      "line 2: .*non-finite"),
-], ids=["frames-str", "dim-float", "frames-dim-negative", "b64-padding", "b64-not-str", "features-nan"])
+    ('{"id": "u1", "speaker_id": "A", "frames": 1, "dim": 1, "features_path": "u1.cptf"}',
+     "line 2: missing required field 'features_b64'"),
+    ('{"id": 3, "speaker_id": "A", "frames": 1, "dim": 1, "features_b64": "AACAPw=="}',
+     "line 2: .*id must be a string, got 3"),
+    ('{"id": "u1", "speaker_id": 7, "frames": 1, "dim": 1, "features_b64": "AACAPw=="}',
+     "line 2: .*speaker_id must be a string, got 7"),
+    ('{"id": "u1", "speaker_id": "A", "transcript": 5, "frames": 1, "dim": 1, "features_b64": "AACAPw=="}',
+     "line 2: .*transcript must be a string, got 5"),
+    ('["u1", "A"]', "line 2: record must be a JSON object"),
+], ids=["frames-str", "dim-float", "frames-dim-negative", "b64-padding", "b64-not-str", "features-nan",
+        "features-path", "id-int", "speaker-int", "transcript-int", "not-object"])
 def test_manifest_bad_record_data_names_file_and_line(tmp_path, record, message):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "u0", "speaker_id": "A", "frames": 1, "dim": 1, "features_b64": "AACAPw=="}\n'

@@ -255,6 +255,10 @@ def test_preset_overrides():
 
 
 def test_stage_config_validation():
+    for bad in (dict(learning_rate=float("nan")), dict(weight_decay=float("inf")), dict(grad_clip_norm=float("nan")),
+                dict(seed=-3)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            _cfg(**bad)
     with pytest.raises(ValueError):
         _cfg(learning_rate=0.0)
     with pytest.raises(ValueError):
