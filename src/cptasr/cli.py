@@ -129,7 +129,7 @@ def _load_vocab(path: Path) -> Vocabulary:
         return Vocabulary(symbols=tuple(data["symbols"]))
     except FileNotFoundError:
         raise ManifestError(f"vocabulary file {path} does not exist; run train-labeler first") from None
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"vocabulary file {path} is unreadable: {exc}") from None
 
 

@@ -24,12 +24,16 @@ class Vocabulary:
     """Ordered character set with index 0 reserved for the CTC blank.
 
     Characters occupy indices 1..len(symbols); the blank is not a symbol.
+    Each symbol is a one-character string.
     """
 
     symbols: tuple[str, ...]
     blank_index: ClassVar[int] = 0
 
     def __post_init__(self):
+        for ch in self.symbols:
+            if len(check_field("vocabulary symbol", ch, "str")) != 1:
+                raise ValueError(f"vocabulary symbol must be one character, got {ch!r}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("vocabulary symbols must be unique")
         object.__setattr__(self, "_index", {ch: i + 1 for i, ch in enumerate(self.symbols)})

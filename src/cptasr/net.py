@@ -26,7 +26,8 @@ CHECKPOINT_VERSION = 2
 
 Parameters = dict[str, np.ndarray]
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+# a Python float, so it scales a float32 array in float32 (a NumPy float64 scalar would promote)
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 # Both functions evaluate their expression in one output buffer, operation by
@@ -142,9 +143,10 @@ class ForwardCache:
 def float32_exact(arr: np.ndarray) -> np.ndarray:
     """Round to the nearest float32 value, returned as float64.
 
-    Every tensor this package produces passes through this projection, so
-    the float32 checkpoint format round-trips bit-exactly while arithmetic
-    stays in float64.
+    Initial weights pass through this projection, and training keeps its
+    float64 master vector on float32 values, so every parameter is exact
+    in float32: the network computes in float32 on a copy without loss, and
+    the float32 checkpoint format round-trips bit-exactly.
     """
     return arr.astype(np.float32).astype(np.float64)
 
@@ -253,12 +255,14 @@ def forward_batch(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Map B utterances of T_b x D features to B x max(U_b) x (V+1) logits, U_b = floor(T_b / downsample_factor).
 
-    The members run as one packed (sum of T_b) x D float64 array. Each conv
-    layer keeps only the rows of each member that fill its stride, and the
-    context windows read a copy of the rows with ``context_window`` zero
-    rows before, between and after the members, so no frame sees another
-    utterance. Logit rows past a member's U_b are zero; ``cache.lengths``
-    holds the U_b. With ``dropout_rate`` above 0, member b's dropout masks
+    The arithmetic runs in the parameters' dtype: float32 in training,
+    float64 for the oracle audits. The members run as one packed
+    (sum of T_b) x D array. Each conv layer keeps only the rows of each
+    member that fill its stride, and the context windows read a copy of
+    the rows with ``context_window`` zero rows before, between and after
+    the members, so no frame sees another utterance. Logit rows past a
+    member's U_b are zero; ``cache.lengths`` holds the U_b. With
+    ``dropout_rate`` above 0, member b's dropout masks
     are drawn from ``seeds[b]`` and recorded in the cache, so a member's
     pass does not depend on the rest of its batch. At rate 0 the pass is
     deterministic and ``seeds`` is ignored.
@@ -279,7 +283,8 @@ def forward_batch(
             f"{n.min()} frames cannot fill one downsampled step of {cfg.downsample_factor}"
         )
     _check_params(params, cfg)
-    x = np.concatenate(feats, dtype=np.float64)
+    dtype = params["head_w"].dtype
+    x = np.concatenate(feats, dtype=dtype)
 
     cache = ForwardCache()
     for i, stride in enumerate(_layout(cfg).strides):
@@ -299,14 +304,14 @@ def forward_batch(
     cache.ctx_rows = rows
     rngs = [np.random.default_rng(s) for s in seeds] if dropout_rate > 0 else None
     for j in range(cfg.context_layers):
-        gapped = np.zeros((rows[-1] + w + 1, cfg.hidden_dim))
+        gapped = np.zeros((rows[-1] + w + 1, cfg.hidden_dim), dtype)
         gapped[rows] = x
         pre = _windows(gapped, rows, w) @ params[f"ctx{j}_w"].T + params[f"ctx{j}_b"]
         act = _gelu(pre)
         if rngs is not None:
             keep = 1.0 - dropout_rate
             draws = np.concatenate([rng.random((u, cfg.hidden_dim)) for rng, u in zip(rngs, n)])
-            mask = (draws < keep) / keep
+            mask = ((draws < keep) / keep).astype(dtype)
             dropped = act * mask
         else:
             mask = None
@@ -317,7 +322,7 @@ def forward_batch(
         x = x + dropped
 
     cache.head_input = x
-    logits = np.zeros((len(n), n.max(), cfg.vocab_size + 1))
+    logits = np.zeros((len(n), n.max(), cfg.vocab_size + 1), dtype)
     logits[cache.valid] = x @ params["head_w"].T + params["head_b"]
     return logits, cache
 
@@ -326,18 +331,20 @@ def backward_batch(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlog
     """Gradient of sum(dlogits * logits) over a :func:`forward_batch` pass, as one flat vector.
 
     ``dlogits`` is B x max(U_b) x (V+1) like the logits; rows past a
-    member's U_b are ignored. The vector is the sum over the members, in
+    member's U_b are ignored. The pass runs in the forward pass's dtype;
+    the returned float64 vector is the sum over the members, in
     ``parameter_shapes`` order like :func:`flatten`; :func:`unflatten`
     gives named views into it.
     """
-    dlogits = np.asarray(dlogits, dtype=np.float64)
+    dlogits = np.asarray(dlogits)
     valid = cache.valid
     if cache.head_input is None or dlogits.shape != valid.shape + (cfg.vocab_size + 1,):
         raise ValueError(f"dlogits shape {dlogits.shape} does not match the cached forward pass")
+    dtype = cache.head_input.dtype
     flat = np.zeros(_layout(cfg).size)
     grads = unflatten(cfg, flat)
 
-    dlogits = dlogits[valid]
+    dlogits = dlogits[valid].astype(dtype, copy=False)
     grads["head_w"][...] = dlogits.T @ cache.head_input
     grads["head_b"][...] = dlogits.sum(axis=0)
     dx = dlogits @ params["head_w"]
@@ -354,9 +361,9 @@ def backward_batch(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlog
         grads[f"ctx{j}_w"][...] = dz.T @ _windows(cache.ctx_gapped[j], rows, w)
         grads[f"ctx{j}_b"][...] = dz.sum(axis=0)
         # window gradients of every gapped row r in [w, end - w), whose tap k read row r - w + k
-        dwindow = np.zeros((rows[-1] + 1 - w, span, cfg.hidden_dim))
+        dwindow = np.zeros((rows[-1] + 1 - w, span, cfg.hidden_dim), dtype)
         dwindow[rows - w] = (dz @ params[f"ctx{j}_w"]).reshape(len(rows), span, cfg.hidden_dim)
-        dgapped = np.zeros((rows[-1] + w + 1, cfg.hidden_dim))
+        dgapped = np.zeros((rows[-1] + w + 1, cfg.hidden_dim), dtype)
         for k in range(span):
             dgapped[k : k + len(dwindow)] += dwindow[:, k]
         # residual: gradient flows both around and through the block
@@ -371,7 +378,7 @@ def backward_batch(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlog
         grads[f"conv{i}_b"][...] = dz.sum(axis=0)
         if i > 0:
             rows = cache.conv_rows[i]
-            dx = np.zeros(cache.conv_pre[i - 1].shape)  # this layer's input
+            dx = np.zeros(cache.conv_pre[i - 1].shape, dtype)  # this layer's input
             dx[rows] = (dz @ params[f"conv{i}_w"]).reshape(len(rows), -1)  # cropped frames get zero gradient
     return flat
 
@@ -440,7 +447,7 @@ def load_checkpoint(path: str | Path, expect_cfg: NetConfig | None = None) -> tu
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "tensor shape"))
             count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
             data = _read_exact(fh, 4 * count, path, f"tensor {name}")
-            params[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
+            params[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
     try:
         _check_params(params, cfg)
     except ValueError as exc:

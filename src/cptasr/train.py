@@ -129,20 +129,24 @@ def train_stage(
 ) -> tuple[Parameters, TrainHistory]:
     """Run one training stage and return the best-validation-WER parameters.
 
-    The parameters live in one flat float64 vector, updated in place; the
-    transcripts are encoded as label indices once per stage. Each epoch
-    shuffles the data by (stage seed, epoch) and runs each batch through one packed
-    :func:`net.forward_batch` (member ``pos`` of batch ``b`` draws its
-    ``stage.dropout_rate`` masks from ``[stage.seed, epoch, b, pos]``), one
-    :func:`optim.smoothed_ctc_objective_batch` and one
-    :func:`net.backward_batch`; the summed gradient is divided by the
-    member count, and a non-finite result raises ``FloatingPointError``
-    naming its tensor. The vector is clipped and stepped by AdamW under the
-    warmup/decay schedule, then projected to float32-representable values
-    in one op so checkpoints round-trip bit-exactly. ``start`` is not
-    modified. Validation WER is measured after every epoch; training
-    stops once ``stage.patience`` consecutive epochs fail to improve the
-    best WER (patience None or 0 disables early stopping).
+    The master parameters live in one flat float64 vector, which AdamW
+    updates in place with float64 moments; the network computes in float32
+    on a float32 copy of it. The transcripts are encoded as label indices
+    once per stage. Each epoch shuffles the data by (stage seed, epoch) and
+    runs each batch through one packed :func:`net.forward_batch` (member
+    ``pos`` of batch ``b`` draws its ``stage.dropout_rate`` masks from
+    ``[stage.seed, epoch, b, pos]``), one
+    :func:`optim.smoothed_ctc_objective_batch` (float64 CTC lattice) and
+    one :func:`net.backward_batch`; the summed float64 gradient is divided
+    by the member count, and a non-finite result raises
+    ``FloatingPointError`` naming its tensor. The vector is clipped and
+    stepped by AdamW under the warmup/decay schedule, then rounded to
+    float32 into the copy and written back, so the master stays
+    float32-representable and checkpoints round-trip bit-exactly.
+    ``start`` is not modified. Validation WER is measured after every
+    epoch, in float32; training stops once ``stage.patience`` consecutive
+    epochs fail to improve the best WER (patience None or 0 disables early
+    stopping). The best epoch's parameters are returned as float32 tensors.
     """
     if data.kind == "unlabeled":
         raise ValueError("training data must carry transcripts")
@@ -160,15 +164,16 @@ def train_stage(
     if not usable:
         raise ValueError("no feasible training utterances remain")
 
-    theta = net.flatten(cfg, start)
-    params = net.unflatten(cfg, theta)  # views: they follow every in-place update of theta
+    theta = net.flatten(cfg, start)  # the float64 master
+    theta32 = theta.astype(np.float32)
+    params = net.unflatten(cfg, theta32)  # views: they follow every in-place update of theta32
     state = optim.OptState.zeros_like(theta)
     batches_per_epoch = math.ceil(len(usable) / stage.batch_size)
     total_steps = stage.epochs * batches_per_epoch
 
     history = TrainHistory(skipped_utterances=skipped)
     best_wer = math.inf
-    best = theta.copy()
+    best = theta32.copy()
     bad_epochs = 0
     global_step = 0
 
@@ -197,7 +202,8 @@ def train_stage(
                 optim.clip_gradients(grads, stage.grad_clip_norm)  # scales grads in place
             lr = optim.lr_at(global_step, total_steps, stage)
             optim.adamw_step(theta, grads, state, lr, stage)
-            theta[:] = theta.astype(np.float32)  # the float32 projection, written back
+            theta32[:] = theta  # round the master to float32 for the network,
+            theta[:] = theta32  # and keep the master on those values
             global_step += 1
 
         val_report = evaluate_wer(params, cfg, val, vocab)
@@ -213,7 +219,7 @@ def train_stage(
 
         if record.val_wer < best_wer:
             best_wer = record.val_wer
-            best[:] = theta
+            best[:] = theta32
             history.best_epoch = epoch
             bad_epochs = 0
         else:

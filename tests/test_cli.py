@@ -330,6 +330,20 @@ def test_eval_without_vocabulary_is_data_error(run_config):
     assert (out_dir / "eval_wer.json").exists()
 
 
+@pytest.mark.parametrize("symbols", [[1, 2, 3, 4, 5, 6], ["bc", "a", "d", "e", "f", "g"]], ids=["ints", "multi-char"])
+def test_bad_vocabulary_symbols_are_data_error(run_config, capsys, symbols):
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    cfg = NetConfig(feature_dim=32, vocab_size=len(symbols), downsample_factor=4, conv_layers=1,
+                    conv_channels=8, context_layers=1, hidden_dim=8, context_window=1)
+    save_checkpoint(init_parameters(cfg, seed=0), cfg, out_dir / "labeler.ckpt")
+    (out_dir / "vocab.json").write_text(json.dumps({"symbols": symbols}))
+    capsys.readouterr()
+    assert main(["pseudolabel", "--config", str(cfg_path)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: vocabulary file {out_dir / 'vocab.json'} ")
+    assert not (out_dir / "pseudo.jsonl").exists()
+
+
 def test_missing_manifest_is_data_error(run_config):
     cfg_path, out_dir = run_config
     assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_DATA

@@ -11,6 +11,7 @@ from cptasr.corpus import (
     ManifestError,
     SynthConfig,
     Utterance,
+    Vocabulary,
     build_vocabulary,
     character_prototypes,
     generate_synthetic_corpus,
@@ -50,6 +51,16 @@ def test_vocabulary_index_bijection():
     assert vocab.decode(vocab.encode("cab")) == "cab"
     with pytest.raises(ValueError):
         vocab.index_of("z")
+
+
+def test_vocabulary_symbols_are_single_characters():
+    with pytest.raises(TypeError, match="vocabulary symbol must be a string"):
+        Vocabulary(symbols=(1, 2, 3))
+    for symbols in (("bc", "a"), ("a", "")):
+        with pytest.raises(ValueError, match="one character"):
+            Vocabulary(symbols=symbols)
+    with pytest.raises(ValueError, match="unique"):
+        Vocabulary(symbols=("a", "a"))
 
 
 def _toy_dataset(speaker_sizes: dict[str, int]) -> Dataset:

@@ -1,6 +1,7 @@
 """Acoustic model: shapes, determinism, full gradient audit, checkpoint format."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -37,14 +38,20 @@ def test_gelu_matches_one_line_expressions_bit_for_bit(shape):
     x = rng.normal(scale=3.0, size=shape)
     x.flat[:7] = [0.0, -0.0, 5e-324, -1e-310, -40.0, 40.0, 1e3]  # zeros, subnormals, saturated tanh
     before = x.copy()
-    c = np.sqrt(2.0 / np.pi)
+    want, want_grad = _one_line_gelu(x)
+    assert np.array_equal(net_mod._gelu(x), want)
+    assert np.array_equal(net_mod._gelu_grad(x), want_grad)
+    assert np.array_equal(x, before)  # the pre-activations are cached for the backward pass
+
+
+def _one_line_gelu(x):
+    """GELU and its derivative as one-line expressions, evaluated in x's dtype."""
+    c = math.sqrt(2.0 / math.pi)
     want = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
     x2 = x * x
     t = np.tanh(c * (x + 0.044715 * (x2 * x)))
     want_grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x2)
-    assert np.array_equal(net_mod._gelu(x), want)
-    assert np.array_equal(net_mod._gelu_grad(x), want_grad)
-    assert np.array_equal(x, before)  # the pre-activations are cached for the backward pass
+    return want, want_grad
 
 
 TINY = NetConfig(feature_dim=5, vocab_size=3, downsample_factor=2, conv_layers=2,
@@ -237,6 +244,46 @@ def test_packed_backward_finite_difference_audit_with_dropout():
 
         numeric = central_difference_grad(objective, params[name].copy())
         assert_grad_close(grads[name], numeric)
+
+
+def _float32(params):
+    return {name: value.astype(np.float32) for name, value in params.items()}
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+def test_float32_parameters_keep_the_pass_in_float32(rate):
+    params = _float32(init_parameters(RAGGED, seed=2))
+    feats = _ragged_features([6, 31, 13, 47, 12, 17])
+    seeds = [[4, 1, 0, pos] for pos in range(len(feats))]
+    logits, cache = forward_batch(params, RAGGED, feats, dropout_rate=rate, seeds=seeds)
+    arrays = {"logits": logits, "head_input": cache.head_input}
+    for name in ("conv_patches", "conv_pre", "ctx_gapped", "ctx_pre", "ctx_masks"):
+        arrays.update({f"{name}[{i}]": a for i, a in enumerate(getattr(cache, name)) if a is not None})
+    assert len(arrays) == 2 + 2 * RAGGED.conv_layers + (3 if rate else 2) * RAGGED.context_layers
+    assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.float32)
+    # GELU computes in float32: a float64 constant would compute in float64 and round
+    for pre in cache.conv_pre + cache.ctx_pre:
+        want, want_grad = _one_line_gelu(pre)
+        assert np.array_equal(net_mod._gelu(pre), want)
+        assert np.array_equal(net_mod._gelu_grad(pre), want_grad)
+    dl = np.random.default_rng(3).normal(size=logits.shape)
+    assert backward_batch(params, RAGGED, cache, dl).dtype == np.float64
+
+
+def test_float32_pass_agrees_with_float64_pass():
+    cfg = NetConfig(feature_dim=32, vocab_size=27)
+    params = init_parameters(cfg, seed=4)
+    rng = np.random.default_rng(5)
+    feats = [rng.normal(scale=2.0, size=(t, cfg.feature_dim)).astype(np.float32)
+             for t in (215, 97, 260, 40, 181, 133)]
+    logits64, cache64 = forward_batch(params, cfg, feats)
+    logits32, cache32 = forward_batch(_float32(params), cfg, feats)
+    dl = np.random.default_rng(6).normal(size=logits64.shape)
+    grad64 = backward_batch(params, cfg, cache64, dl)
+    grad32 = backward_batch(_float32(params), cfg, cache32, dl)
+    assert np.linalg.norm(logits32 - logits64) <= 1e-5 * np.linalg.norm(logits64)
+    # bounds the gradient norm's relative error too, by the triangle inequality
+    assert np.linalg.norm(grad32 - grad64) <= 1e-5 * np.linalg.norm(grad64)
 
 
 def test_forward_batch_rejects_bad_members():

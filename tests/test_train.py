@@ -6,7 +6,7 @@ import pytest
 import cptasr.train as train_mod
 from cptasr.corpus import Dataset, SynthConfig, Utterance, build_vocabulary, generate_synthetic_corpus, speaker_disjoint_split
 from cptasr.metrics import WerReport, wer
-from cptasr.net import NetConfig, forward_batch, init_parameters, unflatten
+from cptasr.net import NetConfig, forward_batch, init_parameters, load_checkpoint, save_checkpoint, unflatten
 from cptasr.ctc import greedy_decode_batch
 from cptasr.optim import StageConfig
 from cptasr.train import decode_dataset, evaluate_wer, save_history, train_stage
@@ -127,13 +127,26 @@ def test_best_epoch_weights_reproduce_recorded_wer():
     assert re_eval.wer == history.best_val_wer
 
 
+def test_trained_parameters_are_float32_and_reload_bit_exact(tmp_path):
+    train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
+    best, _ = train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val_ds, _stage(epochs=2), vocab)
+    assert all(value.dtype == np.float32 for value in best.values())
+    save_checkpoint(best, net_cfg, tmp_path / "model.ckpt")
+    loaded, _ = load_checkpoint(tmp_path / "model.ckpt", expect_cfg=net_cfg)
+    for name, value in best.items():
+        assert loaded[name].dtype == np.float32 and loaded[name].tobytes() == value.tobytes()
+    assert evaluate_wer(loaded, net_cfg, val_ds, vocab) == evaluate_wer(best, net_cfg, val_ds, vocab)
+    confidences = [[d.confidence for d in decode_dataset(p, net_cfg, val_ds, vocab)] for p in (loaded, best)]
+    assert confidences[0] == confidences[1]
+
+
 def test_training_is_reproducible():
     train_ds, val_ds, vocab, net_cfg = _small_task()
     stage = _stage(epochs=3, dropout_rate=0.2)
     p1, h1 = train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val_ds, stage, vocab)
     p2, h2 = train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val_ds, stage, vocab)
     for name in p1:
-        np.testing.assert_array_equal(p1[name], p2[name])
+        assert p1[name].tobytes() == p2[name].tobytes()
     assert [r.val_wer for r in h1.records] == [r.val_wer for r in h2.records]
     assert [r.train_loss for r in h1.records] == [r.train_loss for r in h2.records]
 
