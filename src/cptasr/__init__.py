@@ -51,50 +51,3 @@ from .pipeline import (
 from .train import TrainHistory, evaluate_wer, train_stage
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Dataset",
-    "DecodeResult",
-    "NetConfig",
-    "OptState",
-    "PipelineReport",
-    "PseudoLabel",
-    "StageConfig",
-    "SynthConfig",
-    "TrainHistory",
-    "Utterance",
-    "Vocabulary",
-    "WerReport",
-    "adamw_step",
-    "attach_baseline",
-    "backward_batch",
-    "build_vocabulary",
-    "clip_gradients",
-    "collapse",
-    "cpt_stage",
-    "ctc_loss_and_grad_batch",
-    "edit_distance",
-    "evaluate_wer",
-    "finetune_stage",
-    "forward_batch",
-    "generate_pseudo_labels",
-    "generate_synthetic_corpus",
-    "greedy_decode_batch",
-    "init_parameters",
-    "labeler_stage",
-    "load_checkpoint",
-    "load_manifest",
-    "log_softmax",
-    "lr_at",
-    "preset",
-    "pseudo_label_stage",
-    "relative_improvement",
-    "run_baseline",
-    "run_cpt_pipeline",
-    "save_checkpoint",
-    "save_manifest",
-    "smoothed_ctc_objective_batch",
-    "speaker_disjoint_split",
-    "train_stage",
-    "wer",
-]

@@ -302,11 +302,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not path:
             raise ConfigError(f"--run expects NAME=PATH, got {entry!r}")
         run_wer = _read_wer(Path(path))
-        delta = relative_improvement(baseline_wer, run_wer)
+        # a perfect baseline leaves no relative change to state
+        delta = "n/a" if baseline_wer == 0 else f"{relative_improvement(baseline_wer, run_wer):+.1%}"
         rows.append((name, run_wer, delta))
     print(f"{'Config':<20} {'Baseline':>10} {'Final WER':>10} {'Delta':>8}")
     for name, run_wer, delta in rows:
-        print(f"{name:<20} {baseline_wer:>10.2%} {run_wer:>10.2%} {delta:>+8.1%}")
+        print(f"{name:<20} {baseline_wer:>10.2%} {run_wer:>10.2%} {delta:>8}")
     return EXIT_OK
 
 

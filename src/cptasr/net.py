@@ -22,9 +22,7 @@ import numpy as np
 from .fieldcheck import check_field
 
 CHECKPOINT_MAGIC = b"CPTN"
-CHECKPOINT_VERSION = 2
-
-Parameters = dict[str, np.ndarray]
+CHECKPOINT_VERSION = 3
 
 # a Python float, so it scales a float32 array in float32 (a NumPy float64 scalar would promote)
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -170,10 +168,6 @@ def parameter_shapes(cfg: NetConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def count_parameters(params: Parameters) -> int:
-    return sum(v.size for v in params.values())
-
-
 @dataclass(frozen=True)
 class _Layout:
     """Per-config constants: conv strides, tensor shapes and each tensor's span in the flat vector."""
@@ -194,13 +188,7 @@ def _layout(cfg: NetConfig) -> _Layout:
     return _Layout(tuple(cfg.strides()), shapes, spans, offset)
 
 
-def flatten(cfg: NetConfig, params: Parameters) -> np.ndarray:
-    """One float64 vector holding every tensor, in ``parameter_shapes`` order."""
-    _check_params(params, cfg)
-    return np.concatenate([params[name].ravel() for name in _layout(cfg).shapes], dtype=np.float64)
-
-
-def unflatten(cfg: NetConfig, flat: np.ndarray) -> Parameters:
+def unflatten(cfg: NetConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
     """Named views into ``flat``, in ``parameter_shapes`` order; writes through them change ``flat``."""
     layout = _layout(cfg)
     if flat.shape != (layout.size,):
@@ -213,26 +201,19 @@ def tensor_name(cfg: NetConfig, index: int) -> str:
     return next(name for name, span in _layout(cfg).spans.items() if index < span.stop)
 
 
-def init_parameters(cfg: NetConfig, seed: int) -> Parameters:
-    """Fan-in-scaled uniform weights, zero biases; deterministic given seed."""
+def init_parameters(cfg: NetConfig, seed: int) -> np.ndarray:
+    """One float64 parameter vector: fan-in-scaled uniform weights, zero biases; deterministic given seed.
+
+    Each weight tensor is drawn in ``parameter_shapes`` order and rounded
+    through :func:`float32_exact`; :func:`unflatten` gives named views.
+    """
     rng = np.random.default_rng(seed)
-    params: Parameters = {}
-    for name, shape in parameter_shapes(cfg).items():
-        if name.endswith("_b"):
-            params[name] = np.zeros(shape)
-        else:
-            bound = 1.0 / np.sqrt(shape[1])
-            params[name] = float32_exact(rng.uniform(-bound, bound, size=shape))
-    return params
-
-
-def _check_params(params: Parameters, cfg: NetConfig) -> None:
-    expected = _layout(cfg).shapes
-    if set(params) != set(expected):
-        raise ValueError(f"parameter names {sorted(params)} do not match config {sorted(expected)}")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise ValueError(f"parameter {name}: shape {params[name].shape} != expected {shape}")
+    theta = np.zeros(_layout(cfg).size)
+    for name, tensor in unflatten(cfg, theta).items():
+        if not name.endswith("_b"):
+            bound = 1.0 / np.sqrt(tensor.shape[1])
+            tensor[...] = float32_exact(rng.uniform(-bound, bound, size=tensor.shape))
+    return theta
 
 
 def _leading_rows(lengths: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -247,7 +228,7 @@ def _windows(gapped: np.ndarray, rows: np.ndarray, w: int) -> np.ndarray:
 
 
 def forward_batch(
-    params: Parameters,
+    theta: np.ndarray,
     cfg: NetConfig,
     features: Sequence[np.ndarray],
     dropout_rate: float = 0.0,
@@ -255,16 +236,16 @@ def forward_batch(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Map B utterances of T_b x D features to B x max(U_b) x (V+1) logits, U_b = floor(T_b / downsample_factor).
 
-    The arithmetic runs in the parameters' dtype: float32 in training,
-    float64 for the oracle audits. The members run as one packed
-    (sum of T_b) x D array. Each conv layer keeps only the rows of each
-    member that fill its stride, and the context windows read a copy of
-    the rows with ``context_window`` zero rows before, between and after
-    the members, so no frame sees another utterance. Logit rows past a
-    member's U_b are zero; ``cache.lengths`` holds the U_b. With
-    ``dropout_rate`` above 0, member b's dropout masks
-    are drawn from ``seeds[b]`` and recorded in the cache, so a member's
-    pass does not depend on the rest of its batch. At rate 0 the pass is
+    ``theta`` is the flat parameter vector, and the arithmetic runs in its
+    dtype: float32 in training, float64 for the oracle audits. The members
+    run as one packed (sum of T_b) x D array. Each conv layer keeps only
+    the rows of each member that fill its stride, and the context windows
+    read a copy of the rows with ``context_window`` zero rows before,
+    between and after the members, so no frame sees another utterance.
+    Logit rows past a member's U_b are zero; ``cache.lengths`` holds the
+    U_b. With ``dropout_rate`` above 0, member b's dropout masks are drawn
+    from ``seeds[b]`` and recorded in the cache, so a member's pass does
+    not depend on the rest of its batch. At rate 0 the pass is
     deterministic and ``seeds`` is ignored.
     """
     feats = [np.asarray(f) for f in features]
@@ -282,8 +263,8 @@ def forward_batch(
         raise InputTooShortError(
             f"{n.min()} frames cannot fill one downsampled step of {cfg.downsample_factor}"
         )
-    _check_params(params, cfg)
-    dtype = params["head_w"].dtype
+    params = unflatten(cfg, theta)
+    dtype = theta.dtype
     x = np.concatenate(feats, dtype=dtype)
 
     cache = ForwardCache()
@@ -327,15 +308,15 @@ def forward_batch(
     return logits, cache
 
 
-def backward_batch(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
-    """Gradient of sum(dlogits * logits) over a :func:`forward_batch` pass, as one flat vector.
+def backward_batch(theta: np.ndarray, cfg: NetConfig, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
+    """Gradient of sum(dlogits * logits) over a :func:`forward_batch` pass of ``theta``, as one flat vector.
 
     ``dlogits`` is B x max(U_b) x (V+1) like the logits; rows past a
     member's U_b are ignored. The pass runs in the forward pass's dtype;
-    the returned float64 vector is the sum over the members, in
-    ``parameter_shapes`` order like :func:`flatten`; :func:`unflatten`
-    gives named views into it.
+    the returned float64 vector is the sum over the members, laid out
+    like ``theta``; :func:`unflatten` gives named views into it.
     """
+    params = unflatten(cfg, theta)
     dlogits = np.asarray(dlogits)
     valid = cache.valid
     if cache.head_input is None or dlogits.shape != valid.shape + (cfg.vocab_size + 1,):
@@ -383,9 +364,17 @@ def backward_batch(params: Parameters, cfg: NetConfig, cache: ForwardCache, dlog
     return flat
 
 
-def save_checkpoint(params: Parameters, cfg: NetConfig, path: str | Path) -> None:
-    """Write magic, version, the config as JSON, then named float32 tensors, via an atomic rename."""
-    _check_params(params, cfg)
+def save_checkpoint(theta: np.ndarray, cfg: NetConfig, path: str | Path) -> None:
+    """Write magic, version, the config as JSON, then ``theta`` as one little-endian float32 blob, via an atomic rename.
+
+    The config implies every tensor's name and shape, so the blob carries
+    no per-tensor records. ``theta`` must hold exactly the config's
+    parameter count; the vectors of ``init_parameters`` and ``train_stage``
+    are float32-exact, so the blob stores them without rounding.
+    """
+    size = _layout(cfg).size
+    if np.shape(theta) != (size,):
+        raise ValueError(f"parameter vector shape {np.shape(theta)} != expected ({size},)")
     cfg_blob = json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -396,14 +385,7 @@ def save_checkpoint(params: Parameters, cfg: NetConfig, path: str | Path) -> Non
             fh.write(struct.pack("<I", CHECKPOINT_VERSION))
             fh.write(struct.pack("<I", len(cfg_blob)))
             fh.write(cfg_blob)
-            for name in sorted(params):
-                tensor = np.ascontiguousarray(params[name], dtype="<f4")
-                name_bytes = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(name_bytes)))
-                fh.write(name_bytes)
-                fh.write(struct.pack("<I", tensor.ndim))
-                fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-                fh.write(tensor.tobytes())
+            fh.write(np.asarray(theta, dtype="<f4").tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -418,8 +400,12 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
     return data
 
 
-def load_checkpoint(path: str | Path, expect_cfg: NetConfig | None = None) -> tuple[Parameters, NetConfig]:
-    """Read a checkpoint; fails on bad magic, version, truncation, or config mismatch."""
+def load_checkpoint(path: str | Path, expect_cfg: NetConfig | None = None) -> tuple[np.ndarray, NetConfig]:
+    """Read a checkpoint as its float32 parameter vector and config.
+
+    Fails on bad magic, a version other than the current one, truncation,
+    trailing bytes or a config other than ``expect_cfg`` (when given).
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -435,21 +421,8 @@ def load_checkpoint(path: str | Path, expect_cfg: NetConfig | None = None) -> tu
             raise CheckpointError(f"{path}: invalid embedded config ({exc})") from None
         if expect_cfg is not None and cfg != expect_cfg:
             raise CheckpointError(f"{path}: checkpoint config {cfg} does not match expected {expect_cfg}")
-
-        params: Parameters = {}
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, path, "tensor name").decode("utf-8")
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path, "tensor rank"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "tensor shape"))
-            count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            data = _read_exact(fh, 4 * count, path, f"tensor {name}")
-            params[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
-    try:
-        _check_params(params, cfg)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
-    return params, cfg
+        size = _layout(cfg).size
+        blob = _read_exact(fh, 4 * size, path, f"{size} parameters")
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after {size} parameters")
+    return np.frombuffer(blob, dtype="<f4").astype(np.float32), cfg

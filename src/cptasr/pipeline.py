@@ -7,11 +7,13 @@ import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import net as net_mod
 from . import train as train_mod
 from .corpus import Dataset, Vocabulary, speaker_disjoint_split
 from .metrics import WerReport, relative_improvement
-from .net import NetConfig, Parameters
+from .net import NetConfig
 from .optim import StageConfig
 from .train import TrainHistory
 
@@ -90,9 +92,12 @@ class PipelineReport:
 
 
 def attach_baseline(report: PipelineReport, baseline: WerReport) -> PipelineReport:
-    """Record the no-CPT arm's score and the relative improvement over it."""
+    """Record the no-CPT arm's score and the relative improvement over it (None when the baseline WER is 0)."""
     report.baseline_eval_wer = baseline
-    report.relative_improvement = relative_improvement(baseline.wer, report.final_eval_wer.wer)
+    # a perfect baseline leaves no relative change to state
+    report.relative_improvement = (
+        None if baseline.wer == 0 else relative_improvement(baseline.wer, report.final_eval_wer.wer)
+    )
     return report
 
 
@@ -124,7 +129,7 @@ def filter_pseudo_labels(labels: list[PseudoLabel], threshold: float) -> tuple[l
 
 
 def generate_pseudo_labels(
-    params: Parameters, cfg: NetConfig, pool: Dataset, threshold: float, vocab: Vocabulary,
+    params: np.ndarray, cfg: NetConfig, pool: Dataset, threshold: float, vocab: Vocabulary,
 ) -> tuple[Dataset, PseudoLabelStats]:
     """Greedy-decode the unlabeled pool and keep confident, non-empty hypotheses.
 
@@ -162,7 +167,7 @@ def _carve_validation(labeled: Dataset, stage1: StageConfig) -> tuple[Dataset, D
 
 
 def labeler_stage(labeled: Dataset, stage1: StageConfig, net: NetConfig,
-                  vocab: Vocabulary) -> tuple[Parameters, TrainHistory]:
+                  vocab: Vocabulary) -> tuple[np.ndarray, TrainHistory]:
     """Stage A: train the labeling model from a fresh initialization seeded by ``stage1``.
 
     Logs a warning when its best validation WER misses ``LABELER_WER_GATE``.
@@ -178,7 +183,7 @@ def labeler_stage(labeled: Dataset, stage1: StageConfig, net: NetConfig,
     return params, history
 
 
-def pseudo_label_stage(labeler: Parameters, net: NetConfig, pool: Dataset, threshold: float,
+def pseudo_label_stage(labeler: np.ndarray, net: NetConfig, pool: Dataset, threshold: float,
                        vocab: Vocabulary) -> tuple[Dataset, PseudoLabelStats]:
     """Stage B: pseudo-label the pool; raise ``EmptyPseudoLabelPoolError`` if none are kept."""
     pseudo_ds, stats = generate_pseudo_labels(labeler, net, pool, threshold, vocab)
@@ -194,8 +199,8 @@ def pseudo_label_stage(labeler: Parameters, net: NetConfig, pool: Dataset, thres
 
 def cpt_stage(
     pseudo: Dataset, labeled: Dataset, stage1: StageConfig, stage2: StageConfig, net: NetConfig,
-    vocab: Vocabulary, labeler: Parameters | None, include_labeled: bool,
-) -> tuple[Parameters, TrainHistory]:
+    vocab: Vocabulary, labeler: np.ndarray | None, include_labeled: bool,
+) -> tuple[np.ndarray, TrainHistory]:
     """Stage C: continued pretraining on the pseudo-labels.
 
     Starts from ``labeler`` when given, else from a fresh initialization
@@ -211,8 +216,8 @@ def cpt_stage(
     return train_mod.train_stage(start, net, data, val_ds, stage2, vocab)
 
 
-def finetune_stage(cpt_params: Parameters, labeled: Dataset, stage1: StageConfig, stage3: StageConfig,
-                   net: NetConfig, vocab: Vocabulary) -> tuple[Parameters, TrainHistory]:
+def finetune_stage(cpt_params: np.ndarray, labeled: Dataset, stage1: StageConfig, stage3: StageConfig,
+                   net: NetConfig, vocab: Vocabulary) -> tuple[np.ndarray, TrainHistory]:
     """Stage D: supervised finetune of the CPT model on the labeled data."""
     train_ds, val_ds = _carve_validation(labeled, stage1)
     return train_mod.train_stage(cpt_params, net, train_ds, val_ds, stage3, vocab)
@@ -224,7 +229,7 @@ def run_baseline(
     cfg: StageConfig,
     net: NetConfig,
     vocab: Vocabulary,
-) -> tuple[Parameters, WerReport, TrainHistory]:
+) -> tuple[np.ndarray, WerReport, TrainHistory]:
     """The no-CPT arm: stage A alone, scored on ``eval_ds``.
 
     With identical data and config it reproduces the pipeline's labeling model.
@@ -240,7 +245,7 @@ def run_cpt_pipeline(
     stage1: StageConfig, stage2: StageConfig, stage3: StageConfig,
     net: NetConfig, threshold: float, vocab: Vocabulary, out_dir: str | Path | None = None,
     cpt_init: str = "fresh", include_labeled_in_cpt: bool = False,
-) -> tuple[Parameters, PipelineReport]:
+) -> tuple[np.ndarray, PipelineReport]:
     """Run stages A-D and return the finetuned model plus a report.
 
     ``cpt_init="labeler"`` starts stage C from the labeling model instead

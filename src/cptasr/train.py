@@ -14,7 +14,7 @@ import numpy as np
 from . import ctc, net, optim
 from .corpus import Dataset, Vocabulary
 from .metrics import WerReport, wer
-from .net import NetConfig, Parameters
+from .net import NetConfig
 from .optim import StageConfig
 
 logger = logging.getLogger(__name__)
@@ -78,23 +78,23 @@ def save_history(history: TrainHistory, path: str | Path) -> None:
         }) + "\n")
 
 
-def decode_dataset(params: Parameters, cfg: NetConfig, ds: Dataset, vocab: Vocabulary) -> list[ctc.DecodeResult]:
+def decode_dataset(theta: np.ndarray, cfg: NetConfig, ds: Dataset, vocab: Vocabulary) -> list[ctc.DecodeResult]:
     """Greedy-decode every utterance in eval mode, in dataset order, ``DECODE_CHUNK`` utterances per forward pass."""
     utts = list(ds)
     results = []
     for start in range(0, len(utts), DECODE_CHUNK):
         chunk = utts[start : start + DECODE_CHUNK]
-        logits, cache = net.forward_batch(params, cfg, [utt.features for utt in chunk])
+        logits, cache = net.forward_batch(theta, cfg, [utt.features for utt in chunk])
         results.extend(ctc.greedy_decode_batch(logits, cache.lengths, vocab))
         del logits, cache  # free this chunk's activations before the next forward pass
     return results
 
 
-def evaluate_wer(params: Parameters, cfg: NetConfig, ds: Dataset, vocab: Vocabulary) -> WerReport:
+def evaluate_wer(theta: np.ndarray, cfg: NetConfig, ds: Dataset, vocab: Vocabulary) -> WerReport:
     """Corpus-level word error rate of greedy decodes against the references."""
     if ds.kind == "unlabeled":
         raise ValueError("cannot score an unlabeled dataset")
-    decodes = decode_dataset(params, cfg, ds, vocab)
+    decodes = decode_dataset(theta, cfg, ds, vocab)
     pairs = [(utt.transcript, dec.hypothesis) for utt, dec in zip(ds, decodes)]
     return wer(pairs, unit="word")
 
@@ -120,19 +120,20 @@ def _feasible_subset(data: Dataset, cfg: NetConfig, vocab: Vocabulary) -> tuple[
 
 
 def train_stage(
-    start: Parameters,
+    start: np.ndarray,
     cfg: NetConfig,
     data: Dataset,
     val: Dataset,
     stage: StageConfig,
     vocab: Vocabulary,
-) -> tuple[Parameters, TrainHistory]:
-    """Run one training stage and return the best-validation-WER parameters.
+) -> tuple[np.ndarray, TrainHistory]:
+    """Run one training stage from the parameter vector ``start`` and return the best-validation-WER vector.
 
-    The master parameters live in one flat float64 vector, which AdamW
-    updates in place with float64 moments; the network computes in float32
-    on a float32 copy of it. The transcripts are encoded as label indices
-    once per stage. Each epoch shuffles the data by (stage seed, epoch) and
+    Empty training or validation data is rejected before any training.
+    The master is a float64 copy of ``start``, which AdamW updates in place
+    with float64 moments; the network computes in float32 on a float32
+    copy of it. The transcripts are encoded as label indices once per
+    stage. Each epoch shuffles the data by (stage seed, epoch) and
     runs each batch through one packed :func:`net.forward_batch` (member
     ``pos`` of batch ``b`` draws its ``stage.dropout_rate`` masks from
     ``[stage.seed, epoch, b, pos]``), one
@@ -146,12 +147,15 @@ def train_stage(
     ``start`` is not modified. Validation WER is measured after every
     epoch, in float32; training stops once ``stage.patience`` consecutive
     epochs fail to improve the best WER (patience None or 0 disables early
-    stopping). The best epoch's parameters are returned as float32 tensors.
+    stopping). The best epoch's parameters are returned as a float32
+    vector; :func:`net.unflatten` gives named views.
     """
     if data.kind == "unlabeled":
         raise ValueError("training data must carry transcripts")
     if val.kind != "labeled":
         raise ValueError("validation dataset must be labeled")
+    if len(val) == 0:
+        raise ValueError("validation dataset is empty; validation WER is undefined")
     if len(data) == 0:
         raise ValueError("training data is empty")
 
@@ -164,9 +168,8 @@ def train_stage(
     if not usable:
         raise ValueError("no feasible training utterances remain")
 
-    theta = net.flatten(cfg, start)  # the float64 master
+    theta = start.astype(np.float64)  # the master, a copy even when start is float64
     theta32 = theta.astype(np.float32)
-    params = net.unflatten(cfg, theta32)  # views: they follow every in-place update of theta32
     state = optim.OptState.zeros_like(theta)
     batches_per_epoch = math.ceil(len(usable) / stage.batch_size)
     total_steps = stage.epochs * batches_per_epoch
@@ -185,14 +188,14 @@ def train_stage(
             members = order[b * stage.batch_size : (b + 1) * stage.batch_size]
             batch = [usable[idx] for idx in members]
             logits, cache = net.forward_batch(
-                params, cfg, [utt.features for utt in batch],
+                theta32, cfg, [utt.features for utt in batch],
                 dropout_rate=stage.dropout_rate, seeds=[[stage.seed, epoch, b, pos] for pos in range(len(batch))],
             )
             losses, dlogits = optim.smoothed_ctc_objective_batch(
                 logits, cache.lengths, [labels[idx] for idx in members], stage.label_smoothing
             )
             epoch_loss += float(np.sum(losses))
-            grads = net.backward_batch(params, cfg, cache, dlogits)
+            grads = net.backward_batch(theta32, cfg, cache, dlogits)
             grads /= len(batch)
             del logits, cache, dlogits  # free this batch's activations before the next forward pass
             if not np.all(np.isfinite(grads)):
@@ -206,7 +209,7 @@ def train_stage(
             theta[:] = theta32  # and keep the master on those values
             global_step += 1
 
-        val_report = evaluate_wer(params, cfg, val, vocab)
+        val_report = evaluate_wer(theta32, cfg, val, vocab)
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss / len(usable),
@@ -229,4 +232,4 @@ def train_stage(
                 logger.info("early stopping after epoch %d (best epoch %d)", epoch, history.best_epoch)
                 break
 
-    return net.unflatten(cfg, best), history
+    return best, history

@@ -16,7 +16,7 @@ import cptasr.train as train_mod
 from cptasr.corpus import Dataset, SynthConfig, Vocabulary, build_vocabulary, generate_synthetic_corpus, speaker_disjoint_split
 from cptasr.ctc import ctc_loss_and_grad_batch, log_softmax
 from cptasr.metrics import WerReport, edit_distance, relative_improvement, wer
-from cptasr.net import NetConfig, backward_batch, count_parameters, forward_batch, init_parameters, unflatten
+from cptasr.net import NetConfig, backward_batch, forward_batch, init_parameters, unflatten
 from cptasr.optim import StageConfig, preset, smoothed_ctc_objective_batch
 from cptasr.pipeline import filter_pseudo_labels, generate_pseudo_labels, run_baseline, run_cpt_pipeline
 from cptasr.train import train_stage
@@ -139,20 +139,20 @@ def test_criterion_2_gradient_audits():
 
     audit_cfg = NetConfig(feature_dim=5, vocab_size=3, downsample_factor=2, conv_layers=2,
                           conv_channels=6, context_layers=2, hidden_dim=8, context_window=1)
-    params = init_parameters(audit_cfg, seed=1)
-    n_params = count_parameters(params)
+    theta = init_parameters(audit_cfg, seed=1)
+    n_params = theta.size
     assert n_params <= 2000
     x = rng.normal(size=(9, audit_cfg.feature_dim))
-    logits, cache = forward_batch(params, audit_cfg, [x])
+    logits, cache = forward_batch(theta, audit_cfg, [x])
     dl = rng.normal(size=logits[0].shape)
-    grads = unflatten(audit_cfg, backward_batch(params, audit_cfg, cache, dl[None]))
-    for name in params:
-        def objective(tensor, name=name):
-            probe = dict(params)
-            probe[name] = tensor
+    grads = unflatten(audit_cfg, backward_batch(theta, audit_cfg, cache, dl[None]))
+    for name, tensor in unflatten(audit_cfg, theta).items():
+        def objective(value, name=name):
+            probe = theta.copy()
+            unflatten(audit_cfg, probe)[name][...] = value
             out = forward_batch(probe, audit_cfg, [x])[0][0]
             return float(np.sum(dl * out))
-        numeric = central_difference_grad(objective, params[name].copy())
+        numeric = central_difference_grad(objective, tensor.copy())
         assert_grad_close(grads[name], numeric, rel_tol=1e-4)
 
     elapsed = time.perf_counter() - tic

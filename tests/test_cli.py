@@ -15,6 +15,7 @@ from cptasr.cli import (
     main,
 )
 from cptasr.corpus import Dataset, build_vocabulary, load_manifest, save_manifest
+from cptasr.metrics import WerReport
 from cptasr.net import NetConfig, init_parameters, save_checkpoint
 
 
@@ -141,6 +142,24 @@ def test_pipeline_command_is_idempotent_and_quick(run_config):
     report1 = (out_dir / "report.json").read_bytes()
     assert main(["pipeline", "--config", str(cfg_path)]) == EXIT_OK
     assert (out_dir / "report.json").read_bytes() == report1
+
+
+def test_zero_wer_baseline_reports_no_delta(run_config, monkeypatch, capsys):
+    cfg_path, out_dir = run_config
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["split", "--config", str(cfg_path),
+          "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    perfect = WerReport(0, 0, 0, 20, 0.0)
+    monkeypatch.setattr("cptasr.pipeline.run_baseline", lambda *args: (None, perfect, None))
+    assert main(["pipeline", "--config", str(cfg_path), "--with-baseline"]) == EXIT_OK
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["relative_improvement"] is None and report["baseline_eval_wer"]["wer"] == 0.0
+    assert json.loads((out_dir / "baseline_wer.json").read_text())["wer"] == 0.0
+    capsys.readouterr()
+    assert main(["report", "--baseline", str(out_dir / "baseline_wer.json"),
+                 "--run", f"cpt={out_dir / 'final_wer.json'}"]) == EXIT_OK
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.startswith("cpt ") and row.split()[-1] == "n/a"
 
 
 def test_pipeline_empty_pool_exit_code(run_config):

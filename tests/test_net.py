@@ -15,8 +15,6 @@ from cptasr.net import (
     InputTooShortError,
     NetConfig,
     backward_batch,
-    count_parameters,
-    flatten,
     float32_exact,
     forward_batch,
     init_parameters,
@@ -68,9 +66,7 @@ def test_strides_multiply_to_downsample_factor():
 
 
 def test_init_deterministic_and_seed_sensitive():
-    a = init_parameters(TINY, seed=3)
-    b = init_parameters(TINY, seed=3)
-    c = init_parameters(TINY, seed=4)
+    a, b, c = (unflatten(TINY, init_parameters(TINY, seed=s)) for s in (3, 3, 4))
     assert set(a) == set(parameter_shapes(TINY))
     for name in a:
         np.testing.assert_array_equal(a[name], b[name])
@@ -80,7 +76,7 @@ def test_init_deterministic_and_seed_sensitive():
 def test_init_shapes_match_config():
     cfg = NetConfig(feature_dim=3, vocab_size=2, downsample_factor=2, conv_layers=1,
                     conv_channels=4, context_layers=1, hidden_dim=1, context_window=0)
-    params = init_parameters(cfg, seed=0)
+    params = unflatten(cfg, init_parameters(cfg, seed=0))
     for name, shape in parameter_shapes(cfg).items():
         assert params[name].shape == shape
     assert all(np.all(params[n] == 0) for n in params if n.endswith("_b"))
@@ -154,22 +150,22 @@ def test_backward_shape_mismatch_rejected():
 
 
 def _audit_config_gradients(cfg: NetConfig, dropout_rate: float, seed) -> None:
-    params = init_parameters(cfg, seed=1)
-    assert count_parameters(params) <= 2000
+    theta = init_parameters(cfg, seed=1)
+    assert theta.size <= 2000
     rng = np.random.default_rng(11)
     x = rng.normal(size=(9, cfg.feature_dim))
-    logits, cache = forward_batch(params, cfg, [x], dropout_rate=dropout_rate, seeds=[seed])
+    logits, cache = forward_batch(theta, cfg, [x], dropout_rate=dropout_rate, seeds=[seed])
     dl = rng.normal(size=logits.shape)
-    grads = unflatten(cfg, backward_batch(params, cfg, cache, dl))
+    grads = unflatten(cfg, backward_batch(theta, cfg, cache, dl))
 
-    for name in params:
-        def objective(tensor, name=name):
-            probe = dict(params)
-            probe[name] = tensor
+    for name, tensor in unflatten(cfg, theta).items():
+        def objective(value, name=name):
+            probe = theta.copy()
+            unflatten(cfg, probe)[name][...] = value
             out, _ = forward_batch(probe, cfg, [x], dropout_rate=dropout_rate, seeds=[seed])
             return float(np.sum(dl * out))
 
-        numeric = central_difference_grad(objective, params[name].copy())
+        numeric = central_difference_grad(objective, tensor.copy())
         assert_grad_close(grads[name], numeric)
 
 
@@ -226,33 +222,29 @@ def test_no_frame_sees_another_utterance():
 
 
 def test_packed_backward_finite_difference_audit_with_dropout():
-    params = init_parameters(RAGGED, seed=1)
-    assert count_parameters(params) <= 2000
+    theta = init_parameters(RAGGED, seed=1)
+    assert theta.size <= 2000
     feats = _ragged_features([13, 7, 20], seed=11)
     seeds = [[2, 5, pos] for pos in range(3)]
-    logits, cache = forward_batch(params, RAGGED, feats, dropout_rate=RAGGED_DROPOUT, seeds=seeds)
+    logits, cache = forward_batch(theta, RAGGED, feats, dropout_rate=RAGGED_DROPOUT, seeds=seeds)
     assert any(m is not None and np.any(m == 0) for m in cache.ctx_masks)
     dl = np.random.default_rng(12).normal(size=logits.shape)
-    grads = unflatten(RAGGED, backward_batch(params, RAGGED, cache, dl))
+    grads = unflatten(RAGGED, backward_batch(theta, RAGGED, cache, dl))
 
-    for name in params:
-        def objective(tensor, name=name):
-            probe = dict(params)
-            probe[name] = tensor
+    for name, tensor in unflatten(RAGGED, theta).items():
+        def objective(value, name=name):
+            probe = theta.copy()
+            unflatten(RAGGED, probe)[name][...] = value
             out, _ = forward_batch(probe, RAGGED, feats, dropout_rate=RAGGED_DROPOUT, seeds=seeds)
             return float(np.sum(dl * out))
 
-        numeric = central_difference_grad(objective, params[name].copy())
+        numeric = central_difference_grad(objective, tensor.copy())
         assert_grad_close(grads[name], numeric)
-
-
-def _float32(params):
-    return {name: value.astype(np.float32) for name, value in params.items()}
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.1])
 def test_float32_parameters_keep_the_pass_in_float32(rate):
-    params = _float32(init_parameters(RAGGED, seed=2))
+    params = init_parameters(RAGGED, seed=2).astype(np.float32)
     feats = _ragged_features([6, 31, 13, 47, 12, 17])
     seeds = [[4, 1, 0, pos] for pos in range(len(feats))]
     logits, cache = forward_batch(params, RAGGED, feats, dropout_rate=rate, seeds=seeds)
@@ -277,10 +269,10 @@ def test_float32_pass_agrees_with_float64_pass():
     feats = [rng.normal(scale=2.0, size=(t, cfg.feature_dim)).astype(np.float32)
              for t in (215, 97, 260, 40, 181, 133)]
     logits64, cache64 = forward_batch(params, cfg, feats)
-    logits32, cache32 = forward_batch(_float32(params), cfg, feats)
+    logits32, cache32 = forward_batch(params.astype(np.float32), cfg, feats)
     dl = np.random.default_rng(6).normal(size=logits64.shape)
     grad64 = backward_batch(params, cfg, cache64, dl)
-    grad32 = backward_batch(_float32(params), cfg, cache32, dl)
+    grad32 = backward_batch(params.astype(np.float32), cfg, cache32, dl)
     assert np.linalg.norm(logits32 - logits64) <= 1e-5 * np.linalg.norm(logits64)
     # bounds the gradient norm's relative error too, by the triangle inequality
     assert np.linalg.norm(grad32 - grad64) <= 1e-5 * np.linalg.norm(grad64)
@@ -306,9 +298,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     save_checkpoint(params, TINY, path)
     loaded, cfg = load_checkpoint(path)
     assert cfg == TINY
-    assert set(loaded) == set(params)
-    for name in params:
-        np.testing.assert_array_equal(loaded[name], params[name])
+    assert loaded.dtype == np.float32 and loaded.shape == params.shape
+    assert loaded.tobytes() == params.astype(np.float32).tobytes()
 
 
 class _FailingWriter:
@@ -339,8 +330,7 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
         save_checkpoint(init_parameters(TINY, seed=9), TINY, path)
     monkeypatch.undo()
     loaded, _ = load_checkpoint(path, expect_cfg=TINY)
-    for name in params:
-        np.testing.assert_array_equal(loaded[name], params[name])
+    np.testing.assert_array_equal(loaded, params)
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
@@ -374,6 +364,54 @@ def test_version_1_checkpoint_is_rejected(tmp_path):
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(cfg_blob)) + cfg_blob)
     with pytest.raises(CheckpointError, match="version 1"):
         load_checkpoint(path)
+
+
+def _v3_file(tmp_path, theta):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(theta, TINY, path)
+    return path
+
+
+def test_checkpoint_v3_float32_round_trip_is_bit_exact(tmp_path):
+    theta = np.random.default_rng(3).normal(size=init_parameters(TINY, seed=0).size).astype(np.float32)
+    theta[:4] = [-0.0, np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max, np.inf]
+    path = _v3_file(tmp_path, theta)
+    data = path.read_bytes()
+    (cfg_len,) = struct.unpack("<I", data[8:12])
+    assert len(data) == 12 + cfg_len + 4 * theta.size  # magic, version, config length, config, blob
+    loaded, cfg = load_checkpoint(path, expect_cfg=TINY)
+    assert cfg == TINY
+    assert loaded.dtype == np.float32 and loaded.tobytes() == theta.tobytes()
+
+
+def test_checkpoint_v3_truncated_blob_is_rejected(tmp_path):
+    path = _v3_file(tmp_path, init_parameters(TINY, seed=8))
+    path.write_bytes(path.read_bytes()[:-4])  # one float32 short
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_v3_trailing_byte_is_rejected(tmp_path):
+    path = _v3_file(tmp_path, init_parameters(TINY, seed=8))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointError, match="trailing"):
+        load_checkpoint(path)
+
+
+def test_version_2_checkpoint_is_rejected(tmp_path):
+    path = _v3_file(tmp_path, init_parameters(TINY, seed=8))
+    data = path.read_bytes()
+    path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
+        load_checkpoint(path)
+
+
+def test_save_checkpoint_rejects_a_wrong_size_vector(tmp_path):
+    theta = init_parameters(TINY, seed=8)
+    for bad in (theta[:-1], np.append(theta, 0.0), theta.reshape(1, -1)):
+        with pytest.raises(ValueError, match="parameter vector shape"):
+            save_checkpoint(bad, TINY, tmp_path / "model.ckpt")
+    assert not list(tmp_path.iterdir())
 
 
 def test_checkpoint_config_mismatch(tmp_path):
@@ -410,11 +448,30 @@ small_configs = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(cfg=small_configs, seed=st.integers(0, 2**16))
+def test_init_parameters_equals_the_per_tensor_draws(cfg, seed):
+    rng = np.random.default_rng(seed)
+    tensors = {}
+    for name, shape in parameter_shapes(cfg).items():
+        if name.endswith("_b"):
+            tensors[name] = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[1])
+            tensors[name] = float32_exact(rng.uniform(-bound, bound, size=shape))
+    theta = init_parameters(cfg, seed)
+    assert theta.dtype == np.float64
+    views = unflatten(cfg, theta)
+    assert list(views) == list(tensors)
+    for name, tensor in tensors.items():
+        assert views[name].tobytes() == tensor.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=small_configs, seed=st.integers(0, 2**16))
 def test_flat_layout_round_trips_and_aliases(cfg, seed):
     rng = np.random.default_rng(seed)
     params = {name: rng.normal(size=shape) for name, shape in parameter_shapes(cfg).items()}
-    theta = flatten(cfg, params)
-    assert theta.dtype == np.float64 and theta.shape == (count_parameters(params),)
+    theta = np.concatenate([tensor.ravel() for tensor in params.values()])
+    assert theta.shape == init_parameters(cfg, seed).shape
     views = unflatten(cfg, theta)
     assert list(views) == list(parameter_shapes(cfg))
     for name in params:
@@ -429,8 +486,8 @@ def test_flat_layout_round_trips_and_aliases(cfg, seed):
 
 
 def test_flatten_and_unflatten_reject_mismatched_inputs():
-    params = init_parameters(TINY, seed=0)
+    theta = init_parameters(TINY, seed=0)
     with pytest.raises(ValueError):
-        flatten(TINY, {k: v for k, v in params.items() if k != "head_b"})
+        unflatten(TINY, np.zeros(theta.size + 1))
     with pytest.raises(ValueError):
-        unflatten(TINY, np.zeros(count_parameters(params) + 1))
+        forward_batch(theta[:-1], TINY, [np.zeros((4, 5))])

@@ -1,14 +1,19 @@
 """Pseudo-label filtering and the staged pipeline's contracts."""
 
+import json
+
 import numpy as np
 import pytest
 
 from cptasr.corpus import Dataset, SynthConfig, Utterance, build_vocabulary, generate_synthetic_corpus, speaker_disjoint_split
+from cptasr.metrics import WerReport
 from cptasr.net import NetConfig, init_parameters, load_checkpoint
 from cptasr.optim import preset
 from cptasr.pipeline import (
     EmptyPseudoLabelPoolError,
+    PipelineReport,
     PseudoLabel,
+    PseudoLabelStats,
     attach_baseline,
     cpt_stage,
     filter_pseudo_labels,
@@ -16,6 +21,7 @@ from cptasr.pipeline import (
     run_baseline,
     run_cpt_pipeline,
 )
+from cptasr.train import TrainHistory
 
 
 def test_filter_threshold_is_strict():
@@ -114,8 +120,7 @@ def test_pipeline_report_bookkeeping_and_checkpoints(tmp_path):
     for name in ("labeler.ckpt", "cpt.ckpt", "final.ckpt"):
         assert (tmp_path / name).exists()
     final_saved, _ = load_checkpoint(tmp_path / "final.ckpt", expect_cfg=net_cfg)
-    for name in final:
-        np.testing.assert_array_equal(final[name], final_saved[name])
+    np.testing.assert_array_equal(final, final_saved)
 
 
 def test_pipeline_deterministic_and_checkpoint_reload_neutral(tmp_path):
@@ -125,8 +130,7 @@ def test_pipeline_deterministic_and_checkpoint_reload_neutral(tmp_path):
                                     vocab, out_dir=tmp_path)
     final2, rep2 = run_cpt_pipeline(labeled, pool, eval_ds, s1, s2, s3, net_cfg, 0.25, vocab)
     assert rep1.to_dict() == rep2.to_dict()
-    for name in final1:
-        np.testing.assert_array_equal(final1[name], final2[name])
+    np.testing.assert_array_equal(final1, final2)
 
 
 def test_pipeline_threshold_one_aborts_with_empty_pool():
@@ -189,8 +193,7 @@ def test_baseline_equals_pipeline_stage_a(tmp_path):
     run_cpt_pipeline(labeled, pool, eval_ds, s1, s2, s3, net_cfg, 0.25, vocab, out_dir=tmp_path)
     labeler, _ = load_checkpoint(tmp_path / "labeler.ckpt")
     baseline_params, report, history = run_baseline(labeled, eval_ds, s1, net_cfg, vocab)
-    for name in labeler:
-        np.testing.assert_array_equal(labeler[name], baseline_params[name])
+    np.testing.assert_array_equal(labeler, baseline_params)
 
 
 def test_cpt_can_start_from_labeler(tmp_path):
@@ -217,3 +220,17 @@ def test_attach_baseline_computes_relative_improvement():
     assert report.relative_improvement == pytest.approx(expected)
     as_dict = report.to_dict()
     assert as_dict["baseline_eval_wer"]["wer"] == baseline_report.wer
+
+
+def test_attach_baseline_with_zero_wer_baseline_leaves_delta_null():
+    history = TrainHistory()
+    report = PipelineReport(
+        labeler_val_wer=0.0, pool_total=1, pool_kept=1, retained_fraction=1.0,
+        pseudo_label_stats=PseudoLabelStats(total=1, kept=1, empty_dropped=0, below_threshold=0),
+        cpt_history=history, finetune_history=history, labeler_history=history,
+        final_eval_wer=WerReport(1, 0, 0, 20, 0.05),
+    )
+    attach_baseline(report, WerReport(0, 0, 0, 20, 0.0))
+    assert report.relative_improvement is None
+    as_dict = json.loads(json.dumps(report.to_dict()))
+    assert as_dict["relative_improvement"] is None and as_dict["baseline_eval_wer"]["wer"] == 0.0

@@ -101,21 +101,20 @@ def test_start_is_untouched_and_best_is_not_the_live_vector(monkeypatch):
     scripted = iter([0.2, 0.5, 0.5])  # epoch 1 is best of 3
     evaluated = []
 
-    def fake_eval(params, cfg, ds, vocab):
-        evaluated.append({name: value.copy() for name, value in params.items()})
+    def fake_eval(theta, cfg, ds, vocab):
+        evaluated.append(theta.copy())
         w = next(scripted)
         return WerReport(0, 0, 0, 1, w)
 
     monkeypatch.setattr(train_mod, "evaluate_wer", fake_eval)
     start = init_parameters(net_cfg, seed=0)
-    start_copy = {name: value.copy() for name, value in start.items()}
+    start_copy = start.copy()
     best, history = train_stage(start, net_cfg, train_ds, val_ds, _stage(epochs=3), vocab)
     assert history.best_epoch == 1 and len(evaluated) == 3
-    for name in start:
-        assert np.array_equal(start[name], start_copy[name])
-        assert np.array_equal(best[name], evaluated[0][name])  # the weights after epoch 1, bit for bit
-        assert not np.shares_memory(best[name], start[name])
-    assert any(not np.array_equal(best[name], evaluated[2][name]) for name in best)
+    assert start.tobytes() == start_copy.tobytes()
+    assert best.tobytes() == evaluated[0].tobytes()  # the weights after epoch 1, bit for bit
+    assert not np.shares_memory(best, start)
+    assert not np.array_equal(best, evaluated[2])
 
 
 def test_best_epoch_weights_reproduce_recorded_wer():
@@ -130,11 +129,10 @@ def test_best_epoch_weights_reproduce_recorded_wer():
 def test_trained_parameters_are_float32_and_reload_bit_exact(tmp_path):
     train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
     best, _ = train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val_ds, _stage(epochs=2), vocab)
-    assert all(value.dtype == np.float32 for value in best.values())
+    assert best.dtype == np.float32
     save_checkpoint(best, net_cfg, tmp_path / "model.ckpt")
     loaded, _ = load_checkpoint(tmp_path / "model.ckpt", expect_cfg=net_cfg)
-    for name, value in best.items():
-        assert loaded[name].dtype == np.float32 and loaded[name].tobytes() == value.tobytes()
+    assert loaded.dtype == np.float32 and loaded.tobytes() == best.tobytes()
     assert evaluate_wer(loaded, net_cfg, val_ds, vocab) == evaluate_wer(best, net_cfg, val_ds, vocab)
     confidences = [[d.confidence for d in decode_dataset(p, net_cfg, val_ds, vocab)] for p in (loaded, best)]
     assert confidences[0] == confidences[1]
@@ -145,8 +143,7 @@ def test_training_is_reproducible():
     stage = _stage(epochs=3, dropout_rate=0.2)
     p1, h1 = train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val_ds, stage, vocab)
     p2, h2 = train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val_ds, stage, vocab)
-    for name in p1:
-        assert p1[name].tobytes() == p2[name].tobytes()
+    assert p1.tobytes() == p2.tobytes()
     assert [r.val_wer for r in h1.records] == [r.val_wer for r in h2.records]
     assert [r.train_loss for r in h1.records] == [r.train_loss for r in h2.records]
 
@@ -181,6 +178,18 @@ def test_out_of_vocabulary_training_character_names_the_utterance():
     data = Dataset(train_ds.utterances + [odd], "labeled")
     with pytest.raises(ValueError, match="'odd01'.*'z' not in vocabulary"):
         train_stage(init_parameters(net_cfg, seed=0), net_cfg, data, val_ds, _stage(epochs=1), vocab)
+
+
+def test_empty_validation_set_is_rejected_before_any_forward_pass(monkeypatch):
+    train_ds, _, vocab, net_cfg = _small_task(n_utts=24)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward_batch ran before the validation set was checked")
+
+    monkeypatch.setattr(train_mod.net, "forward_batch", no_forward)
+    with pytest.raises(ValueError, match="validation dataset is empty"):
+        train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, Dataset([], "labeled"),
+                    _stage(epochs=1), vocab)
 
 
 def test_evaluate_wer_matches_external_decode():
