@@ -34,14 +34,22 @@ for path in itertools.product(range(3), repeat=3):
             p *= probs[t, k]
         brute += p
 print(f"\nbrute-force path sum   : {-np.log(brute):.10f}")
-# the kernels take a padded batch, here a batch of one, and targets as label indices
-losses, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [3], [vocab.encode(target)])
+# the kernel takes raw logits (it applies the log-softmax itself) as a padded
+# batch, here a batch of one, and targets as label indices
+losses, _ = ctc_loss_and_grad_batch(logits[None], [3], [vocab.encode(target)])
 print(f"ctc_loss_and_grad_batch: {losses[0]:.10f}")
+
+# --- label smoothing ---------------------------------------------------------
+# With smoothing s the loss is (1 - s) * CTC + s * the mean per-frame
+# KL(uniform || softmax), which penalises over-confident frames; the
+# finetune stage trains with s = 0.1.
+smoothed, _ = ctc_loss_and_grad_batch(logits[None], [3], [vocab.encode(target)], smoothing=0.1)
+print(f"with smoothing 0.1     : {smoothed[0]:.10f}")
 
 # --- gradient sanity: single frame, uniform logits --------------------------
 # With one frame and target "a", the only valid path emits "a", so the
 # gradient is softmax minus a one-hot on "a".
-_, grad = ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 2)), axis=2), [1], [Vocabulary(("a",)).encode("a")])
+_, grad = ctc_loss_and_grad_batch(np.zeros((1, 1, 2)), [1], [Vocabulary(("a",)).encode("a")])
 print("\nsingle-frame gradient (expect [0.5, -0.5]):", grad[0, 0])
 
 # --- greedy decoding with confidence ----------------------------------------

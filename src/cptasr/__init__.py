@@ -34,7 +34,6 @@ from .optim import (
     clip_gradients,
     lr_at,
     preset,
-    smoothed_ctc_objective_batch,
 )
 from .pipeline import (
     PipelineReport,

@@ -18,6 +18,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus, net, pipeline, train
 from .corpus import ManifestError, SynthConfig, Vocabulary, build_vocabulary, load_manifest, save_manifest
 from .fieldcheck import check_field
@@ -133,6 +135,14 @@ def _load_vocab(path: Path) -> Vocabulary:
         raise ManifestError(f"vocabulary file {path} is unreadable: {exc}") from None
 
 
+def _load_model(checkpoint: Path, vocab: Vocabulary) -> tuple[np.ndarray, net.NetConfig]:
+    """A checkpoint's parameters and config, checked against the vocabulary its outputs decode into."""
+    params, net_cfg = net.load_checkpoint(checkpoint)
+    if vocab.size != net_cfg.vocab_size:
+        raise ManifestError(f"vocabulary size {vocab.size} does not match checkpoint vocab_size {net_cfg.vocab_size}")
+    return params, net_cfg
+
+
 def _write_json(data: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -181,7 +191,7 @@ def cmd_train_labeler(args: argparse.Namespace) -> int:
 def cmd_pseudolabel(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     vocab = _load_vocab(cfg.out_dir / "vocab.json")
-    params, net_cfg = net.load_checkpoint(cfg.out_dir / "labeler.ckpt")
+    params, net_cfg = _load_model(cfg.out_dir / "labeler.ckpt", vocab)
     pool = load_manifest(cfg.path("unlabeled"))
     pseudo_ds, stats = pipeline.pseudo_label_stage(params, net_cfg, pool, cfg.threshold, vocab)
     save_manifest(pseudo_ds, cfg.out_dir / "pseudo.jsonl")
@@ -244,10 +254,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     ds = load_manifest(Path(args.manifest))
-    params, net_cfg = net.load_checkpoint(Path(args.checkpoint))
     vocab = _load_vocab(Path(args.vocab) if args.vocab else cfg.out_dir / "vocab.json")
-    if vocab.size != net_cfg.vocab_size:
-        raise ManifestError(f"vocabulary size {vocab.size} does not match checkpoint vocab_size {net_cfg.vocab_size}")
+    params, net_cfg = _load_model(Path(args.checkpoint), vocab)
     report = train.evaluate_wer(params, net_cfg, ds, vocab)
     out_path = Path(args.out) if args.out else cfg.out_dir / "eval_wer.json"
     _write_json(report.to_dict(), out_path)

@@ -7,6 +7,7 @@ cannot underflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,25 +70,31 @@ def _lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
 
 
 def ctc_loss_and_grad_batch(
-    log_probs: np.ndarray,
+    logits: np.ndarray,
     lengths: Sequence[int],
     labels: Sequence[Sequence[int]],
+    smoothing: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CTC losses of a padded batch and their exact gradients with respect to the logits.
+    """Label-smoothed CTC losses of a padded batch and their exact gradients with respect to the logits.
 
-    ``log_probs`` is the B x T x C log-softmax of the logits; member b owns
-    its first ``lengths[b]`` frames and rows past them are ignored.
-    ``labels[b]`` is member b's target as label indices in [1, C), as
-    :meth:`Vocabulary.encode` gives them. All members share one
-    forward-backward recursion over a B x T x S lattice padded to the
-    longest member and the longest extended target. Returns the B losses
-    and the B x T x C gradient, softmax minus the label-occupancy posterior
-    per frame, so each row sums to zero and rows of padded frames are
-    exactly zero. Label range, lengths and feasibility are checked on every
-    call; an infeasible target raises :class:`InfeasibleTargetError` rather
-    than returning +inf: in training that signals a data or downsampling bug.
+    ``logits`` is B x T x C; member b owns its first ``lengths[b]`` frames
+    and rows past them are ignored. ``labels[b]`` is member b's target as
+    label indices in [1, C), as :meth:`Vocabulary.encode` gives them. One
+    float64 log-softmax feeds all members' shared forward-backward
+    recursion over a B x T x S lattice padded to the longest member and the
+    longest extended target. loss_b = (1-s) * ctc_b + s * mean_u
+    KL(uniform || softmax(logits_b,u)), with the mean over member b's
+    frames and s = ``smoothing`` in [0, 1); s = 0 is plain CTC. The CTC
+    gradient is softmax minus the label-occupancy posterior per frame and
+    the KL term's is softmax minus uniform, so each row sums to zero and
+    rows of padded frames are exactly zero. Label range, lengths and
+    feasibility are checked on every call; an infeasible target raises
+    :class:`InfeasibleTargetError` rather than returning +inf: in training
+    that signals a data or downsampling bug.
     """
-    log_probs = np.asarray(log_probs, dtype=np.float64)
+    if not 0.0 <= smoothing < 1.0:
+        raise ValueError("smoothing must lie in [0, 1)")
+    log_probs = log_softmax(logits, axis=2)
     lengths = np.asarray(lengths, dtype=np.intp)
     n_batch, n_frames, n_classes = log_probs.shape
     if lengths.shape != (n_batch,) or len(labels) != n_batch:
@@ -135,9 +142,18 @@ def ctc_loss_and_grad_batch(
 
     posterior = np.exp(alpha + beta - log_z[:, None, None])  # per lattice state; 0 on padding
     occupancy = posterior @ (ext[:, :, None] == np.arange(n_classes)).astype(np.float64)
-    grad = np.exp(log_probs) - occupancy
+    probs = np.exp(log_probs)
+    grad = probs - occupancy
     grad[~frame_ok] = 0.0
-    return -log_z, grad
+    if smoothing == 0.0:
+        return -log_z, grad
+    frame_ok = frame_ok[:, :, None]
+    # KL(u || p) per frame = -log C - mean_k log p_k
+    kl = -math.log(n_classes) - np.sum(log_probs, axis=(1, 2), where=frame_ok) / (lengths * n_classes)
+    kl_grad = (smoothing / lengths[:, None, None]) * (probs - 1.0 / n_classes)
+    losses = (1.0 - smoothing) * -log_z + smoothing * kl
+    grad = (1.0 - smoothing) * grad + np.where(frame_ok, kl_grad, 0.0)
+    return losses, grad
 
 
 def collapse(path: Sequence[int] | np.ndarray, vocab: Vocabulary) -> str:

@@ -1,14 +1,12 @@
-"""AdamW with decoupled weight decay, warmup/decay schedule, clipping, label smoothing."""
+"""AdamW with decoupled weight decay, warmup/decay schedule, gradient clipping, stage configs."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
 
 import numpy as np
 
-from . import ctc
 from .fieldcheck import check_field
 
 ADAM_BETA1 = 0.9
@@ -161,36 +159,3 @@ def adamw_step(
     theta -= scratch
     theta -= denom
     state.step = t
-
-
-def smoothed_ctc_objective_batch(
-    logits: np.ndarray,
-    lengths: Sequence[int],
-    labels: Sequence[Sequence[int]],
-    smoothing: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """CTC loss blended with a per-frame uniform-KL regularizer, per member of a padded batch.
-
-    ``logits`` is B x T x C and member b owns its first ``lengths[b]``
-    frames and ``labels[b]`` is its target as label indices. loss_b = (1-s) * ctc_b + s * mean_u KL(uniform || softmax(logits_b,u)),
-    with the mean over member b's frames; ctc and its gradient come from
-    :func:`ctc.ctc_loss_and_grad_batch`, which shares this function's one
-    log-softmax. The KL term's logit gradient is softmax minus uniform, so
-    the combined gradient stays exact; rows of padded frames are zero.
-    With smoothing 0 this is plain CTC, returned as is.
-    """
-    if not 0.0 <= smoothing < 1.0:
-        raise ValueError("smoothing must lie in [0, 1)")
-    log_probs = ctc.log_softmax(logits, axis=2)
-    losses, grad = ctc.ctc_loss_and_grad_batch(log_probs, lengths, labels)
-    if smoothing == 0.0:
-        return losses, grad
-    lengths = np.asarray(lengths)
-    n_classes = log_probs.shape[2]
-    frame_ok = (np.arange(log_probs.shape[1]) < lengths[:, None])[:, :, None]
-    # KL(u || p) per frame = -log C - mean_k log p_k
-    kl = -math.log(n_classes) - np.sum(log_probs, axis=(1, 2), where=frame_ok) / (lengths * n_classes)
-    kl_grad = (smoothing / lengths[:, None, None]) * (np.exp(log_probs) - 1.0 / n_classes)
-    losses = (1.0 - smoothing) * losses + smoothing * kl
-    grad = (1.0 - smoothing) * grad + np.where(frame_ok, kl_grad, 0.0)
-    return losses, grad

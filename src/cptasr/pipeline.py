@@ -251,8 +251,7 @@ def run_cpt_pipeline(
     ``cpt_init="labeler"`` starts stage C from the labeling model instead
     of a fresh initialization; ``include_labeled_in_cpt`` mixes the labeled
     data into stage C. When ``out_dir`` is set, "labeler", "cpt" and
-    "final" checkpoints are written there, and the finetune stage starts
-    from the cpt file it just wrote.
+    "final" checkpoints are written there.
     """
     if cpt_init not in ("fresh", "labeler"):
         raise ValueError("cpt_init must be 'fresh' or 'labeler'")
@@ -275,7 +274,6 @@ def run_cpt_pipeline(
     )
     if out_path is not None:
         net_mod.save_checkpoint(cpt_params, net, out_path / "cpt.ckpt")
-        cpt_params, _ = net_mod.load_checkpoint(out_path / "cpt.ckpt", expect_cfg=net)
 
     final_params, finetune_history = finetune_stage(cpt_params, labeled, stage1, stage3, net, vocab)
     if out_path is not None:

@@ -129,7 +129,8 @@ def train_stage(
 ) -> tuple[np.ndarray, TrainHistory]:
     """Run one training stage from the parameter vector ``start`` and return the best-validation-WER vector.
 
-    Empty training or validation data is rejected before any training.
+    Empty training data, and validation data without a single reference
+    word, are rejected before any training.
     The master is a float64 copy of ``start``, which AdamW updates in place
     with float64 moments; the network computes in float32 on a float32
     copy of it. The transcripts are encoded as label indices once per
@@ -137,7 +138,8 @@ def train_stage(
     runs each batch through one packed :func:`net.forward_batch` (member
     ``pos`` of batch ``b`` draws its ``stage.dropout_rate`` masks from
     ``[stage.seed, epoch, b, pos]``), one
-    :func:`optim.smoothed_ctc_objective_batch` (float64 CTC lattice) and
+    :func:`ctc.ctc_loss_and_grad_batch` (float64 CTC lattice, with
+    ``stage.label_smoothing``) and
     one :func:`net.backward_batch`; the summed float64 gradient is divided
     by the member count, and a non-finite result raises
     ``FloatingPointError`` naming its tensor. The vector is clipped and
@@ -154,8 +156,8 @@ def train_stage(
         raise ValueError("training data must carry transcripts")
     if val.kind != "labeled":
         raise ValueError("validation dataset must be labeled")
-    if len(val) == 0:
-        raise ValueError("validation dataset is empty; validation WER is undefined")
+    if not any(utt.transcript.split() for utt in val):
+        raise ValueError("validation dataset is empty or has only empty transcripts; validation WER is undefined")
     if len(data) == 0:
         raise ValueError("training data is empty")
 
@@ -191,7 +193,7 @@ def train_stage(
                 theta32, cfg, [utt.features for utt in batch],
                 dropout_rate=stage.dropout_rate, seeds=[[stage.seed, epoch, b, pos] for pos in range(len(batch))],
             )
-            losses, dlogits = optim.smoothed_ctc_objective_batch(
+            losses, dlogits = ctc.ctc_loss_and_grad_batch(
                 logits, cache.lengths, [labels[idx] for idx in members], stage.label_smoothing
             )
             epoch_loss += float(np.sum(losses))

@@ -14,10 +14,10 @@ import pytest
 
 import cptasr.train as train_mod
 from cptasr.corpus import Dataset, SynthConfig, Vocabulary, build_vocabulary, generate_synthetic_corpus, speaker_disjoint_split
-from cptasr.ctc import ctc_loss_and_grad_batch, log_softmax
+from cptasr.ctc import ctc_loss_and_grad_batch
 from cptasr.metrics import WerReport, edit_distance, relative_improvement, wer
 from cptasr.net import NetConfig, backward_batch, forward_batch, init_parameters, unflatten
-from cptasr.optim import StageConfig, preset, smoothed_ctc_objective_batch
+from cptasr.optim import StageConfig, preset
 from cptasr.pipeline import filter_pseudo_labels, generate_pseudo_labels, run_baseline, run_cpt_pipeline
 from cptasr.train import train_stage
 
@@ -105,7 +105,7 @@ def test_criterion_1_ctc_oracle_equivalence():
     for _ in range(200):
         logits, target, symbols = random_feasible_instance(rng, max_frames=6, max_vocab=3, max_target=3)
         vocab = Vocabulary(symbols)
-        got = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])[0][0]
+        got = ctc_loss_and_grad_batch(logits[None], [len(logits)], [vocab.encode(target)])[0][0]
         want = ctc_loss_by_enumeration(logits, target, symbols)
         assert got == pytest.approx(want, abs=1e-6)
         worst = max(worst, abs(got - want))
@@ -122,18 +122,18 @@ def test_criterion_2_gradient_audits():
     for _ in range(100):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        _, grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])
+        _, grad = ctc_loss_and_grad_batch(logits[None], [len(logits)], [vocab.encode(target)])
         numeric = central_difference_grad(
-            lambda x: ctc_loss_and_grad_batch(log_softmax(x, axis=1)[None], [len(x)], [vocab.encode(target)])[0][0],
+            lambda x: ctc_loss_and_grad_batch(x[None], [len(x)], [vocab.encode(target)])[0][0],
             logits.copy())
         assert_grad_close(grad[0], numeric, rel_tol=1e-4)
 
     for _ in range(100):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        _, grad = smoothed_ctc_objective_batch(logits[None], [len(logits)], [vocab.encode(target)], smoothing=0.1)
+        _, grad = ctc_loss_and_grad_batch(logits[None], [len(logits)], [vocab.encode(target)], smoothing=0.1)
         numeric = central_difference_grad(
-            lambda x: smoothed_ctc_objective_batch(x[None], [len(x)], [vocab.encode(target)], smoothing=0.1)[0][0],
+            lambda x: ctc_loss_and_grad_batch(x[None], [len(x)], [vocab.encode(target)], smoothing=0.1)[0][0],
             logits.copy())
         assert_grad_close(grad[0], numeric, rel_tol=1e-4)
 

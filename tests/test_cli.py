@@ -349,6 +349,24 @@ def test_eval_without_vocabulary_is_data_error(run_config):
     assert (out_dir / "eval_wer.json").exists()
 
 
+def test_vocabulary_checkpoint_size_mismatch_is_data_error(run_config, capsys):
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["split", "--config", str(cfg_path),
+                 "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"]) == EXIT_OK
+    assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_OK
+    (out_dir / "vocab.json").write_text(json.dumps({"symbols": ["a", "b"]}))
+    want = "data error: vocabulary size 2 does not match checkpoint vocab_size 6"
+    capsys.readouterr()
+    assert main(["pseudolabel", "--config", str(cfg_path)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(want)
+    assert not (out_dir / "pseudo.jsonl").exists()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(out_dir / "labeler.ckpt"),
+                 "--manifest", str(out_dir / "eval.jsonl")]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(want)
+    assert not (out_dir / "eval_wer.json").exists()
+
+
 @pytest.mark.parametrize("symbols", [[1, 2, 3, 4, 5, 6], ["bc", "a", "d", "e", "f", "g"]], ids=["ints", "multi-char"])
 def test_bad_vocabulary_symbols_are_data_error(run_config, capsys, symbols):
     cfg_path, out_dir = run_config

@@ -1,4 +1,4 @@
-"""CTC loss against exhaustive enumeration, gradient audits, collapse, decoding."""
+"""CTC loss against exhaustive enumeration, gradient audits, label smoothing, collapse, decoding."""
 
 import math
 from unittest import mock
@@ -48,20 +48,20 @@ def test_log_softmax_exponentials_sum_to_one():
 
 def test_uniform_single_frame_loss_is_ln2():
     # one frame over {blank, a}: the only valid path is "a", probability 1/2
-    losses, _ = ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 2)), axis=2), [1], [VA.encode("a")])
+    losses, _ = ctc_loss_and_grad_batch(np.zeros((1, 1, 2)), [1], [VA.encode("a")])
     assert losses[0] == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_target_longer_than_frames_is_infeasible():
     with pytest.raises(InfeasibleTargetError):
-        ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 3)), axis=2), [1], [VAB.encode("ab")])
+        ctc_loss_and_grad_batch(np.zeros((1, 1, 3)), [1], [VAB.encode("ab")])
 
 
 def test_repeat_needs_separating_blank():
     assert min_frames("aa") == min_frames(VA.encode("aa")) == 3
     with pytest.raises(InfeasibleTargetError):
-        ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 2, 2)), axis=2), [2], [VA.encode("aa")])
-    assert math.isfinite(ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 3, 2)), axis=2), [3], [VA.encode("aa")])[0][0])
+        ctc_loss_and_grad_batch(np.zeros((1, 2, 2)), [2], [VA.encode("aa")])
+    assert math.isfinite(ctc_loss_and_grad_batch(np.zeros((1, 3, 2)), [3], [VA.encode("aa")])[0][0])
 
 
 def test_character_outside_vocabulary_rejected():
@@ -69,14 +69,14 @@ def test_character_outside_vocabulary_rejected():
         VA.encode("z")
     for label in (0, 2):  # the blank, and one past the last class
         with pytest.raises(ValueError):
-            ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 2, 2)), axis=2), [2], [[label]])
+            ctc_loss_and_grad_batch(np.zeros((1, 2, 2)), [2], [[label]])
 
 
 def test_two_frame_loss_matches_path_sum():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(2, 2))
     want = ctc_loss_by_enumeration(logits, "a", ("a",))
-    losses, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [2], [VA.encode("a")])
+    losses, _ = ctc_loss_and_grad_batch(logits[None], [2], [VA.encode("a")])
     assert losses[0] == pytest.approx(want, abs=1e-12)
 
 
@@ -85,7 +85,7 @@ def test_loss_matches_enumeration_on_random_instances():
     for _ in range(200):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        got = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])[0][0]
+        got = ctc_loss_and_grad_batch(logits[None], [len(logits)], [vocab.encode(target)])[0][0]
         want = ctc_loss_by_enumeration(logits, target, symbols)
         assert got == pytest.approx(want, abs=1e-6)
 
@@ -94,7 +94,7 @@ def test_empty_target_is_all_blank_path():
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(3, 3))
     lp = log_softmax(logits, axis=1)
-    assert ctc_loss_and_grad_batch(lp[None], [3], [VAB.encode("")])[0][0] == pytest.approx(-lp[:, 0].sum(), abs=1e-12)
+    assert ctc_loss_and_grad_batch(logits[None], [3], [VAB.encode("")])[0][0] == pytest.approx(-lp[:, 0].sum(), abs=1e-12)
 
 
 def test_loss_nonnegative_and_shift_invariant():
@@ -102,10 +102,10 @@ def test_loss_nonnegative_and_shift_invariant():
     for _ in range(20):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        loss = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])[0][0]
+        loss = ctc_loss_and_grad_batch(logits[None], [len(logits)], [vocab.encode(target)])[0][0]
         assert loss >= 0
         shifted = logits + rng.normal() * np.ones_like(logits)
-        shifted_loss = ctc_loss_and_grad_batch(log_softmax(shifted, axis=1)[None], [len(shifted)], [vocab.encode(target)])[0][0]
+        shifted_loss = ctc_loss_and_grad_batch(shifted[None], [len(shifted)], [vocab.encode(target)])[0][0]
         assert shifted_loss == pytest.approx(loss, abs=1e-9)
 
 
@@ -114,13 +114,13 @@ def test_appending_frames_preserves_feasibility():
     for _ in range(30):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])
+        ctc_loss_and_grad_batch(logits[None], [len(logits)], [vocab.encode(target)])
         extended = np.vstack([logits, rng.normal(size=(1, logits.shape[1]))])
-        ctc_loss_and_grad_batch(log_softmax(extended, axis=1)[None], [len(extended)], [vocab.encode(target)])  # must not raise
+        ctc_loss_and_grad_batch(extended[None], [len(extended)], [vocab.encode(target)])  # must not raise
 
 
 def test_gradient_single_frame_closed_form():
-    grad = ctc_loss_and_grad_batch(log_softmax(np.zeros((1, 1, 2)), axis=2), [1], [VA.encode("a")])[1][0]
+    grad = ctc_loss_and_grad_batch(np.zeros((1, 1, 2)), [1], [VA.encode("a")])[1][0]
     np.testing.assert_allclose(grad, [[0.5, -0.5]], atol=1e-12)
 
 
@@ -129,7 +129,7 @@ def test_gradient_rows_sum_to_zero():
     for _ in range(20):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])[1][0]
+        grad = ctc_loss_and_grad_batch(logits[None], [len(logits)], [vocab.encode(target)])[1][0]
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-10)
 
 
@@ -138,9 +138,9 @@ def test_gradient_matches_finite_differences():
     for _ in range(100):
         logits, target, symbols = random_feasible_instance(rng)
         vocab = Vocabulary(symbols)
-        grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])[1][0]
+        grad = ctc_loss_and_grad_batch(logits[None], [len(logits)], [vocab.encode(target)])[1][0]
         numeric = central_difference_grad(
-            lambda x: ctc_loss_and_grad_batch(log_softmax(x, axis=1)[None], [len(x)], [vocab.encode(target)])[0][0],
+            lambda x: ctc_loss_and_grad_batch(x[None], [len(x)], [vocab.encode(target)])[0][0],
             logits.copy(),
         )
         assert_grad_close(grad, numeric)
@@ -162,7 +162,7 @@ def _training_shaped_instance(draw):
 def test_lattice_posteriors_are_consistent_at_training_shapes(instance):
     logits, target, vocab = instance
     log_probs = log_softmax(logits, axis=1)
-    losses, grads = ctc_loss_and_grad_batch(log_probs[None], [len(logits)], [vocab.encode(target)])
+    losses, grads = ctc_loss_and_grad_batch(logits[None], [len(logits)], [vocab.encode(target)])
     log_z, grad = -losses[0], grads[0]
     ext = np.zeros(2 * len(target) + 1, dtype=np.intp)
     ext[1::2] = vocab.encode(target)
@@ -196,11 +196,10 @@ def _ragged_batch(draw):
 def test_batched_ctc_matches_single_utterance_calls(batch):
     logits, lengths, targets, symbols = batch
     vocab = Vocabulary(symbols)
-    losses, grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=2), lengths, [vocab.encode(t) for t in targets])
+    losses, grad = ctc_loss_and_grad_batch(logits, lengths, [vocab.encode(t) for t in targets])
     assert losses.shape == (len(targets),) and grad.shape == logits.shape
     for b, (n, target) in enumerate(zip(lengths, targets)):
-        member_log_probs = log_softmax(logits[b, :n], axis=1)[None]
-        member_loss, member_grad = ctc_loss_and_grad_batch(member_log_probs, [n], [vocab.encode(target)])
+        member_loss, member_grad = ctc_loss_and_grad_batch(logits[b, :n][None], [n], [vocab.encode(target)])
         assert abs(losses[b] - member_loss[0]) <= 1e-12
         np.testing.assert_allclose(grad[b, :n], member_grad[0], rtol=0, atol=1e-12)
         assert np.all(grad[b, n:] == 0.0)  # padded frames
@@ -228,21 +227,113 @@ def test_lattice_matches_full_width_recursion_bit_for_bit(batch):
     logits, lengths, targets, symbols = batch
     vocab = Vocabulary(symbols)
     with mock.patch.object(ctc_mod, "_lattice", wraps=ctc_mod._lattice) as spy:
-        ctc_loss_and_grad_batch(log_softmax(logits, axis=2), lengths, [vocab.encode(t) for t in targets])
+        ctc_loss_and_grad_batch(logits, lengths, [vocab.encode(t) for t in targets])
     (emit, ext), _ = spy.call_args  # the members' lattices, then the same lattices flipped
     assert np.array_equal(ctc_mod._lattice(emit, ext), _full_width_lattice(emit, ext))
 
 
 def test_batched_ctc_rejects_bad_lengths_and_infeasible_members():
-    log_probs = log_softmax(np.zeros((2, 4, 3)), axis=2)
+    logits = np.zeros((2, 4, 3))
     with pytest.raises(ValueError):
-        ctc_loss_and_grad_batch(log_probs, [4, 5], [VAB.encode("a"), VAB.encode("b")])
+        ctc_loss_and_grad_batch(logits, [4, 5], [VAB.encode("a"), VAB.encode("b")])
     with pytest.raises(ValueError):
-        ctc_loss_and_grad_batch(log_probs, [4, 0], [VAB.encode("a"), VAB.encode("")])
+        ctc_loss_and_grad_batch(logits, [4, 0], [VAB.encode("a"), VAB.encode("")])
     with pytest.raises(ValueError):
-        ctc_loss_and_grad_batch(log_probs, [4], [VAB.encode("a"), VAB.encode("b")])
+        ctc_loss_and_grad_batch(logits, [4], [VAB.encode("a"), VAB.encode("b")])
     with pytest.raises(InfeasibleTargetError):
-        ctc_loss_and_grad_batch(log_probs, [4, 2], [VAB.encode("a"), VAB.encode("aab")])
+        ctc_loss_and_grad_batch(logits, [4, 2], [VAB.encode("a"), VAB.encode("aab")])
+
+
+def _two_step_objective(logits, lengths, labels, smoothing):
+    """Label-smoothed CTC as two steps: the plain CTC kernel, then the uniform-KL blend from its own log-softmax.
+
+    The plain-CTC step runs the kernel at smoothing 0 on the logits, which is
+    what the kernel on ``log_softmax(logits)`` computed before the blend moved
+    into it; the KL term and the blend are a copy of the former arithmetic.
+    """
+    log_probs = log_softmax(logits, axis=2)
+    losses, grad = ctc_loss_and_grad_batch(logits, lengths, labels)
+    if smoothing == 0.0:
+        return losses, grad
+    lengths = np.asarray(lengths)
+    n_classes = log_probs.shape[2]
+    frame_ok = (np.arange(log_probs.shape[1]) < lengths[:, None])[:, :, None]
+    kl = -math.log(n_classes) - np.sum(log_probs, axis=(1, 2), where=frame_ok) / (lengths * n_classes)
+    kl_grad = (smoothing / lengths[:, None, None]) * (np.exp(log_probs) - 1.0 / n_classes)
+    losses = (1.0 - smoothing) * losses + smoothing * kl
+    grad = (1.0 - smoothing) * grad + np.where(frame_ok, kl_grad, 0.0)
+    return losses, grad
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ragged_batch(), st.one_of(st.sampled_from([0.0, 0.1]), st.floats(0.0, 1.0, exclude_max=True)))
+def test_smoothed_kernel_matches_two_step_composition_bit_for_bit(batch, smoothing):
+    logits, lengths, targets, symbols = batch
+    labels = [Vocabulary(symbols).encode(t) for t in targets]
+    losses, grad = ctc_loss_and_grad_batch(logits, lengths, labels, smoothing)
+    want_losses, want_grad = _two_step_objective(logits, lengths, labels, smoothing)
+    assert np.array_equal(losses, want_losses)
+    assert np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("smoothing", [1.0, -0.1, math.nan])
+def test_kernel_rejects_smoothing_outside_unit_interval(smoothing):
+    with pytest.raises(ValueError, match="smoothing"):
+        ctc_loss_and_grad_batch(np.zeros((1, 3, 2)), [3], [VA.encode("a")], smoothing)
+
+
+def test_smoothing_zero_equals_plain_ctc():
+    rng = np.random.default_rng(4)
+    logits = rng.normal(size=(4, 3))
+    loss, grad = ctc_loss_and_grad_batch(logits[None], [4], [VAB.encode("ab")], smoothing=0.0)
+    plain_loss, plain_grad = _two_step_objective(logits[None], [4], [VAB.encode("ab")], 0.0)
+    assert loss[0] == pytest.approx(plain_loss[0], abs=1e-12)
+    np.testing.assert_allclose(grad[0], plain_grad[0], atol=1e-12)
+
+
+def test_uniform_logits_have_zero_kl_term():
+    logits = np.zeros((3, 3))
+    loss, _ = ctc_loss_and_grad_batch(logits[None], [3], [VAB.encode("a")], smoothing=0.3)
+    plain_loss, _ = _two_step_objective(logits[None], [3], [VAB.encode("a")], 0.0)
+    assert loss[0] == pytest.approx(0.7 * plain_loss[0], abs=1e-12)
+
+
+def test_smoothed_loss_lower_bounded_by_scaled_ctc():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        logits, target, symbols = random_feasible_instance(rng)
+        vocab = Vocabulary(symbols)
+        loss, _ = ctc_loss_and_grad_batch(logits[None], [len(logits)], [vocab.encode(target)], smoothing=0.1)
+        plain_loss, _ = _two_step_objective(logits[None], [len(logits)], [vocab.encode(target)], 0.0)
+        assert loss[0] >= 0.9 * plain_loss[0] - 1e-12
+
+
+def test_smoothed_gradient_matches_finite_differences():
+    rng = np.random.default_rng(77)
+    for _ in range(100):
+        logits, target, symbols = random_feasible_instance(rng)
+        vocab = Vocabulary(symbols)
+        _, grad = ctc_loss_and_grad_batch(logits[None], [len(logits)], [vocab.encode(target)], smoothing=0.1)
+        numeric = central_difference_grad(
+            lambda x: ctc_loss_and_grad_batch(x[None], [len(x)], [vocab.encode(target)], smoothing=0.1)[0][0],
+            logits.copy(),
+        )
+        assert_grad_close(grad[0], numeric)
+
+
+def test_smoothed_batch_matches_single_utterance_calls():
+    rng = np.random.default_rng(31)
+    vocab = Vocabulary(("a", "b", "c"))
+    targets = ["", "a", "abca", "cc", "b"]
+    lengths = [1, 4, 9, 3, 2]
+    logits = rng.normal(scale=3.0, size=(len(targets), max(lengths), 4))  # junk past each length
+    for smoothing in (0.0, 0.1):
+        losses, grad = ctc_loss_and_grad_batch(logits, lengths, [vocab.encode(t) for t in targets], smoothing)
+        for b, (n, target) in enumerate(zip(lengths, targets)):
+            loss, member_grad = ctc_loss_and_grad_batch(logits[b, :n][None], [n], [vocab.encode(target)], smoothing)
+            assert abs(losses[b] - loss[0]) <= 1e-12
+            np.testing.assert_allclose(grad[b, :n], member_grad[0], rtol=0, atol=1e-12)
+            assert np.all(grad[b, n:] == 0.0)
 
 
 def test_collapse_examples():

@@ -1,12 +1,10 @@
-"""Schedule, clipping, AdamW against a scalar oracle, smoothed CTC objective."""
+"""Schedule, clipping, AdamW against a scalar oracle, stage presets."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cptasr.corpus import Vocabulary
-from cptasr.ctc import ctc_loss_and_grad_batch, log_softmax
 from cptasr.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -18,10 +16,7 @@ from cptasr.optim import (
     global_grad_norm,
     lr_at,
     preset,
-    smoothed_ctc_objective_batch,
 )
-
-from oracles import assert_grad_close, central_difference_grad, random_feasible_instance
 
 
 def _cfg(**kw):
@@ -176,63 +171,6 @@ def test_adamw_shape_mismatch_rejected():
     state = OptState.zeros_like(theta)
     with pytest.raises(ValueError):
         adamw_step(theta, np.zeros(4), state, lr=0.1, cfg=cfg)
-
-
-VOCAB = Vocabulary(("a", "b"))
-
-
-def test_smoothing_zero_equals_plain_ctc():
-    rng = np.random.default_rng(4)
-    logits = rng.normal(size=(4, 3))
-    loss, grad = smoothed_ctc_objective_batch(logits[None], [4], [VOCAB.encode("ab")], smoothing=0.0)
-    plain_loss, plain_grad = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [4], [VOCAB.encode("ab")])
-    assert loss[0] == pytest.approx(plain_loss[0], abs=1e-12)
-    np.testing.assert_allclose(grad[0], plain_grad[0], atol=1e-12)
-
-
-def test_uniform_logits_have_zero_kl_term():
-    logits = np.zeros((3, 3))
-    loss, _ = smoothed_ctc_objective_batch(logits[None], [3], [VOCAB.encode("a")], smoothing=0.3)
-    plain_loss, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [3], [VOCAB.encode("a")])
-    assert loss[0] == pytest.approx(0.7 * plain_loss[0], abs=1e-12)
-
-
-def test_smoothed_loss_lower_bounded_by_scaled_ctc():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        logits, target, symbols = random_feasible_instance(rng)
-        vocab = Vocabulary(symbols)
-        loss, _ = smoothed_ctc_objective_batch(logits[None], [len(logits)], [vocab.encode(target)], smoothing=0.1)
-        plain_loss, _ = ctc_loss_and_grad_batch(log_softmax(logits, axis=1)[None], [len(logits)], [vocab.encode(target)])
-        assert loss[0] >= 0.9 * plain_loss[0] - 1e-12
-
-
-def test_smoothed_gradient_matches_finite_differences():
-    rng = np.random.default_rng(77)
-    for _ in range(100):
-        logits, target, symbols = random_feasible_instance(rng)
-        vocab = Vocabulary(symbols)
-        _, grad = smoothed_ctc_objective_batch(logits[None], [len(logits)], [vocab.encode(target)], smoothing=0.1)
-        numeric = central_difference_grad(
-            lambda x: smoothed_ctc_objective_batch(x[None], [len(x)], [vocab.encode(target)], smoothing=0.1)[0][0],
-            logits.copy(),
-        )
-        assert_grad_close(grad[0], numeric)
-
-
-def test_smoothed_batch_matches_single_utterance_calls():
-    rng = np.random.default_rng(31)
-    vocab = Vocabulary(("a", "b", "c"))
-    targets = ["", "a", "abca", "cc", "b"]
-    lengths = [1, 4, 9, 3, 2]
-    logits = rng.normal(scale=3.0, size=(len(targets), max(lengths), 4))  # junk past each length
-    for smoothing in (0.0, 0.1):
-        losses, grad = smoothed_ctc_objective_batch(logits, lengths, [vocab.encode(t) for t in targets], smoothing)
-        for b, (n, target) in enumerate(zip(lengths, targets)):
-            loss, member_grad = smoothed_ctc_objective_batch(logits[b, :n][None], [n], [vocab.encode(target)], smoothing)
-            assert abs(losses[b] - loss[0]) <= 1e-12
-            np.testing.assert_allclose(grad[b, :n], member_grad[0], rtol=0, atol=1e-12)
-            assert np.all(grad[b, n:] == 0.0)
 
 
 def test_presets_carry_stage_hyperparameters():

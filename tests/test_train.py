@@ -1,5 +1,7 @@
 """Training loop: shuffling, early stopping, best-epoch selection, reproducibility."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -181,15 +183,16 @@ def test_out_of_vocabulary_training_character_names_the_utterance():
 
 
 def test_empty_validation_set_is_rejected_before_any_forward_pass(monkeypatch):
-    train_ds, _, vocab, net_cfg = _small_task(n_utts=24)
+    train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
 
     def no_forward(*args, **kwargs):
         raise AssertionError("forward_batch ran before the validation set was checked")
 
     monkeypatch.setattr(train_mod.net, "forward_batch", no_forward)
-    with pytest.raises(ValueError, match="validation dataset is empty"):
-        train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, Dataset([], "labeled"),
-                    _stage(epochs=1), vocab)
+    # no utterances at all, and utterances whose transcripts are all empty
+    for val in (Dataset([], "labeled"), Dataset([replace(u, transcript="") for u in val_ds], "labeled")):
+        with pytest.raises(ValueError, match="validation dataset is empty"):
+            train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val, _stage(epochs=1), vocab)
 
 
 def test_evaluate_wer_matches_external_decode():
