@@ -22,9 +22,9 @@ import numpy as np
 
 from . import corpus, net, pipeline, train
 from .corpus import ManifestError, SynthConfig, Vocabulary, build_vocabulary, load_manifest, save_manifest
-from .fieldcheck import check_field
+from .fieldcheck import as_record, check_field
 from .metrics import relative_improvement
-from .optim import StageConfig, preset
+from .optim import PRESETS, StageConfig, preset
 from .pipeline import EmptyPseudoLabelPoolError
 
 EXIT_OK = 0
@@ -37,7 +37,7 @@ OUT_DIR_ENV = "CPTASR_OUT_DIR"
 
 SEED_OFFSETS = {"synth": 0, "stage1": 1, "stage2-cpt": 2, "stage3-finetune": 3, "baseline": 4, "split": 5}
 
-STAGE_NAMES = ("stage1", "stage2-cpt", "stage3-finetune", "baseline")
+STAGE_NAMES = tuple(PRESETS)
 
 
 class ConfigError(ValueError):
@@ -122,7 +122,7 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
 
 def _save_vocab(vocab: Vocabulary, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"symbols": list(vocab.symbols)}) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(as_record(vocab)) + "\n", encoding="utf-8")
 
 
 def _load_vocab(path: Path) -> Vocabulary:
@@ -141,6 +141,15 @@ def _load_model(checkpoint: Path, vocab: Vocabulary) -> tuple[np.ndarray, net.Ne
     if vocab.size != net_cfg.vocab_size:
         raise ManifestError(f"vocabulary size {vocab.size} does not match checkpoint vocab_size {net_cfg.vocab_size}")
     return params, net_cfg
+
+
+def _check_feature_dim(net_cfg: net.NetConfig, manifests: dict[Path, corpus.Dataset]) -> None:
+    """Raise ManifestError naming the manifest whose features are not ``net_cfg.feature_dim`` wide."""
+    for path, ds in manifests.items():
+        for utt in ds:
+            if utt.features.shape[1] != net_cfg.feature_dim:
+                raise ManifestError(f"{path}: utterance {utt.id!r} has {utt.features.shape[1]}-dim features; "
+                                    f"the model expects {net_cfg.feature_dim}")
 
 
 def _write_json(data: dict, path: Path) -> None:
@@ -179,6 +188,7 @@ def cmd_train_labeler(args: argparse.Namespace) -> int:
     labeled = load_manifest(cfg.path("labeled"))
     vocab = build_vocabulary(labeled.transcripts())
     net_cfg = cfg.net_config(vocab)
+    _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled})
     params, history = pipeline.labeler_stage(labeled, cfg.stage("stage1"), net_cfg, vocab)
     _save_vocab(vocab, cfg.out_dir / "vocab.json")
     net.save_checkpoint(params, net_cfg, cfg.out_dir / "labeler.ckpt")
@@ -193,6 +203,7 @@ def cmd_pseudolabel(args: argparse.Namespace) -> int:
     vocab = _load_vocab(cfg.out_dir / "vocab.json")
     params, net_cfg = _load_model(cfg.out_dir / "labeler.ckpt", vocab)
     pool = load_manifest(cfg.path("unlabeled"))
+    _check_feature_dim(net_cfg, {cfg.path("unlabeled"): pool})
     pseudo_ds, stats = pipeline.pseudo_label_stage(params, net_cfg, pool, cfg.threshold, vocab)
     save_manifest(pseudo_ds, cfg.out_dir / "pseudo.jsonl")
     _write_json(stats.to_dict(), cfg.out_dir / "pseudo_stats.json")
@@ -207,6 +218,7 @@ def cmd_cpt(args: argparse.Namespace) -> int:
     pseudo_ds = load_manifest(cfg.out_dir / "pseudo.jsonl", kind="pseudo_labeled")
     labeled = load_manifest(cfg.path("labeled"))
     net_cfg = cfg.net_config(vocab)
+    _check_feature_dim(net_cfg, {cfg.out_dir / "pseudo.jsonl": pseudo_ds, cfg.path("labeled"): labeled})
     labeler = None
     if args.from_labeler:
         labeler, _ = net.load_checkpoint(cfg.out_dir / "labeler.ckpt", expect_cfg=net_cfg)
@@ -225,6 +237,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     vocab = _load_vocab(cfg.out_dir / "vocab.json")
     labeled = load_manifest(cfg.path("labeled"))
     net_cfg = cfg.net_config(vocab)
+    _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled})
     start, _ = net.load_checkpoint(cfg.out_dir / "cpt.ckpt", expect_cfg=net_cfg)
     params, history = pipeline.finetune_stage(
         start, labeled, cfg.stage("stage1"), cfg.stage("stage3-finetune"), net_cfg, vocab
@@ -241,6 +254,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     eval_ds = load_manifest(cfg.path("eval"))
     vocab = build_vocabulary(labeled.transcripts())
     net_cfg = cfg.net_config(vocab)
+    _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled, cfg.path("eval"): eval_ds})
     stage = cfg.stage("baseline")
     params, report, history = pipeline.run_baseline(labeled, eval_ds, stage, net_cfg, vocab)
     _save_vocab(vocab, cfg.out_dir / "vocab.json")
@@ -256,6 +270,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ds = load_manifest(Path(args.manifest))
     vocab = _load_vocab(Path(args.vocab) if args.vocab else cfg.out_dir / "vocab.json")
     params, net_cfg = _load_model(Path(args.checkpoint), vocab)
+    _check_feature_dim(net_cfg, {Path(args.manifest): ds})
     report = train.evaluate_wer(params, net_cfg, ds, vocab)
     out_path = Path(args.out) if args.out else cfg.out_dir / "eval_wer.json"
     _write_json(report.to_dict(), out_path)
@@ -271,6 +286,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     eval_ds = load_manifest(cfg.path("eval"))
     vocab = build_vocabulary(labeled.transcripts())
     net_cfg = cfg.net_config(vocab)
+    _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled, cfg.path("unlabeled"): pool,
+                                 cfg.path("eval"): eval_ds})
     # every stage config is validated before any training starts
     stages = [cfg.stage(name) for name in ("stage1", "stage2-cpt", "stage3-finetune")]
     baseline_stage = cfg.stage("baseline") if args.with_baseline else None

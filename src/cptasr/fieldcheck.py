@@ -1,9 +1,10 @@
-"""The one rule set for config fields, shared by every config class and the run-config reader."""
+"""The one rule set for dataclass fields: :func:`check_field` reads them in, :func:`as_record` writes them out."""
 
 from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import fields, is_dataclass
 
 _KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
           "str": (str, "a string"), "dict": (dict, "an object")}
@@ -39,3 +40,19 @@ def check_field(name: str, value, kind: str):
     if name == "seed" and value < 0:
         raise ValueError(f"seed must be >= 0, got {value!r}")
     return value
+
+
+def as_record(obj, with_timing: bool = True):
+    """``obj`` as a dict of its dataclass fields in declaration order, recursing into dataclasses, lists and tuples.
+
+    A field declared ``repr=False`` is skipped without being walked, and one
+    whose metadata marks it ``"timing"`` (wall clock) is skipped unless
+    ``with_timing``, so identical runs write identical records. Tuples become
+    lists; other values are returned as they are.
+    """
+    if is_dataclass(obj):
+        return {f.name: as_record(getattr(obj, f.name), with_timing) for f in fields(obj)
+                if f.repr and (with_timing or not f.metadata.get("timing"))}
+    if isinstance(obj, (list, tuple)):
+        return [as_record(v, with_timing) for v in obj]
+    return obj

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fieldcheck import as_record
+
 
 @dataclass
 class WerReport:
@@ -19,13 +21,7 @@ class WerReport:
     wer: float
 
     def to_dict(self) -> dict:
-        return {
-            "substitutions": self.substitutions,
-            "insertions": self.insertions,
-            "deletions": self.deletions,
-            "ref_words": self.ref_words,
-            "wer": self.wer,
-        }
+        return as_record(self)
 
 
 def normalize_text(text: str) -> str:

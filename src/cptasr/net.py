@@ -13,13 +13,13 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .fieldcheck import check_field
+from .fieldcheck import as_record, check_field
 
 CHECKPOINT_MAGIC = b"CPTN"
 CHECKPOINT_VERSION = 3
@@ -106,13 +106,6 @@ class NetConfig:
             strides.append(best)
             remaining //= best
         return strides
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetConfig":
-        return cls(**data)
 
 
 @dataclass
@@ -375,7 +368,7 @@ def save_checkpoint(theta: np.ndarray, cfg: NetConfig, path: str | Path) -> None
     size = _layout(cfg).size
     if np.shape(theta) != (size,):
         raise ValueError(f"parameter vector shape {np.shape(theta)} != expected ({size},)")
-    cfg_blob = json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")
+    cfg_blob = json.dumps(as_record(cfg), sort_keys=True).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -416,7 +409,7 @@ def load_checkpoint(path: str | Path, expect_cfg: NetConfig | None = None) -> tu
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "config length"))
         try:
-            cfg = NetConfig.from_dict(json.loads(_read_exact(fh, cfg_len, path, "config")))
+            cfg = NetConfig(**json.loads(_read_exact(fh, cfg_len, path, "config")))
         except (ValueError, TypeError) as exc:
             raise CheckpointError(f"{path}: invalid embedded config ({exc})") from None
         if expect_cfg is not None and cfg != expect_cfg:

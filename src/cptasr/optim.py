@@ -48,22 +48,17 @@ class StageConfig:
             raise ValueError("dropout_rate must lie in [0, 1)")
 
 
-# Stage presets. Stage 3 epochs follow the small-data end of the stated
-# 10-15 range; patience None means early stopping is disabled.
+# Stage presets: each lists only the fields that differ from the StageConfig
+# defaults. Stage 3 epochs follow the small-data end of the stated 10-15
+# range; patience None means early stopping is disabled. The baseline is
+# stage 1 itself, so the no-CPT arm reproduces the labeling model.
 PRESETS: dict[str, StageConfig] = {
-    "stage1": StageConfig(learning_rate=1e-4, epochs=15, batch_size=8, warmup_ratio=0.1,
-                          weight_decay=0.01, label_smoothing=0.0, grad_clip_norm=1.0,
-                          patience=3, dropout_rate=0.0),
-    "stage2-cpt": StageConfig(learning_rate=5e-5, epochs=3, batch_size=8, warmup_ratio=0.1,
-                              weight_decay=0.01, label_smoothing=0.0, grad_clip_norm=1.0,
-                              patience=None, dropout_rate=0.0),
-    "stage3-finetune": StageConfig(learning_rate=1e-4, epochs=15, batch_size=8, warmup_ratio=0.1,
-                                   weight_decay=0.01, label_smoothing=0.1, grad_clip_norm=1.0,
-                                   patience=3, dropout_rate=0.1),
-    "baseline": StageConfig(learning_rate=1e-4, epochs=15, batch_size=8, warmup_ratio=0.1,
-                            weight_decay=0.01, label_smoothing=0.0, grad_clip_norm=1.0,
-                            patience=3, dropout_rate=0.0),
+    "stage1": StageConfig(learning_rate=1e-4, epochs=15, batch_size=8),
+    "stage2-cpt": StageConfig(learning_rate=5e-5, epochs=3, batch_size=8, patience=None),
+    "stage3-finetune": StageConfig(learning_rate=1e-4, epochs=15, batch_size=8, label_smoothing=0.1,
+                                   dropout_rate=0.1),
 }
+PRESETS["baseline"] = PRESETS["stage1"]
 
 
 def preset(name: str, **overrides) -> StageConfig:

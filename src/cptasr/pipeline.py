@@ -12,6 +12,7 @@ import numpy as np
 from . import net as net_mod
 from . import train as train_mod
 from .corpus import Dataset, Vocabulary, speaker_disjoint_split
+from .fieldcheck import as_record
 from .metrics import WerReport, relative_improvement
 from .net import NetConfig
 from .optim import StageConfig
@@ -46,15 +47,10 @@ class PseudoLabelStats:
     kept: int
     empty_dropped: int
     below_threshold: int
-    labels: list[PseudoLabel] = field(default_factory=list, repr=False)
+    labels: list[PseudoLabel] = field(default_factory=list, repr=False)  # not part of the record
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "kept": self.kept,
-            "empty_dropped": self.empty_dropped,
-            "below_threshold": self.below_threshold,
-        }
+        return as_record(self)
 
 
 @dataclass
@@ -75,20 +71,7 @@ class PipelineReport:
 
     def to_dict(self) -> dict:
         # wall-clock timings are excluded so identical runs serialize identically
-        out = {
-            "labeler_val_wer": self.labeler_val_wer,
-            "pool_total": self.pool_total,
-            "pool_kept": self.pool_kept,
-            "retained_fraction": self.retained_fraction,
-            "pseudo_label_stats": self.pseudo_label_stats.to_dict(),
-            "cpt_history": self.cpt_history.to_dict(with_timing=False),
-            "finetune_history": self.finetune_history.to_dict(with_timing=False),
-            "labeler_history": self.labeler_history.to_dict(with_timing=False),
-            "final_eval_wer": self.final_eval_wer.to_dict(),
-        }
-        out["baseline_eval_wer"] = self.baseline_eval_wer.to_dict() if self.baseline_eval_wer else None
-        out["relative_improvement"] = self.relative_improvement
-        return out
+        return as_record(self, with_timing=False)
 
 
 def attach_baseline(report: PipelineReport, baseline: WerReport) -> PipelineReport:

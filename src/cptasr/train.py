@@ -13,6 +13,7 @@ import numpy as np
 
 from . import ctc, net, optim
 from .corpus import Dataset, Vocabulary
+from .fieldcheck import as_record
 from .metrics import WerReport, wer
 from .net import NetConfig
 from .optim import StageConfig
@@ -33,13 +34,7 @@ class EpochRecord:
     train_loss: float
     val_wer: float
     lr: float
-    seconds: float
-
-    def to_dict(self, with_timing: bool = True) -> dict:
-        record = {"epoch": self.epoch, "train_loss": self.train_loss, "val_wer": self.val_wer, "lr": self.lr}
-        if with_timing:
-            record["seconds"] = self.seconds
-        return record
+    seconds: float = field(metadata={"timing": True})  # wall clock, so left out of reproducible records
 
 
 @dataclass
@@ -56,36 +51,39 @@ class TrainHistory:
         return self.records[self.best_epoch - 1].val_wer
 
     def to_dict(self, with_timing: bool = True) -> dict:
-        return {
-            "records": [r.to_dict(with_timing) for r in self.records],
-            "best_epoch": self.best_epoch,
-            "stopped_early": self.stopped_early,
-            "skipped_utterances": self.skipped_utterances,
-        }
+        return as_record(self, with_timing)
 
 
 def save_history(history: TrainHistory, path: str | Path) -> None:
-    """One JSON record per epoch, then a summary line."""
+    """One JSON record per epoch, timings included, then a line with the rest of the history."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    summary = history.to_dict()
+    records = summary.pop("records")
     with open(path, "w", encoding="utf-8") as fh:
-        for record in history.records:
-            fh.write(json.dumps(record.to_dict()) + "\n")
-        fh.write(json.dumps({
-            "best_epoch": history.best_epoch,
-            "stopped_early": history.stopped_early,
-            "skipped_utterances": history.skipped_utterances,
-        }) + "\n")
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
+        fh.write(json.dumps(summary) + "\n")
 
 
 def decode_dataset(theta: np.ndarray, cfg: NetConfig, ds: Dataset, vocab: Vocabulary) -> list[ctc.DecodeResult]:
-    """Greedy-decode every utterance in eval mode, in dataset order, ``DECODE_CHUNK`` utterances per forward pass."""
+    """Greedy-decode every utterance in eval mode, in dataset order, ``DECODE_CHUNK`` utterances per forward pass.
+
+    An utterance shorter than ``cfg.downsample_factor`` frames has no output
+    frame: it decodes to an empty hypothesis with confidence 0, without a
+    forward pass, and one warning per call counts such utterances.
+    """
     utts = list(ds)
-    results = []
-    for start in range(0, len(utts), DECODE_CHUNK):
-        chunk = utts[start : start + DECODE_CHUNK]
-        logits, cache = net.forward_batch(theta, cfg, [utt.features for utt in chunk])
-        results.extend(ctc.greedy_decode_batch(logits, cache.lengths, vocab))
+    results = [ctc.DecodeResult("", 0.0, np.zeros(0, dtype=np.intp)) for _ in utts]
+    decodable = [i for i, utt in enumerate(utts) if utt.duration_frames >= cfg.downsample_factor]
+    if len(decodable) < len(utts):
+        logger.warning("%d of %d utterances are shorter than one downsampled step of %d frames; they decode empty",
+                       len(utts) - len(decodable), len(utts), cfg.downsample_factor)
+    for start in range(0, len(decodable), DECODE_CHUNK):
+        chunk = decodable[start : start + DECODE_CHUNK]
+        logits, cache = net.forward_batch(theta, cfg, [utts[i].features for i in chunk])
+        for i, result in zip(chunk, ctc.greedy_decode_batch(logits, cache.lengths, vocab)):
+            results[i] = result
         del logits, cache  # free this chunk's activations before the next forward pass
     return results
 

@@ -381,6 +381,43 @@ def test_bad_vocabulary_symbols_are_data_error(run_config, capsys, symbols):
     assert not (out_dir / "pseudo.jsonl").exists()
 
 
+def test_feature_dimension_mismatch_is_data_error(run_config, capsys):
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    vocab = build_vocabulary(load_manifest(out_dir / "labeled.jsonl").transcripts())
+    cfg = NetConfig(feature_dim=32, vocab_size=vocab.size, downsample_factor=4, conv_layers=1,
+                    conv_channels=8, context_layers=1, hidden_dim=8, context_window=1)
+    save_checkpoint(init_parameters(cfg, seed=0), cfg, out_dir / "labeler.ckpt")
+    (out_dir / "vocab.json").write_text(json.dumps({"symbols": list(vocab.symbols)}))
+    # 16-dim copies of the manifests the two commands read
+    for source, target in (("labeled", "train"), ("unlabeled", "unlabeled")):
+        ds = load_manifest(out_dir / f"{source}.jsonl")
+        save_manifest(Dataset([replace(u, features=u.features[:, :16]) for u in ds], ds.kind),
+                      out_dir / f"{target}.jsonl")
+    capsys.readouterr()
+    assert main(["pseudolabel", "--config", str(cfg_path)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {out_dir / 'unlabeled.jsonl'}: utterance ")
+    assert not (out_dir / "pseudo.jsonl").exists()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(out_dir / "labeler.ckpt"),
+                 "--manifest", str(out_dir / "train.jsonl")]) == EXIT_DATA
+    assert "has 16-dim features; the model expects 32" in capsys.readouterr().err
+    assert not (out_dir / "eval_wer.json").exists()
+
+
+def test_pseudolabel_pool_with_a_too_short_utterance(run_config):
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["split", "--config", str(cfg_path),
+                 "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"]) == EXIT_OK
+    assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_OK
+    pool = load_manifest(out_dir / "unlabeled.jsonl")
+    short = replace(pool.utterances[0], id="short", features=pool.utterances[0].features[:3])
+    save_manifest(Dataset(pool.utterances + [short], "unlabeled"), out_dir / "unlabeled.jsonl")
+    assert main(["pseudolabel", "--config", str(cfg_path)]) == EXIT_OK
+    stats = json.loads((out_dir / "pseudo_stats.json").read_text())
+    assert stats["total"] == len(pool) + 1 and stats["empty_dropped"] >= 1
+
+
 def test_missing_manifest_is_data_error(run_config):
     cfg_path, out_dir = run_config
     assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_DATA

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -360,7 +361,7 @@ def test_checkpoint_truncated_file(tmp_path):
 
 def test_version_1_checkpoint_is_rejected(tmp_path):
     path = tmp_path / "old.ckpt"
-    cfg_blob = json.dumps({**TINY.to_dict(), "dropout_rate": 0.0}).encode("utf-8")
+    cfg_blob = json.dumps({**asdict(TINY), "dropout_rate": 0.0}).encode("utf-8")
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(cfg_blob)) + cfg_blob)
     with pytest.raises(CheckpointError, match="version 1"):
         load_checkpoint(path)

@@ -1,6 +1,7 @@
 """Schedule, clipping, AdamW against a scalar oracle, stage presets."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cptasr.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    PRESETS,
     OptState,
     StageConfig,
     adamw_step,
@@ -184,6 +186,20 @@ def test_presets_carry_stage_hyperparameters():
     assert preset("baseline").learning_rate == 1e-4
     with pytest.raises(ValueError):
         preset("stage9")
+
+
+def test_presets_pin_every_field():
+    stage1 = dict(learning_rate=1e-4, epochs=15, batch_size=8, warmup_ratio=0.1, weight_decay=0.01,
+                  label_smoothing=0.0, grad_clip_norm=1.0, patience=3, dropout_rate=0.0, seed=0)
+    assert {name: asdict(cfg) for name, cfg in PRESETS.items()} == {
+        "stage1": stage1,
+        "stage2-cpt": dict(learning_rate=5e-5, epochs=3, batch_size=8, warmup_ratio=0.1, weight_decay=0.01,
+                           label_smoothing=0.0, grad_clip_norm=1.0, patience=None, dropout_rate=0.0, seed=0),
+        "stage3-finetune": dict(learning_rate=1e-4, epochs=15, batch_size=8, warmup_ratio=0.1, weight_decay=0.01,
+                                label_smoothing=0.1, grad_clip_norm=1.0, patience=3, dropout_rate=0.1, seed=0),
+        "baseline": stage1,
+    }
+    assert list(PRESETS) == ["stage1", "stage2-cpt", "stage3-finetune", "baseline"]
 
 
 def test_preset_overrides():

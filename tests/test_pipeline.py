@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import cptasr.pipeline as pipeline_mod
 from cptasr.corpus import Dataset, SynthConfig, Utterance, build_vocabulary, generate_synthetic_corpus, speaker_disjoint_split
 from cptasr.metrics import WerReport
 from cptasr.net import NetConfig, init_parameters, load_checkpoint
@@ -234,3 +235,40 @@ def test_attach_baseline_with_zero_wer_baseline_leaves_delta_null():
     assert report.relative_improvement is None
     as_dict = json.loads(json.dumps(report.to_dict()))
     assert as_dict["relative_improvement"] is None and as_dict["baseline_eval_wer"]["wer"] == 0.0
+
+
+def test_too_short_pool_utterance_is_counted_as_empty():
+    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture(n_utterances=80)
+    params = init_parameters(net_cfg, seed=1)
+    short = Utterance("zz-short", "short-speaker", np.ones((net_cfg.downsample_factor - 1, net_cfg.feature_dim)))
+    _, stats = generate_pseudo_labels(params, net_cfg, pool, 0.0, vocab)
+    _, with_short = generate_pseudo_labels(params, net_cfg, Dataset(pool.utterances + [short], "unlabeled"),
+                                           0.0, vocab)
+    assert with_short.total == stats.total + 1
+    assert with_short.empty_dropped == stats.empty_dropped + 1
+    assert (with_short.kept, with_short.below_threshold) == (stats.kept, stats.below_threshold)
+    assert with_short.labels[-1] == PseudoLabel("zz-short", "", 0.0)
+
+
+def test_mixed_cpt_trains_on_pseudo_labels_plus_labeled_train_carve(monkeypatch):
+    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture(n_utterances=120)
+    s1, s2, s3 = _quick_stages()
+    calls = []
+    real_train_stage = pipeline_mod.train_mod.train_stage
+
+    def spy(start, cfg, data, val, stage, vocab):
+        calls.append((stage, data, val))
+        return real_train_stage(start, cfg, data, val, stage, vocab)
+
+    monkeypatch.setattr(pipeline_mod.train_mod, "train_stage", spy)
+    _, report = run_cpt_pipeline(labeled, pool, eval_ds, s1, s2, s3, net_cfg, 0.25, vocab,
+                                 include_labeled_in_cpt=True)
+    (_, _, val), (stage, data, cpt_val), _ = calls
+    carve = {u.id for u in val}
+    assert stage == s2 and {u.id for u in cpt_val} == carve
+    labeled_ids = {u.id for u in labeled}
+    from_pool = [u.id for u in data if u.id not in labeled_ids]
+    assert len(from_pool) == report.pool_kept and set(from_pool) <= {u.id for u in pool}
+    assert {u.id for u in data} & labeled_ids == labeled_ids - carve
+    assert len(data) == report.pool_kept + len(labeled) - len(carve)
+    assert not carve & {u.id for u in data}

@@ -11,7 +11,7 @@ from cptasr.metrics import WerReport, wer
 from cptasr.net import NetConfig, forward_batch, init_parameters, load_checkpoint, save_checkpoint, unflatten
 from cptasr.ctc import greedy_decode_batch
 from cptasr.optim import StageConfig
-from cptasr.train import decode_dataset, evaluate_wer, save_history, train_stage
+from cptasr.train import EpochRecord, TrainHistory, decode_dataset, evaluate_wer, save_history, train_stage
 
 
 def _small_task(n_utts=40, seed=5):
@@ -275,3 +275,58 @@ def test_history_serialization(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == len(history.records) + 1  # one per epoch plus summary
     assert history.to_dict(with_timing=False)["records"][0].get("seconds") is None
+
+
+def test_saved_history_line_layout_is_pinned(tmp_path):
+    history = TrainHistory(
+        records=[EpochRecord(epoch=1, train_loss=2.5, val_wer=0.75, lr=0.0001, seconds=1.5),
+                 EpochRecord(epoch=2, train_loss=1.25, val_wer=0.5, lr=0.0, seconds=0.5)],
+        best_epoch=2, stopped_early=True, skipped_utterances=3,
+    )
+    path = tmp_path / "history.jsonl"
+    save_history(history, path)
+    assert path.read_text().splitlines() == [
+        '{"epoch": 1, "train_loss": 2.5, "val_wer": 0.75, "lr": 0.0001, "seconds": 1.5}',
+        '{"epoch": 2, "train_loss": 1.25, "val_wer": 0.5, "lr": 0.0, "seconds": 0.5}',
+        '{"best_epoch": 2, "stopped_early": true, "skipped_utterances": 3}',
+    ]
+
+
+def _too_short(utt_id, net_cfg, transcript="ab"):
+    """An utterance with fewer frames than one downsampled step."""
+    feats = np.ones((net_cfg.downsample_factor - 1, net_cfg.feature_dim), dtype=np.float32)
+    return Utterance(utt_id, "short-speaker", feats, transcript)
+
+
+def test_decode_gives_too_short_utterances_empty_results_without_a_forward_pass(monkeypatch, caplog):
+    train_ds, _, vocab, net_cfg = _small_task(n_utts=24)
+    params = init_parameters(net_cfg, seed=3)
+    utts = list(train_ds)
+    mixed = Dataset(utts[:3] + [_too_short("short-1", net_cfg)] + utts[3:] + [_too_short("short-2", net_cfg)],
+                    "labeled")
+    real_forward = train_mod.net.forward_batch
+
+    def spy(params, cfg, features, **kwargs):
+        assert min(len(f) for f in features) >= cfg.downsample_factor
+        return real_forward(params, cfg, features, **kwargs)
+
+    monkeypatch.setattr(train_mod.net, "forward_batch", spy)
+    with caplog.at_level("WARNING", logger="cptasr.train"):
+        decodes = decode_dataset(params, net_cfg, mixed, vocab)
+    assert len(decodes) == len(mixed)
+    for i in (3, len(mixed) - 1):
+        assert (decodes[i].hypothesis, decodes[i].confidence, decodes[i].frame_argmax.size) == ("", 0.0, 0)
+    for utt, dec in zip(mixed, decodes):
+        if utt.duration_frames >= net_cfg.downsample_factor:
+            logits, cache = real_forward(params, net_cfg, [utt.features])
+            assert dec.hypothesis == greedy_decode_batch(logits, cache.lengths, vocab)[0].hypothesis
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and warnings[0].startswith(f"2 of {len(mixed)} utterances are shorter")
+
+
+def test_train_stage_validates_on_a_too_short_utterance():
+    train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
+    val = Dataset(list(val_ds) + [_too_short("short-val", net_cfg)], "labeled")
+    _, history = train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val, _stage(epochs=1), vocab)
+    # the short utterance decodes to nothing, so its one reference word counts as a deletion
+    assert len(history.records) == 1 and history.records[0].val_wer > 0
