@@ -40,12 +40,12 @@ from .pipeline import (
     PseudoLabel,
     attach_baseline,
     cpt_stage,
-    finetune_stage,
     generate_pseudo_labels,
     labeler_stage,
     pseudo_label_stage,
     run_baseline,
     run_cpt_pipeline,
+    validation_split,
 )
 from .train import TrainHistory, evaluate_wer, train_stage
 

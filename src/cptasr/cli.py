@@ -39,6 +39,8 @@ SEED_OFFSETS = {"synth": 0, "stage1": 1, "stage2-cpt": 2, "stage3-finetune": 3, 
 
 STAGE_NAMES = tuple(PRESETS)
 
+RUN_CONFIG_KEYS = ("seed", "threshold", "out_dir", "net", "synth", "stages", "paths")
+
 
 class ConfigError(ValueError):
     """Raised for unusable run configuration."""
@@ -55,6 +57,9 @@ class RunConfig:
     def __init__(self, raw: dict, overrides: argparse.Namespace | None = None):
         if not isinstance(raw, dict):
             raise ConfigError("run config must be a JSON object")
+        unknown = set(raw) - set(RUN_CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown run config keys {sorted(unknown)}; expected {RUN_CONFIG_KEYS}")
         raw = {**raw, "out_dir": os.environ.get(OUT_DIR_ENV) or raw.get("out_dir", "runs")}
         for key in ("seed", "threshold", "out_dir"):
             if getattr(overrides, key, None) is not None:
@@ -189,7 +194,8 @@ def cmd_train_labeler(args: argparse.Namespace) -> int:
     vocab = build_vocabulary(labeled.transcripts())
     net_cfg = cfg.net_config(vocab)
     _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled})
-    params, history = pipeline.labeler_stage(labeled, cfg.stage("stage1"), net_cfg, vocab)
+    stage1 = cfg.stage("stage1")
+    params, history = pipeline.labeler_stage(*pipeline.validation_split(labeled, stage1), stage1, net_cfg, vocab)
     _save_vocab(vocab, cfg.out_dir / "vocab.json")
     net.save_checkpoint(params, net_cfg, cfg.out_dir / "labeler.ckpt")
     train.save_history(history, cfg.out_dir / "labeler_history.jsonl")
@@ -222,10 +228,9 @@ def cmd_cpt(args: argparse.Namespace) -> int:
     labeler = None
     if args.from_labeler:
         labeler, _ = net.load_checkpoint(cfg.out_dir / "labeler.ckpt", expect_cfg=net_cfg)
-    params, history = pipeline.cpt_stage(
-        pseudo_ds, labeled, cfg.stage("stage1"), cfg.stage("stage2-cpt"), net_cfg, vocab,
-        labeler=labeler, include_labeled=False,
-    )
+    train_ds, val_ds = pipeline.validation_split(labeled, cfg.stage("stage1"))
+    params, history = pipeline.cpt_stage(pseudo_ds, train_ds, val_ds, cfg.stage("stage2-cpt"), net_cfg, vocab,
+                                         labeler=labeler, include_labeled=False)
     net.save_checkpoint(params, net_cfg, cfg.out_dir / "cpt.ckpt")
     train.save_history(history, cfg.out_dir / "cpt_history.jsonl")
     print(f"cpt: best val WER {history.best_val_wer:.4f}; checkpoint at {cfg.out_dir / 'cpt.ckpt'}")
@@ -239,9 +244,8 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     net_cfg = cfg.net_config(vocab)
     _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled})
     start, _ = net.load_checkpoint(cfg.out_dir / "cpt.ckpt", expect_cfg=net_cfg)
-    params, history = pipeline.finetune_stage(
-        start, labeled, cfg.stage("stage1"), cfg.stage("stage3-finetune"), net_cfg, vocab
-    )
+    train_ds, val_ds = pipeline.validation_split(labeled, cfg.stage("stage1"))
+    params, history = train.train_stage(start, net_cfg, train_ds, val_ds, cfg.stage("stage3-finetune"), vocab)
     net.save_checkpoint(params, net_cfg, cfg.out_dir / "final.ckpt")
     train.save_history(history, cfg.out_dir / "finetune_history.jsonl")
     print(f"finetune: best val WER {history.best_val_wer:.4f}; checkpoint at {cfg.out_dir / 'final.ckpt'}")

@@ -49,22 +49,8 @@ class Vocabulary:
         except KeyError:
             raise ValueError(f"character {ch!r} not in vocabulary") from None
 
-    def __contains__(self, ch: str) -> bool:
-        return ch in self._index
-
     def encode(self, text: str) -> list[int]:
         return [self.index_of(ch) for ch in text]
-
-    def decode(self, indices: list[int]) -> str:
-        """Map non-blank indices back to characters (no CTC collapse)."""
-        out = []
-        for i in indices:
-            if i == self.blank_index:
-                continue
-            if not 1 <= i <= len(self.symbols):
-                raise ValueError(f"index {i} out of range for vocabulary of size {self.size}")
-            out.append(self.symbols[i - 1])
-        return "".join(out)
 
 
 def build_vocabulary(transcripts: list[str]) -> Vocabulary:

@@ -24,7 +24,7 @@ logger = logging.getLogger(__name__)
 # unlikely to produce useful pseudo-labels. A warning, never an abort.
 LABELER_WER_GATE = 0.25
 
-# Fixed offset for the internal validation carve so it never collides with
+# Fixed offset for the validation split's seed so it never collides with
 # a stage seed.
 VAL_SPLIT_SEED_OFFSET = 9973
 VAL_FRACTION = 0.10
@@ -140,24 +140,24 @@ def _check_no_leak(labeled: Dataset, others: tuple[Dataset, ...], eval_ds: Datas
         raise ValueError("evaluation speakers leak into the labeled training data")
 
 
-def _carve_validation(labeled: Dataset, stage1: StageConfig) -> tuple[Dataset, Dataset]:
-    """Hold out ~10% of the labeled data, speaker-disjoint, for early stopping.
+def validation_split(labeled: Dataset, stage1: StageConfig) -> tuple[Dataset, Dataset]:
+    """Split the labeled data into (train, val), holding out ~10%, speaker-disjoint, for early stopping.
 
-    Every training stage validates on this one carve, seeded from stage A's config.
+    Seeded from stage A's config; a run makes this split once and every
+    training stage validates on the same ``val``.
     """
     val_count = max(1, round(VAL_FRACTION * len(labeled)))
     return speaker_disjoint_split(labeled, val_count, stage1.seed + VAL_SPLIT_SEED_OFFSET)
 
 
-def labeler_stage(labeled: Dataset, stage1: StageConfig, net: NetConfig,
+def labeler_stage(train: Dataset, val: Dataset, stage1: StageConfig, net: NetConfig,
                   vocab: Vocabulary) -> tuple[np.ndarray, TrainHistory]:
     """Stage A: train the labeling model from a fresh initialization seeded by ``stage1``.
 
     Logs a warning when its best validation WER misses ``LABELER_WER_GATE``.
     """
-    train_ds, val_ds = _carve_validation(labeled, stage1)
     start = net_mod.init_parameters(net, stage1.seed)
-    params, history = train_mod.train_stage(start, net, train_ds, val_ds, stage1, vocab)
+    params, history = train_mod.train_stage(start, net, train, val, stage1, vocab)
     if history.best_val_wer >= LABELER_WER_GATE:
         logger.warning(
             "labeling model validation WER %.3f is at or above the %.0f%% quality gate; "
@@ -181,29 +181,20 @@ def pseudo_label_stage(labeler: np.ndarray, net: NetConfig, pool: Dataset, thres
 
 
 def cpt_stage(
-    pseudo: Dataset, labeled: Dataset, stage1: StageConfig, stage2: StageConfig, net: NetConfig,
+    pseudo: Dataset, train: Dataset, val: Dataset, stage2: StageConfig, net: NetConfig,
     vocab: Vocabulary, labeler: np.ndarray | None, include_labeled: bool,
 ) -> tuple[np.ndarray, TrainHistory]:
-    """Stage C: continued pretraining on the pseudo-labels.
+    """Stage C: continued pretraining on the pseudo-labels, validated on ``val``.
 
     Starts from ``labeler`` when given, else from a fresh initialization
-    seeded by ``stage2``. ``include_labeled`` mixes the labeled training
-    data (not its validation carve) into the stage.
+    seeded by ``stage2``. ``include_labeled`` mixes ``train`` into the stage.
     """
     if len(pseudo) == 0:
         raise EmptyPseudoLabelPoolError("the pseudo-label set is empty")
-    _check_no_leak(labeled, (pseudo,), None)
-    train_ds, val_ds = _carve_validation(labeled, stage1)
-    data = Dataset(pseudo.utterances + train_ds.utterances, "pseudo_labeled") if include_labeled else pseudo
+    _check_no_leak(pseudo, (train, val), None)
+    data = Dataset(pseudo.utterances + train.utterances, "pseudo_labeled") if include_labeled else pseudo
     start = labeler if labeler is not None else net_mod.init_parameters(net, stage2.seed)
-    return train_mod.train_stage(start, net, data, val_ds, stage2, vocab)
-
-
-def finetune_stage(cpt_params: np.ndarray, labeled: Dataset, stage1: StageConfig, stage3: StageConfig,
-                   net: NetConfig, vocab: Vocabulary) -> tuple[np.ndarray, TrainHistory]:
-    """Stage D: supervised finetune of the CPT model on the labeled data."""
-    train_ds, val_ds = _carve_validation(labeled, stage1)
-    return train_mod.train_stage(cpt_params, net, train_ds, val_ds, stage3, vocab)
+    return train_mod.train_stage(start, net, data, val, stage2, vocab)
 
 
 def run_baseline(
@@ -218,7 +209,7 @@ def run_baseline(
     With identical data and config it reproduces the pipeline's labeling model.
     """
     _check_no_leak(labeled, (eval_ds,), eval_ds)
-    params, history = labeler_stage(labeled, cfg, net, vocab)
+    params, history = labeler_stage(*validation_split(labeled, cfg), cfg, net, vocab)
     report = train_mod.evaluate_wer(params, net, eval_ds, vocab)
     return params, report, history
 
@@ -244,21 +235,22 @@ def run_cpt_pipeline(
 
     out_path = Path(out_dir) if out_dir is not None else None
 
-    labeler, labeler_history = labeler_stage(labeled, stage1, net, vocab)
+    train_ds, val_ds = validation_split(labeled, stage1)
+    labeler, labeler_history = labeler_stage(train_ds, val_ds, stage1, net, vocab)
     if out_path is not None:
         net_mod.save_checkpoint(labeler, net, out_path / "labeler.ckpt")
 
     pseudo_ds, stats = pseudo_label_stage(labeler, net, pool, threshold, vocab)
 
     cpt_params, cpt_history = cpt_stage(
-        pseudo_ds, labeled, stage1, stage2, net, vocab,
+        pseudo_ds, train_ds, val_ds, stage2, net, vocab,
         labeler=labeler if cpt_init == "labeler" else None,
         include_labeled=include_labeled_in_cpt,
     )
     if out_path is not None:
         net_mod.save_checkpoint(cpt_params, net, out_path / "cpt.ckpt")
 
-    final_params, finetune_history = finetune_stage(cpt_params, labeled, stage1, stage3, net, vocab)
+    final_params, finetune_history = train_mod.train_stage(cpt_params, net, train_ds, val_ds, stage3, vocab)
     if out_path is not None:
         net_mod.save_checkpoint(final_params, net, out_path / "final.ckpt")
 

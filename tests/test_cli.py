@@ -131,6 +131,37 @@ def test_full_command_chain(run_config, capsys, caplog, tmp_path):
     assert (out_dir / "baseline_wer.json").exists()
 
 
+def test_cpt_from_labeler_chain_equals_pipeline_flag(run_config, tmp_path):
+    cfg_path, out_dir = run_config
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["split", "--config", str(cfg_path),
+          "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    for command in (["train-labeler"], ["pseudolabel"], ["cpt", "--from-labeler"], ["finetune"]):
+        assert main(command + ["--config", str(cfg_path)]) == EXIT_OK
+    pipeline_dir = tmp_path / "pipeline_run"
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(pipeline_dir),
+                 "--cpt-from-labeler"]) == EXIT_OK
+    for name in ("labeler.ckpt", "cpt.ckpt", "final.ckpt"):
+        assert (pipeline_dir / name).read_bytes() == (out_dir / name).read_bytes()
+    warm = (out_dir / "cpt.ckpt").read_bytes()
+    assert main(["cpt", "--config", str(cfg_path)]) == EXIT_OK
+    assert (out_dir / "cpt.ckpt").read_bytes() != warm
+
+
+def test_pipeline_mix_labeled_changes_only_cpt_onward(run_config, tmp_path):
+    cfg_path, out_dir = run_config
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["split", "--config", str(cfg_path),
+          "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    assert main(["pipeline", "--config", str(cfg_path)]) == EXIT_OK
+    mixed_dir = tmp_path / "mixed"
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(mixed_dir), "--mix-labeled"]) == EXIT_OK
+    default = json.loads((out_dir / "report.json").read_text())
+    mixed = json.loads((mixed_dir / "report.json").read_text())
+    assert mixed["labeler_history"] == default["labeler_history"]
+    assert mixed["cpt_history"] != default["cpt_history"]
+
+
 def test_pipeline_command_is_idempotent_and_quick(run_config):
     cfg_path, out_dir = run_config
     main(["gen-data", "--config", str(cfg_path)])
@@ -212,6 +243,30 @@ def test_wrongly_typed_run_config_field_is_config_error(run_config, capsys, fiel
         assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
         assert "config error: " in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["treshold", "stage1"])
+def test_unknown_run_config_key_is_config_error_before_any_work(run_config, capsys, key):
+    cfg_path, out_dir = run_config
+    good = cfg_path.read_text()
+    bad = json.loads(good)
+    bad[key] = 0.9
+    cfg_path.write_text(json.dumps(bad))
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(key) in err
+    assert not out_dir.exists()
+
+    cfg_path.write_text(good)
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["split", "--config", str(cfg_path),
+          "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    cfg_path.write_text(json.dumps(bad))
+    capsys.readouterr()
+    assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(key) in err
+    assert not (out_dir / "vocab.json").exists() and not list(out_dir.glob("*.ckpt"))
 
 
 @pytest.mark.parametrize("section,field,value", [

@@ -48,7 +48,6 @@ def test_vocabulary_index_bijection():
     for i, ch in enumerate(vocab.symbols, start=1):
         assert vocab.index_of(ch) == i
     assert vocab.encode("abc") == [vocab.index_of(ch) for ch in "abc"]
-    assert vocab.decode(vocab.encode("cab")) == "cab"
     with pytest.raises(ValueError):
         vocab.index_of("z")
 

@@ -19,10 +19,13 @@ from cptasr.pipeline import (
     cpt_stage,
     filter_pseudo_labels,
     generate_pseudo_labels,
+    labeler_stage,
+    pseudo_label_stage,
     run_baseline,
     run_cpt_pipeline,
+    validation_split,
 )
-from cptasr.train import TrainHistory
+from cptasr.train import TrainHistory, evaluate_wer, train_stage
 
 
 def test_filter_threshold_is_strict():
@@ -182,10 +185,56 @@ def test_baseline_rejects_eval_speaker_in_labeled_data():
 def test_cpt_stage_rejects_pseudo_id_shared_with_labeled():
     labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture(n_utterances=120)
     s1, s2, _ = _quick_stages()
-    twin = labeled.utterances[0]
-    pseudo = Dataset([Utterance(twin.id, "spkX", twin.features, twin.transcript)], "pseudo_labeled")
-    with pytest.raises(ValueError, match="share utterance ids"):
-        cpt_stage(pseudo, labeled, s1, s2, net_cfg, vocab, labeler=None, include_labeled=False)
+    train, val = validation_split(labeled, s1)
+    for twin in (train.utterances[0], val.utterances[0]):
+        pseudo = Dataset([Utterance(twin.id, "spkX", twin.features, twin.transcript)], "pseudo_labeled")
+        with pytest.raises(ValueError, match="share utterance ids"):
+            cpt_stage(pseudo, train, val, s2, net_cfg, vocab, labeler=None, include_labeled=False)
+
+
+def test_pipeline_is_exactly_its_stages(monkeypatch):
+    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture()
+    s1, s2, s3 = _quick_stages()
+    splits = []
+
+    def counted_split(*args):
+        splits.append(args)
+        return validation_split(*args)
+
+    monkeypatch.setattr(pipeline_mod, "validation_split", counted_split)
+    final, report = run_cpt_pipeline(labeled, pool, eval_ds, s1, s2, s3, net_cfg, 0.25, vocab)
+    assert len(splits) == 1
+
+    train, val = validation_split(labeled, s1)
+    labeler, labeler_history = labeler_stage(train, val, s1, net_cfg, vocab)
+    pseudo, _ = pseudo_label_stage(labeler, net_cfg, pool, 0.25, vocab)
+    cpt, cpt_history = cpt_stage(pseudo, train, val, s2, net_cfg, vocab, labeler=None, include_labeled=False)
+    by_hand, finetune_history = train_stage(cpt, net_cfg, train, val, s3, vocab)
+
+    assert np.array_equal(by_hand, final)
+    for history, piped in ((labeler_history, report.labeler_history), (cpt_history, report.cpt_history),
+                           (finetune_history, report.finetune_history)):
+        assert history.to_dict(with_timing=False) == piped.to_dict(with_timing=False)
+
+
+def test_stages_validate_on_a_dev_set_of_other_speakers():
+    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture()
+    # rates high enough that the labeler's dev WER lands strictly between 0 and 1
+    s1 = preset("stage1", learning_rate=1e-2, epochs=4, seed=5001)
+    s2 = preset("stage2-cpt", learning_rate=5e-3, epochs=2, seed=5002)
+    s3 = preset("stage3-finetune", learning_rate=1e-2, epochs=2, seed=5003)
+    train, dev = speaker_disjoint_split(labeled, 16, seed=11)
+    assert not train.speakers() & dev.speakers()
+    split_val = validation_split(labeled, s1)[1]
+
+    labeler, labeler_history = labeler_stage(train, dev, s1, net_cfg, vocab)
+    pseudo, _ = pseudo_label_stage(labeler, net_cfg, pool, 0.25, vocab)
+    cpt, cpt_history = cpt_stage(pseudo, train, dev, s2, net_cfg, vocab, labeler=None, include_labeled=False)
+    final, finetune_history = train_stage(cpt, net_cfg, train, dev, s3, vocab)
+    for params, history in ((labeler, labeler_history), (cpt, cpt_history), (final, finetune_history)):
+        assert history.best_val_wer == evaluate_wer(params, net_cfg, dev, vocab).wer
+    assert 0 < labeler_history.best_val_wer < 1
+    assert labeler_history.best_val_wer != evaluate_wer(labeler, net_cfg, split_val, vocab).wer
 
 
 def test_baseline_equals_pipeline_stage_a(tmp_path):
