@@ -1,9 +1,11 @@
 """Command-line surface for the staged pipeline.
 
 One JSON run-config file drives every command; a handful of flags override
-individual fields. All randomness fans out from the config's single seed
-by fixed offsets (synth data +0, stage1 +1, stage2 +2, stage3 +3,
-baseline +4, eval split +5), so one number reproduces a whole run.
+individual fields. ``main`` reads it once and checks every section but
+``net``, which waits for the vocabulary, before a command starts, so a bad
+section fails every command. All randomness fans out from the config's
+single seed by fixed offsets (synth data +0, stage1 +1, stage2 +2, stage3
++3, baseline +4, eval split +5), so one number reproduces a whole run.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 empty pseudo-label
 pool, 1 anything else.
@@ -16,6 +18,8 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,76 +41,42 @@ OUT_DIR_ENV = "CPTASR_OUT_DIR"
 
 SEED_OFFSETS = {"synth": 0, "stage1": 1, "stage2-cpt": 2, "stage3-finetune": 3, "baseline": 4, "split": 5}
 
-STAGE_NAMES = tuple(PRESETS)
-
-RUN_CONFIG_KEYS = ("seed", "threshold", "out_dir", "net", "synth", "stages", "paths")
-
 
 class ConfigError(ValueError):
     """Raised for unusable run configuration."""
 
 
-class RunConfig:
-    """Parsed run-config file with preset-backed stage configs.
+def _checked(section: str, make, raw: dict):
+    """``make(**raw)``, with its TypeError or ValueError raised as a ConfigError naming ``section``."""
+    try:
+        return make(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {section} config: {exc}") from None
 
-    ``overrides`` (the parsed command line) replace the file's seed,
-    threshold and out_dir, and each field is checked after its override.
-    Relative paths resolve against the working directory.
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A checked run-config file; its fields are the file's accepted keys.
+
+    ``synth`` and each preset's stage are built, seeded by :data:`SEED_OFFSETS`
+    unless their section sets ``seed``; ``net`` stays raw until
+    :meth:`net_config` knows the vocabulary. Relative paths resolve against
+    the working directory.
     """
 
-    def __init__(self, raw: dict, overrides: argparse.Namespace | None = None):
-        if not isinstance(raw, dict):
-            raise ConfigError("run config must be a JSON object")
-        unknown = set(raw) - set(RUN_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown run config keys {sorted(unknown)}; expected {RUN_CONFIG_KEYS}")
-        raw = {**raw, "out_dir": os.environ.get(OUT_DIR_ENV) or raw.get("out_dir", "runs")}
-        for key in ("seed", "threshold", "out_dir"):
-            if getattr(overrides, key, None) is not None:
-                raw[key] = getattr(overrides, key)
-        try:
-            self.seed = check_field("seed", raw.get("seed", 0), "int")
-            self.threshold = float(check_field("threshold", raw.get("threshold", 0.75), "float"))
-            self.out_dir = Path(check_field("out_dir", raw["out_dir"], "str"))
-            self.net_raw = check_field("net", raw.get("net", {}), "dict")
-            self.synth_raw = check_field("synth", raw.get("synth", {}), "dict")
-            stages = check_field("stages", raw.get("stages", {}), "dict")
-            self.stage_raw = {name: check_field(f"stages.{name}", entry, "dict") for name, entry in stages.items()}
-            paths = check_field("paths", raw.get("paths", {}), "dict")
-            self.paths = {k: Path(check_field(f"paths.{k}", v, "str")) for k, v in paths.items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-        unknown = set(stages) - set(STAGE_NAMES)
-        if unknown:
-            raise ConfigError(f"unknown stage names {sorted(unknown)}; expected {STAGE_NAMES}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
-
-    def stage(self, name: str) -> StageConfig:
-        overrides = dict(self.stage_raw.get(name, {}))
-        overrides.setdefault("seed", self.seed + SEED_OFFSETS[name])
-        try:
-            return preset(name, **overrides)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad stage config for {name!r}: {exc}") from None
-
-    def synth_config(self) -> SynthConfig:
-        raw = dict(self.synth_raw)
-        raw.setdefault("seed", self.seed + SEED_OFFSETS["synth"])
-        try:
-            return SynthConfig(**raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synth config: {exc}") from None
+    seed: int
+    threshold: float
+    out_dir: Path
+    net: dict
+    synth: SynthConfig
+    stages: dict[str, StageConfig]
+    paths: dict[str, Path]
 
     def net_config(self, vocab: Vocabulary) -> net.NetConfig:
-        raw = dict(self.net_raw)
-        raw.setdefault("vocab_size", vocab.size)
+        raw = {"vocab_size": vocab.size, **self.net}
         if raw["vocab_size"] != vocab.size:
             raise ConfigError(f"net vocab_size {raw['vocab_size']} != vocabulary size {vocab.size}")
-        try:
-            return net.NetConfig(**raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad net config: {exc}") from None
+        return _checked("net", net.NetConfig, raw)
 
     def path(self, key: str) -> Path:
         if key not in self.paths:
@@ -115,6 +85,11 @@ class RunConfig:
 
 
 def load_run_config(path: str | Path, overrides: argparse.Namespace | None = None) -> RunConfig:
+    """The whole run config at ``path``, checked; any bad section raises ConfigError.
+
+    ``overrides`` (the parsed command line) replace the file's seed,
+    threshold and out_dir, and each field is checked after its override.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -122,7 +97,37 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
         raise ConfigError(f"config file {path} does not exist") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from None
-    return RunConfig(raw, overrides)
+    if not isinstance(raw, dict):
+        raise ConfigError("run config must be a JSON object")
+    keys = tuple(f.name for f in fields(RunConfig))
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown run config keys {sorted(unknown)}; expected {keys}")
+    raw = {**raw, "out_dir": os.environ.get(OUT_DIR_ENV) or raw.get("out_dir", "runs")}
+    for key in ("seed", "threshold", "out_dir"):
+        if getattr(overrides, key, None) is not None:
+            raw[key] = getattr(overrides, key)
+    try:
+        seed = check_field("seed", raw.get("seed", 0), "int")
+        threshold = float(check_field("threshold", raw.get("threshold", 0.75), "float"))
+        out_dir = Path(check_field("out_dir", raw["out_dir"], "str"))
+        net_raw = check_field("net", raw.get("net", {}), "dict")
+        synth_raw = check_field("synth", raw.get("synth", {}), "dict")
+        stages = check_field("stages", raw.get("stages", {}), "dict")
+        stage_raw = {name: check_field(f"stages.{name}", entry, "dict") for name, entry in stages.items()}
+        paths = check_field("paths", raw.get("paths", {}), "dict")
+        paths = {k: Path(check_field(f"paths.{k}", v, "str")) for k, v in paths.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    unknown = set(stage_raw) - set(PRESETS)
+    if unknown:
+        raise ConfigError(f"unknown stage names {sorted(unknown)}; expected {tuple(PRESETS)}")
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"threshold {threshold} outside [0, 1]")
+    synth = _checked("synth", SynthConfig, {"seed": seed + SEED_OFFSETS["synth"], **synth_raw})
+    stages = {name: _checked(f"stages.{name}", partial(preset, name),
+                             {"seed": seed + SEED_OFFSETS[name], **stage_raw.get(name, {})}) for name in PRESETS}
+    return RunConfig(seed, threshold, out_dir, net_raw, synth, stages, paths)
 
 
 def _save_vocab(vocab: Vocabulary, path: Path) -> None:
@@ -162,10 +167,8 @@ def _write_json(data: dict, path: Path) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def cmd_gen_data(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
-    synth = cfg.synth_config()
-    labeled, unlabeled, truth = corpus.generate_synthetic_corpus(synth)
+def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> int:
+    labeled, unlabeled, truth = corpus.generate_synthetic_corpus(cfg.synth)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_manifest(labeled, cfg.out_dir / "labeled.jsonl")
     save_manifest(unlabeled, cfg.out_dir / "unlabeled.jsonl")
@@ -176,8 +179,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_split(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
+def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
     ds = load_manifest(Path(args.manifest))
     train_ds, eval_ds = corpus.speaker_disjoint_split(ds, args.eval_count, cfg.seed + SEED_OFFSETS["split"])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -188,13 +190,12 @@ def cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_train_labeler(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
+def cmd_train_labeler(cfg: RunConfig, args: argparse.Namespace) -> int:
     labeled = load_manifest(cfg.path("labeled"))
     vocab = build_vocabulary(labeled.transcripts())
     net_cfg = cfg.net_config(vocab)
     _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled})
-    stage1 = cfg.stage("stage1")
+    stage1 = cfg.stages["stage1"]
     params, history = pipeline.labeler_stage(*pipeline.validation_split(labeled, stage1), stage1, net_cfg, vocab)
     _save_vocab(vocab, cfg.out_dir / "vocab.json")
     net.save_checkpoint(params, net_cfg, cfg.out_dir / "labeler.ckpt")
@@ -204,8 +205,7 @@ def cmd_train_labeler(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_pseudolabel(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
+def cmd_pseudolabel(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab = _load_vocab(cfg.out_dir / "vocab.json")
     params, net_cfg = _load_model(cfg.out_dir / "labeler.ckpt", vocab)
     pool = load_manifest(cfg.path("unlabeled"))
@@ -218,8 +218,7 @@ def cmd_pseudolabel(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_cpt(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
+def cmd_cpt(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab = _load_vocab(cfg.out_dir / "vocab.json")
     pseudo_ds = load_manifest(cfg.out_dir / "pseudo.jsonl", kind="pseudo_labeled")
     labeled = load_manifest(cfg.path("labeled"))
@@ -228,8 +227,8 @@ def cmd_cpt(args: argparse.Namespace) -> int:
     labeler = None
     if args.from_labeler:
         labeler, _ = net.load_checkpoint(cfg.out_dir / "labeler.ckpt", expect_cfg=net_cfg)
-    train_ds, val_ds = pipeline.validation_split(labeled, cfg.stage("stage1"))
-    params, history = pipeline.cpt_stage(pseudo_ds, train_ds, val_ds, cfg.stage("stage2-cpt"), net_cfg, vocab,
+    train_ds, val_ds = pipeline.validation_split(labeled, cfg.stages["stage1"])
+    params, history = pipeline.cpt_stage(pseudo_ds, train_ds, val_ds, cfg.stages["stage2-cpt"], net_cfg, vocab,
                                          labeler=labeler, include_labeled=False)
     net.save_checkpoint(params, net_cfg, cfg.out_dir / "cpt.ckpt")
     train.save_history(history, cfg.out_dir / "cpt_history.jsonl")
@@ -237,30 +236,27 @@ def cmd_cpt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_finetune(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
+def cmd_finetune(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab = _load_vocab(cfg.out_dir / "vocab.json")
     labeled = load_manifest(cfg.path("labeled"))
     net_cfg = cfg.net_config(vocab)
     _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled})
     start, _ = net.load_checkpoint(cfg.out_dir / "cpt.ckpt", expect_cfg=net_cfg)
-    train_ds, val_ds = pipeline.validation_split(labeled, cfg.stage("stage1"))
-    params, history = train.train_stage(start, net_cfg, train_ds, val_ds, cfg.stage("stage3-finetune"), vocab)
+    train_ds, val_ds = pipeline.validation_split(labeled, cfg.stages["stage1"])
+    params, history = train.train_stage(start, net_cfg, train_ds, val_ds, cfg.stages["stage3-finetune"], vocab)
     net.save_checkpoint(params, net_cfg, cfg.out_dir / "final.ckpt")
     train.save_history(history, cfg.out_dir / "finetune_history.jsonl")
     print(f"finetune: best val WER {history.best_val_wer:.4f}; checkpoint at {cfg.out_dir / 'final.ckpt'}")
     return EXIT_OK
 
 
-def cmd_baseline(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
+def cmd_baseline(cfg: RunConfig, args: argparse.Namespace) -> int:
     labeled = load_manifest(cfg.path("labeled"))
     eval_ds = load_manifest(cfg.path("eval"))
     vocab = build_vocabulary(labeled.transcripts())
     net_cfg = cfg.net_config(vocab)
     _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled, cfg.path("eval"): eval_ds})
-    stage = cfg.stage("baseline")
-    params, report, history = pipeline.run_baseline(labeled, eval_ds, stage, net_cfg, vocab)
+    params, report, history = pipeline.run_baseline(labeled, eval_ds, cfg.stages["baseline"], net_cfg, vocab)
     _save_vocab(vocab, cfg.out_dir / "vocab.json")
     net.save_checkpoint(params, net_cfg, cfg.out_dir / "baseline.ckpt")
     train.save_history(history, cfg.out_dir / "baseline_history.jsonl")
@@ -269,8 +265,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
+def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     ds = load_manifest(Path(args.manifest))
     vocab = _load_vocab(Path(args.vocab) if args.vocab else cfg.out_dir / "vocab.json")
     params, net_cfg = _load_model(Path(args.checkpoint), vocab)
@@ -283,8 +278,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
+def cmd_pipeline(cfg: RunConfig, args: argparse.Namespace) -> int:
     labeled = load_manifest(cfg.path("labeled"))
     pool = load_manifest(cfg.path("unlabeled"))
     eval_ds = load_manifest(cfg.path("eval"))
@@ -292,18 +286,16 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     net_cfg = cfg.net_config(vocab)
     _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled, cfg.path("unlabeled"): pool,
                                  cfg.path("eval"): eval_ds})
-    # every stage config is validated before any training starts
-    stages = [cfg.stage(name) for name in ("stage1", "stage2-cpt", "stage3-finetune")]
-    baseline_stage = cfg.stage("baseline") if args.with_baseline else None
     _save_vocab(vocab, cfg.out_dir / "vocab.json")
     final_params, report = pipeline.run_cpt_pipeline(
-        labeled, pool, eval_ds, *stages, net_cfg, cfg.threshold, vocab,
+        labeled, pool, eval_ds, cfg.stages["stage1"], cfg.stages["stage2-cpt"], cfg.stages["stage3-finetune"],
+        net_cfg, cfg.threshold, vocab,
         out_dir=cfg.out_dir,
         cpt_init="labeler" if args.cpt_from_labeler else "fresh",
         include_labeled_in_cpt=args.mix_labeled,
     )
-    if baseline_stage is not None:
-        _, baseline_report, _ = pipeline.run_baseline(labeled, eval_ds, baseline_stage, net_cfg, vocab)
+    if args.with_baseline:
+        _, baseline_report, _ = pipeline.run_baseline(labeled, eval_ds, cfg.stages["baseline"], net_cfg, vocab)
         pipeline.attach_baseline(report, baseline_report)
         _write_json(baseline_report.to_dict(), cfg.out_dir / "baseline_wer.json")
     report_path = cfg.out_dir / "report.json"
@@ -331,9 +323,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not path:
             raise ConfigError(f"--run expects NAME=PATH, got {entry!r}")
         run_wer = _read_wer(Path(path))
-        # a perfect baseline leaves no relative change to state
-        delta = "n/a" if baseline_wer == 0 else f"{relative_improvement(baseline_wer, run_wer):+.1%}"
-        rows.append((name, run_wer, delta))
+        delta = relative_improvement(baseline_wer, run_wer)
+        rows.append((name, run_wer, "n/a" if delta is None else f"{delta:+.1%}"))
     print(f"{'Config':<20} {'Baseline':>10} {'Final WER':>10} {'Delta':>8}")
     for name, run_wer, delta in rows:
         print(f"{name:<20} {baseline_wer:>10.2%} {run_wer:>10.2%} {delta:>8}")
@@ -398,7 +389,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        if "config" not in args:  # report reads only the WER files it is given
+            return args.func(args)
+        return args.func(load_run_config(args.config, args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -141,6 +141,8 @@ def ctc_loss_and_grad_batch(
     log_z = np.logaddexp(alpha[last_frame + (n_states - 1,)], final_label)
 
     posterior = np.exp(alpha + beta - log_z[:, None, None])  # per lattice state; 0 on padding
+    # rounding in the recursion grows with |log Z|, so each frame is divided by its own total, not trusted to sum to 1
+    posterior /= np.where(frame_ok, posterior.sum(axis=2), 1.0)[:, :, None]
     occupancy = posterior @ (ext[:, :, None] == np.arange(n_classes)).astype(np.float64)
     probs = np.exp(log_probs)
     grad = probs - occupancy

@@ -99,8 +99,11 @@ def wer(pairs: list[tuple[str, str]], unit: str = "word") -> WerReport:
     return WerReport(total_s, total_i, total_d, total_ref, rate)
 
 
-def relative_improvement(baseline_wer: float, new_wer: float) -> float:
-    """Signed relative change (new - baseline) / baseline; negative is better."""
-    if baseline_wer <= 0:
-        raise ValueError("baseline WER must be positive")
-    return (new_wer - baseline_wer) / baseline_wer
+def relative_improvement(baseline_wer: float, new_wer: float) -> float | None:
+    """Signed relative change (new - baseline) / baseline; negative is better.
+
+    None for a baseline WER of 0: a perfect baseline leaves no relative change to state.
+    """
+    if baseline_wer < 0:
+        raise ValueError("baseline WER must be >= 0")
+    return None if baseline_wer == 0 else (new_wer - baseline_wer) / baseline_wer

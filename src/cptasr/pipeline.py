@@ -77,10 +77,7 @@ class PipelineReport:
 def attach_baseline(report: PipelineReport, baseline: WerReport) -> PipelineReport:
     """Record the no-CPT arm's score and the relative improvement over it (None when the baseline WER is 0)."""
     report.baseline_eval_wer = baseline
-    # a perfect baseline leaves no relative change to state
-    report.relative_improvement = (
-        None if baseline.wer == 0 else relative_improvement(baseline.wer, report.final_eval_wer.wer)
-    )
+    report.relative_improvement = relative_improvement(baseline.wer, report.final_eval_wer.wer)
     return report
 
 

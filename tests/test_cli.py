@@ -223,6 +223,30 @@ def test_bad_baseline_stage_is_config_error_before_any_training(run_config):
     assert not list(out_dir.glob("*.ckpt"))
 
 
+@pytest.mark.parametrize("command,section,field,value", [
+    ("gen-data", "baseline", "learning_rate", -1),
+    ("train-labeler", "synth", "n_speakers", 2.5),
+    ("pipeline", "baseline", "batch_size", 0),
+], ids=["gen-data-baseline", "train-labeler-synth", "pipeline-baseline"])
+def test_bad_section_the_command_does_not_use_is_config_error_before_any_work(run_config, capsys, command,
+                                                                              section, field, value):
+    cfg_path, out_dir = run_config
+    if command != "gen-data":
+        main(["gen-data", "--config", str(cfg_path)])
+        main(["split", "--config", str(cfg_path),
+              "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    written = sorted(out_dir.rglob("*"))
+    cfg = json.loads(cfg_path.read_text())
+    (cfg["synth"] if section == "synth" else cfg["stages"][section])[field] = value
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and section in err and field in err
+    assert sorted(out_dir.rglob("*")) == written
+    assert not list(out_dir.glob("*.ckpt"))
+
+
 @pytest.mark.parametrize("field,value", [
     ("seed", "x"),
     ("threshold", "abc"),

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cptasr.ctc as ctc_mod
 from cptasr.corpus import Vocabulary
@@ -159,6 +159,8 @@ def _training_shaped_instance(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_training_shaped_instance())
+# log Z = -1722, where posteriors normalised by log Z alone reach an occupancy of 1 + 1.8e-12
+@example((np.random.default_rng(18716).normal(scale=20.0, size=(60, 11)), "e", Vocabulary(tuple("abcdefghij"))))
 def test_lattice_posteriors_are_consistent_at_training_shapes(instance):
     logits, target, vocab = instance
     log_probs = log_softmax(logits, axis=1)

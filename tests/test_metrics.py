@@ -110,6 +110,8 @@ def test_relative_improvement_known_deltas():
     assert relative_improvement(8.3, 3.24) == pytest.approx(-0.61, abs=5e-3)
 
 
-def test_relative_improvement_rejects_zero_baseline():
+def test_relative_improvement_of_zero_baseline_is_none():
+    assert relative_improvement(0.0, 1.0) is None
+    assert relative_improvement(0.0, 0.0) is None
     with pytest.raises(ValueError):
-        relative_improvement(0.0, 1.0)
+        relative_improvement(-0.1, 1.0)
