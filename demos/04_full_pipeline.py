@@ -13,10 +13,10 @@ from cptasr import (
     Dataset,
     NetConfig,
     SynthConfig,
-    attach_baseline,
     build_vocabulary,
     generate_synthetic_corpus,
     preset,
+    relative_improvement,
     run_baseline,
     run_cpt_pipeline,
     speaker_disjoint_split,
@@ -42,17 +42,18 @@ stage3 = preset("stage3-finetune", learning_rate=1e-3, seed=3)
 print("\nrunning the staged pipeline ...")
 final, report = run_cpt_pipeline(labeled, pool, eval_ds, stage1, stage2, stage3,
                                  net_cfg, threshold=0.75, vocab=vocab)
-print(f"  labeling model val WER : {report.labeler_val_wer:.3f}")
-print(f"  pseudo-labels kept     : {report.pool_kept}/{report.pool_total} "
-      f"({report.retained_fraction:.0%}; {report.pseudo_label_stats.empty_dropped} empty, "
-      f"{report.pseudo_label_stats.below_threshold} below threshold)")
+stats = report.pseudo_label_stats
+print(f"  labeling model val WER : {report.labeler_history.best_val_wer:.3f}")
+print(f"  pseudo-labels kept     : {stats.kept}/{stats.total} "
+      f"({stats.kept / stats.total:.0%}; {stats.empty_dropped} empty, {stats.below_threshold} below threshold)")
 print(f"  final eval WER         : {report.final_eval_wer.wer:.3f}")
 
 print("\nrunning the no-CPT baseline on the same labeled budget ...")
 _, baseline_report, _ = run_baseline(labeled, eval_ds, preset("baseline", learning_rate=1e-3, seed=1),
                                      net_cfg, vocab)
-attach_baseline(report, baseline_report)
+delta = relative_improvement(baseline_report.wer, report.final_eval_wer.wer)  # None for a zero-WER baseline
+delta_text = "n/a" if delta is None else f"{delta:+.1%}"
 
 print(f"\n{'Config':<18} {'Baseline':>9} {'Final WER':>10} {'Delta':>8}")
 print(f"{'200+CPT':<18} {baseline_report.wer:>9.2%} {report.final_eval_wer.wer:>10.2%} "
-      f"{report.relative_improvement:>+8.1%}")
+      f"{delta_text:>8}")

@@ -38,7 +38,6 @@ from .optim import (
 from .pipeline import (
     PipelineReport,
     PseudoLabel,
-    attach_baseline,
     cpt_stage,
     generate_pseudo_labels,
     labeler_stage,

@@ -1,11 +1,12 @@
 """Command-line surface for the staged pipeline.
 
 One JSON run-config file drives every command; a handful of flags override
-individual fields. ``main`` reads it once and checks every section but
-``net``, which waits for the vocabulary, before a command starts, so a bad
-section fails every command. All randomness fans out from the config's
-single seed by fixed offsets (synth data +0, stage1 +1, stage2 +2, stage3
-+3, baseline +4, eval split +5), so one number reproduces a whole run.
+individual fields. ``main`` reads it once and checks every section before
+a command starts (``net`` with a stand-in ``vocab_size`` until the
+vocabulary is known), so a bad section fails every command. All
+randomness fans out from the config's single seed by fixed offsets (synth
+data +0, stage1 +1, stage2 +2, stage3 +3, baseline +4, eval split +5), so
+one number reproduces a whole run.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 empty pseudo-label
 pool, 1 anything else.
@@ -59,9 +60,9 @@ class RunConfig:
     """A checked run-config file; its fields are the file's accepted keys.
 
     ``synth`` and each preset's stage are built, seeded by :data:`SEED_OFFSETS`
-    unless their section sets ``seed``; ``net`` stays raw until
-    :meth:`net_config` knows the vocabulary. Relative paths resolve against
-    the working directory.
+    unless their section sets ``seed``; ``net`` is checked with a stand-in
+    ``vocab_size`` and stays raw until :meth:`net_config` knows the
+    vocabulary. Relative paths resolve against the working directory.
     """
 
     seed: int
@@ -127,6 +128,7 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
     synth = _checked("synth", SynthConfig, {"seed": seed + SEED_OFFSETS["synth"], **synth_raw})
     stages = {name: _checked(f"stages.{name}", partial(preset, name),
                              {"seed": seed + SEED_OFFSETS[name], **stage_raw.get(name, {})}) for name in PRESETS}
+    _checked("net", net.NetConfig, {"vocab_size": 1, **net_raw})
     return RunConfig(seed, threshold, out_dir, net_raw, synth, stages, paths)
 
 
@@ -294,10 +296,6 @@ def cmd_pipeline(cfg: RunConfig, args: argparse.Namespace) -> int:
         cpt_init="labeler" if args.cpt_from_labeler else "fresh",
         include_labeled_in_cpt=args.mix_labeled,
     )
-    if args.with_baseline:
-        _, baseline_report, _ = pipeline.run_baseline(labeled, eval_ds, cfg.stages["baseline"], net_cfg, vocab)
-        pipeline.attach_baseline(report, baseline_report)
-        _write_json(baseline_report.to_dict(), cfg.out_dir / "baseline_wer.json")
     report_path = cfg.out_dir / "report.json"
     _write_json(report.to_dict(), report_path)
     _write_json(report.final_eval_wer.to_dict(), cfg.out_dir / "final_wer.json")
@@ -369,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = add("pipeline", cmd_pipeline, "run the full staged pipeline")
-    p.add_argument("--with-baseline", action="store_true", help="also train the no-CPT baseline and report the delta")
     p.add_argument("--cpt-from-labeler", action="store_true")
     p.add_argument("--mix-labeled", action="store_true", help="include labeled data during CPT")
 

@@ -237,9 +237,10 @@ def forward_batch(
     between and after the members, so no frame sees another utterance.
     Logit rows past a member's U_b are zero; ``cache.lengths`` holds the
     U_b. With ``dropout_rate`` above 0, member b's dropout masks are drawn
-    from ``seeds[b]`` and recorded in the cache, so a member's pass does
-    not depend on the rest of its batch. At rate 0 the pass is
-    deterministic and ``seeds`` is ignored.
+    from ``seeds[b]`` and recorded in the cache, so they do not depend on
+    the rest of its batch; its float32 logits can, in their last bits,
+    because the packed matrix products round differently with the batch.
+    At rate 0 the pass is deterministic and ``seeds`` is ignored.
     """
     feats = [np.asarray(f) for f in features]
     if not feats:

@@ -13,7 +13,7 @@ from . import net as net_mod
 from . import train as train_mod
 from .corpus import Dataset, Vocabulary, speaker_disjoint_split
 from .fieldcheck import as_record
-from .metrics import WerReport, relative_improvement
+from .metrics import WerReport
 from .net import NetConfig
 from .optim import StageConfig
 from .train import TrainHistory
@@ -55,30 +55,24 @@ class PseudoLabelStats:
 
 @dataclass
 class PipelineReport:
-    """Everything the staged run produced, ready for side-by-side comparison."""
+    """Everything the staged run produced.
 
-    labeler_val_wer: float
+    Compare ``final_eval_wer`` with a :func:`run_baseline` score through
+    ``metrics.relative_improvement``.
+    """
+
+    # restate pseudo_label_stats.total and .kept; the benchmark workloads read them
     pool_total: int
     pool_kept: int
-    retained_fraction: float
     pseudo_label_stats: PseudoLabelStats
     cpt_history: TrainHistory
     finetune_history: TrainHistory
     labeler_history: TrainHistory
     final_eval_wer: WerReport
-    baseline_eval_wer: WerReport | None = None
-    relative_improvement: float | None = None
 
     def to_dict(self) -> dict:
         # wall-clock timings are excluded so identical runs serialize identically
         return as_record(self, with_timing=False)
-
-
-def attach_baseline(report: PipelineReport, baseline: WerReport) -> PipelineReport:
-    """Record the no-CPT arm's score and the relative improvement over it (None when the baseline WER is 0)."""
-    report.baseline_eval_wer = baseline
-    report.relative_improvement = relative_improvement(baseline.wer, report.final_eval_wer.wer)
-    return report
 
 
 def filter_pseudo_labels(labels: list[PseudoLabel], threshold: float) -> tuple[list[PseudoLabel], PseudoLabelStats]:
@@ -253,10 +247,8 @@ def run_cpt_pipeline(
 
     final_report = train_mod.evaluate_wer(final_params, net, eval_ds, vocab)
     report = PipelineReport(
-        labeler_val_wer=labeler_history.best_val_wer,
         pool_total=stats.total,
         pool_kept=stats.kept,
-        retained_fraction=stats.kept / stats.total if stats.total else 0.0,
         pseudo_label_stats=stats,
         cpt_history=cpt_history,
         finetune_history=finetune_history,

@@ -175,17 +175,13 @@ def test_pipeline_command_is_idempotent_and_quick(run_config):
     assert (out_dir / "report.json").read_bytes() == report1
 
 
-def test_zero_wer_baseline_reports_no_delta(run_config, monkeypatch, capsys):
+def test_zero_wer_baseline_reports_no_delta(run_config, capsys):
     cfg_path, out_dir = run_config
     main(["gen-data", "--config", str(cfg_path)])
     main(["split", "--config", str(cfg_path),
           "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
-    perfect = WerReport(0, 0, 0, 20, 0.0)
-    monkeypatch.setattr("cptasr.pipeline.run_baseline", lambda *args: (None, perfect, None))
-    assert main(["pipeline", "--config", str(cfg_path), "--with-baseline"]) == EXIT_OK
-    report = json.loads((out_dir / "report.json").read_text())
-    assert report["relative_improvement"] is None and report["baseline_eval_wer"]["wer"] == 0.0
-    assert json.loads((out_dir / "baseline_wer.json").read_text())["wer"] == 0.0
+    assert main(["pipeline", "--config", str(cfg_path)]) == EXIT_OK
+    (out_dir / "baseline_wer.json").write_text(json.dumps(WerReport(0, 0, 0, 20, 0.0).to_dict()))
     capsys.readouterr()
     assert main(["report", "--baseline", str(out_dir / "baseline_wer.json"),
                  "--run", f"cpt={out_dir / 'final_wer.json'}"]) == EXIT_OK
@@ -219,7 +215,7 @@ def test_bad_baseline_stage_is_config_error_before_any_training(run_config):
     cfg = json.loads(cfg_path.read_text())
     cfg["stages"]["baseline"]["learning_rate"] = -1
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["pipeline", "--config", str(cfg_path), "--with-baseline"]) == EXIT_CONFIG
+    assert main(["pipeline", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert not list(out_dir.glob("*.ckpt"))
 
 
@@ -227,20 +223,23 @@ def test_bad_baseline_stage_is_config_error_before_any_training(run_config):
     ("gen-data", "baseline", "learning_rate", -1),
     ("train-labeler", "synth", "n_speakers", 2.5),
     ("pipeline", "baseline", "batch_size", 0),
-], ids=["gen-data-baseline", "train-labeler-synth", "pipeline-baseline"])
+    ("gen-data", "net", "hidden_dim", 24.5),
+    ("split", "net", "hidden_dim", 24.5),
+], ids=["gen-data-baseline", "train-labeler-synth", "pipeline-baseline", "gen-data-net", "split-net"])
 def test_bad_section_the_command_does_not_use_is_config_error_before_any_work(run_config, capsys, command,
                                                                               section, field, value):
     cfg_path, out_dir = run_config
+    split = ["split", "--config", str(cfg_path), "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"]
     if command != "gen-data":
         main(["gen-data", "--config", str(cfg_path)])
-        main(["split", "--config", str(cfg_path),
-              "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    if command not in ("gen-data", "split"):
+        main(split)
     written = sorted(out_dir.rglob("*"))
     cfg = json.loads(cfg_path.read_text())
-    (cfg["synth"] if section == "synth" else cfg["stages"][section])[field] = value
+    (cfg[section] if section in ("synth", "net") else cfg["stages"][section])[field] = value
     cfg_path.write_text(json.dumps(cfg))
     capsys.readouterr()
-    assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert main(split if command == "split" else [command, "--config", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and section in err and field in err
     assert sorted(out_dir.rglob("*")) == written

@@ -29,10 +29,9 @@ def _report():
     stats = PseudoLabelStats(total=3, kept=1, empty_dropped=1, below_threshold=1,
                              labels=[PseudoLabel("u1", "ab", 0.9), PseudoLabel("u2", "", 0.0)])
     return PipelineReport(
-        labeler_val_wer=0.4, pool_total=3, pool_kept=1, retained_fraction=1 / 3, pseudo_label_stats=stats,
+        pool_total=3, pool_kept=1, pseudo_label_stats=stats,
         cpt_history=_history(1), finetune_history=_history(2), labeler_history=_history(2),
-        final_eval_wer=WerReport(1, 0, 2, 10, 0.3), baseline_eval_wer=WerReport(2, 1, 2, 10, 0.5),
-        relative_improvement=-0.4,
+        final_eval_wer=WerReport(1, 0, 2, 10, 0.3),
     )
 
 
@@ -65,14 +64,13 @@ def test_records_list_fields_in_declaration_order():
 def test_pipeline_report_keys_are_pinned():
     out = _report().to_dict()
     assert list(out) == [
-        "labeler_val_wer", "pool_total", "pool_kept", "retained_fraction", "pseudo_label_stats",
-        "cpt_history", "finetune_history", "labeler_history", "final_eval_wer", "baseline_eval_wer",
-        "relative_improvement"]
+        "pool_total", "pool_kept", "pseudo_label_stats", "cpt_history", "finetune_history", "labeler_history",
+        "final_eval_wer"]
     assert list(out["pseudo_label_stats"]) == ["total", "kept", "empty_dropped", "below_threshold"]
     for name in ("cpt_history", "finetune_history", "labeler_history"):
         assert list(out[name]) == ["records", "best_epoch", "stopped_early", "skipped_utterances"]
         assert [list(r) for r in out[name]["records"]] == [["epoch", "train_loss", "val_wer", "lr"]] * 2
-    assert list(out["final_eval_wer"]) == list(out["baseline_eval_wer"]) == [
+    assert list(out["final_eval_wer"]) == [
         "substitutions", "insertions", "deletions", "ref_words", "wer"]
     assert json.loads(json.dumps(out)) == out
 

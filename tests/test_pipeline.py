@@ -1,21 +1,15 @@
 """Pseudo-label filtering and the staged pipeline's contracts."""
 
-import json
-
 import numpy as np
 import pytest
 
 import cptasr.pipeline as pipeline_mod
 from cptasr.corpus import Dataset, SynthConfig, Utterance, build_vocabulary, generate_synthetic_corpus, speaker_disjoint_split
-from cptasr.metrics import WerReport
 from cptasr.net import NetConfig, init_parameters, load_checkpoint
 from cptasr.optim import preset
 from cptasr.pipeline import (
     EmptyPseudoLabelPoolError,
-    PipelineReport,
     PseudoLabel,
-    PseudoLabelStats,
-    attach_baseline,
     cpt_stage,
     filter_pseudo_labels,
     generate_pseudo_labels,
@@ -25,7 +19,7 @@ from cptasr.pipeline import (
     run_cpt_pipeline,
     validation_split,
 )
-from cptasr.train import TrainHistory, evaluate_wer, train_stage
+from cptasr.train import evaluate_wer, train_stage
 
 
 def test_filter_threshold_is_strict():
@@ -119,8 +113,7 @@ def test_pipeline_report_bookkeeping_and_checkpoints(tmp_path):
                                      vocab, out_dir=tmp_path)
     assert report.pool_total == len(pool)
     assert report.pool_kept == report.pseudo_label_stats.kept
-    assert report.retained_fraction == pytest.approx(report.pool_kept / report.pool_total)
-    assert 0 <= report.labeler_val_wer
+    assert 0 <= report.labeler_history.best_val_wer
     for name in ("labeler.ckpt", "cpt.ckpt", "final.ckpt"):
         assert (tmp_path / name).exists()
     final_saved, _ = load_checkpoint(tmp_path / "final.ckpt", expect_cfg=net_cfg)
@@ -253,37 +246,10 @@ def test_cpt_can_start_from_labeler(tmp_path):
     _, rep_warm = run_cpt_pipeline(labeled, pool, eval_ds, s1, s2, s3, net_cfg, 0.25, vocab,
                                    cpt_init="labeler")
     # same labeling stage, different CPT trajectories
-    assert rep_fresh.labeler_val_wer == rep_warm.labeler_val_wer
+    assert rep_fresh.labeler_history.best_val_wer == rep_warm.labeler_history.best_val_wer
     assert rep_fresh.pool_kept == rep_warm.pool_kept
     with pytest.raises(ValueError):
         run_cpt_pipeline(labeled, pool, eval_ds, s1, s2, s3, net_cfg, 0.25, vocab, cpt_init="warm")
-
-
-def test_attach_baseline_computes_relative_improvement():
-    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture(n_utterances=120)
-    s1, s2, s3 = _quick_stages()
-    final, report = run_cpt_pipeline(labeled, pool, eval_ds, s1, s2, s3, net_cfg, 0.25, vocab)
-    _, baseline_report, _ = run_baseline(labeled, eval_ds, s1, net_cfg, vocab)
-    attach_baseline(report, baseline_report)
-    assert report.baseline_eval_wer is baseline_report
-    expected = (report.final_eval_wer.wer - baseline_report.wer) / baseline_report.wer
-    assert report.relative_improvement == pytest.approx(expected)
-    as_dict = report.to_dict()
-    assert as_dict["baseline_eval_wer"]["wer"] == baseline_report.wer
-
-
-def test_attach_baseline_with_zero_wer_baseline_leaves_delta_null():
-    history = TrainHistory()
-    report = PipelineReport(
-        labeler_val_wer=0.0, pool_total=1, pool_kept=1, retained_fraction=1.0,
-        pseudo_label_stats=PseudoLabelStats(total=1, kept=1, empty_dropped=0, below_threshold=0),
-        cpt_history=history, finetune_history=history, labeler_history=history,
-        final_eval_wer=WerReport(1, 0, 0, 20, 0.05),
-    )
-    attach_baseline(report, WerReport(0, 0, 0, 20, 0.0))
-    assert report.relative_improvement is None
-    as_dict = json.loads(json.dumps(report.to_dict()))
-    assert as_dict["relative_improvement"] is None and as_dict["baseline_eval_wer"]["wer"] == 0.0
 
 
 def test_too_short_pool_utterance_is_counted_as_empty():
