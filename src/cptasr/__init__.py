@@ -41,7 +41,6 @@ from .pipeline import (
     cpt_stage,
     generate_pseudo_labels,
     labeler_stage,
-    pseudo_label_stage,
     run_baseline,
     run_cpt_pipeline,
     validation_split,

@@ -182,7 +182,7 @@ def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ds = load_manifest(Path(args.manifest))
+    ds = load_manifest(Path(args.manifest), kind="labeled")
     train_ds, eval_ds = corpus.speaker_disjoint_split(ds, args.eval_count, cfg.seed + SEED_OFFSETS["split"])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_manifest(train_ds, cfg.out_dir / "train.jsonl")
@@ -193,7 +193,7 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train_labeler(cfg: RunConfig, args: argparse.Namespace) -> int:
-    labeled = load_manifest(cfg.path("labeled"))
+    labeled = load_manifest(cfg.path("labeled"), kind="labeled")
     vocab = build_vocabulary(labeled.transcripts())
     net_cfg = cfg.net_config(vocab)
     _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled})
@@ -210,9 +210,9 @@ def cmd_train_labeler(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_pseudolabel(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab = _load_vocab(cfg.out_dir / "vocab.json")
     params, net_cfg = _load_model(cfg.out_dir / "labeler.ckpt", vocab)
-    pool = load_manifest(cfg.path("unlabeled"))
+    pool = load_manifest(cfg.path("unlabeled"), kind="unlabeled")
     _check_feature_dim(net_cfg, {cfg.path("unlabeled"): pool})
-    pseudo_ds, stats = pipeline.pseudo_label_stage(params, net_cfg, pool, cfg.threshold, vocab)
+    pseudo_ds, stats = pipeline.generate_pseudo_labels(params, net_cfg, pool, cfg.threshold, vocab)
     save_manifest(pseudo_ds, cfg.out_dir / "pseudo.jsonl")
     _write_json(stats.to_dict(), cfg.out_dir / "pseudo_stats.json")
     print(f"kept {stats.kept} of {stats.total} pseudo-labels "
@@ -223,7 +223,7 @@ def cmd_pseudolabel(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_cpt(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab = _load_vocab(cfg.out_dir / "vocab.json")
     pseudo_ds = load_manifest(cfg.out_dir / "pseudo.jsonl", kind="pseudo_labeled")
-    labeled = load_manifest(cfg.path("labeled"))
+    labeled = load_manifest(cfg.path("labeled"), kind="labeled")
     net_cfg = cfg.net_config(vocab)
     _check_feature_dim(net_cfg, {cfg.out_dir / "pseudo.jsonl": pseudo_ds, cfg.path("labeled"): labeled})
     labeler = None
@@ -240,7 +240,7 @@ def cmd_cpt(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_finetune(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab = _load_vocab(cfg.out_dir / "vocab.json")
-    labeled = load_manifest(cfg.path("labeled"))
+    labeled = load_manifest(cfg.path("labeled"), kind="labeled")
     net_cfg = cfg.net_config(vocab)
     _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled})
     start, _ = net.load_checkpoint(cfg.out_dir / "cpt.ckpt", expect_cfg=net_cfg)
@@ -253,8 +253,8 @@ def cmd_finetune(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(cfg: RunConfig, args: argparse.Namespace) -> int:
-    labeled = load_manifest(cfg.path("labeled"))
-    eval_ds = load_manifest(cfg.path("eval"))
+    labeled = load_manifest(cfg.path("labeled"), kind="labeled")
+    eval_ds = load_manifest(cfg.path("eval"), kind="labeled")
     vocab = build_vocabulary(labeled.transcripts())
     net_cfg = cfg.net_config(vocab)
     _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled, cfg.path("eval"): eval_ds})
@@ -268,7 +268,7 @@ def cmd_baseline(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ds = load_manifest(Path(args.manifest))
+    ds = load_manifest(Path(args.manifest), kind="labeled")
     vocab = _load_vocab(Path(args.vocab) if args.vocab else cfg.out_dir / "vocab.json")
     params, net_cfg = _load_model(Path(args.checkpoint), vocab)
     _check_feature_dim(net_cfg, {Path(args.manifest): ds})
@@ -281,9 +281,9 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(cfg: RunConfig, args: argparse.Namespace) -> int:
-    labeled = load_manifest(cfg.path("labeled"))
-    pool = load_manifest(cfg.path("unlabeled"))
-    eval_ds = load_manifest(cfg.path("eval"))
+    labeled = load_manifest(cfg.path("labeled"), kind="labeled")
+    pool = load_manifest(cfg.path("unlabeled"), kind="unlabeled")
+    eval_ds = load_manifest(cfg.path("eval"), kind="labeled")
     vocab = build_vocabulary(labeled.transcripts())
     net_cfg = cfg.net_config(vocab)
     _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled, cfg.path("unlabeled"): pool,

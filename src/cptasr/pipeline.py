@@ -105,9 +105,11 @@ def filter_pseudo_labels(labels: list[PseudoLabel], threshold: float) -> tuple[l
 def generate_pseudo_labels(
     params: np.ndarray, cfg: NetConfig, pool: Dataset, threshold: float, vocab: Vocabulary,
 ) -> tuple[Dataset, PseudoLabelStats]:
-    """Greedy-decode the unlabeled pool and keep confident, non-empty hypotheses.
+    """Stage B: greedy-decode the unlabeled pool and keep confident, non-empty hypotheses.
 
     Output utterances are ordered by id, whatever the order of the pool.
+    Logs the kept, empty and below-threshold counts, and raises
+    ``EmptyPseudoLabelPoolError`` when no label is kept.
     """
     if pool.kind != "unlabeled":
         raise ValueError("pseudo-labeling expects an unlabeled pool")
@@ -117,6 +119,13 @@ def generate_pseudo_labels(
     labels = [PseudoLabel(u.id, d.hypothesis, d.confidence) for u, d in zip(utts, decodes)]
 
     kept_labels, stats = filter_pseudo_labels(labels, threshold)
+    logger.info("pseudo-labels: kept %d of %d (%d empty, %d below threshold)",
+                stats.kept, stats.total, stats.empty_dropped, stats.below_threshold)
+    if stats.kept == 0:
+        raise EmptyPseudoLabelPoolError(
+            f"no pseudo-labels survived threshold {threshold} ({stats.empty_dropped} of {stats.total} "
+            "hypotheses empty); lower it or improve the labeling model"
+        )
     by_id = {u.id: u for u in utts}
     kept = [replace(by_id[label.utterance_id], transcript=label.hypothesis) for label in kept_labels]
     return Dataset(kept, "pseudo_labeled"), stats
@@ -145,7 +154,8 @@ def labeler_stage(train: Dataset, val: Dataset, stage1: StageConfig, net: NetCon
                   vocab: Vocabulary) -> tuple[np.ndarray, TrainHistory]:
     """Stage A: train the labeling model from a fresh initialization seeded by ``stage1``.
 
-    Logs a warning when its best validation WER misses ``LABELER_WER_GATE``.
+    Logs a warning when its best validation WER misses ``LABELER_WER_GATE``,
+    since this model's decodes become the pseudo-labels.
     """
     start = net_mod.init_parameters(net, stage1.seed)
     params, history = train_mod.train_stage(start, net, train, val, stage1, vocab)
@@ -155,20 +165,6 @@ def labeler_stage(train: Dataset, val: Dataset, stage1: StageConfig, net: NetCon
             "pseudo-labels may be too noisy to help", history.best_val_wer, 100 * LABELER_WER_GATE,
         )
     return params, history
-
-
-def pseudo_label_stage(labeler: np.ndarray, net: NetConfig, pool: Dataset, threshold: float,
-                       vocab: Vocabulary) -> tuple[Dataset, PseudoLabelStats]:
-    """Stage B: pseudo-label the pool; raise ``EmptyPseudoLabelPoolError`` if none are kept."""
-    pseudo_ds, stats = generate_pseudo_labels(labeler, net, pool, threshold, vocab)
-    logger.info("pseudo-labels: kept %d of %d (%d empty, %d below threshold)",
-                stats.kept, stats.total, stats.empty_dropped, stats.below_threshold)
-    if stats.kept == 0:
-        raise EmptyPseudoLabelPoolError(
-            f"no pseudo-labels survived threshold {threshold} ({stats.empty_dropped} of {stats.total} "
-            "hypotheses empty); lower it or improve the labeling model"
-        )
-    return pseudo_ds, stats
 
 
 def cpt_stage(
@@ -195,12 +191,14 @@ def run_baseline(
     net: NetConfig,
     vocab: Vocabulary,
 ) -> tuple[np.ndarray, WerReport, TrainHistory]:
-    """The no-CPT arm: stage A alone, scored on ``eval_ds``.
+    """The no-CPT arm: stage A's training without its quality gate, scored on ``eval_ds``.
 
-    With identical data and config it reproduces the pipeline's labeling model.
+    With identical data and config it reproduces the pipeline's labeling
+    model bit for bit; it makes no pseudo-labels, so the gate does not apply.
     """
     _check_no_leak(labeled, (eval_ds,), eval_ds)
-    params, history = labeler_stage(*validation_split(labeled, cfg), cfg, net, vocab)
+    params, history = train_mod.train_stage(net_mod.init_parameters(net, cfg.seed), net,
+                                            *validation_split(labeled, cfg), cfg, vocab)
     report = train_mod.evaluate_wer(params, net, eval_ds, vocab)
     return params, report, history
 
@@ -231,7 +229,7 @@ def run_cpt_pipeline(
     if out_path is not None:
         net_mod.save_checkpoint(labeler, net, out_path / "labeler.ckpt")
 
-    pseudo_ds, stats = pseudo_label_stage(labeler, net, pool, threshold, vocab)
+    pseudo_ds, stats = generate_pseudo_labels(labeler, net, pool, threshold, vocab)
 
     cpt_params, cpt_history = cpt_stage(
         pseudo_ds, train_ds, val_ds, stage2, net, vocab,

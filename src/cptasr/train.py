@@ -165,8 +165,6 @@ def train_stage(
             f"{skipped}/{len(data)} utterances are CTC-infeasible after downsampling; "
             f"check downsample_factor={cfg.downsample_factor}"
         )
-    if not usable:
-        raise ValueError("no feasible training utterances remain")
 
     theta = start.astype(np.float64)  # the master, a copy even when start is float64
     theta32 = theta.astype(np.float32)
@@ -178,7 +176,6 @@ def train_stage(
     best_wer = math.inf
     best = theta32.copy()
     bad_epochs = 0
-    global_step = 0
 
     for epoch in range(1, stage.epochs + 1):
         tic = time.perf_counter()
@@ -200,21 +197,20 @@ def train_stage(
             del logits, cache, dlogits  # free this batch's activations before the next forward pass
             if not np.all(np.isfinite(grads)):
                 bad = net.tensor_name(cfg, int(np.argmin(np.isfinite(grads))))
-                raise FloatingPointError(f"non-finite gradient in {bad!r} at step {global_step}")
+                raise FloatingPointError(f"non-finite gradient in {bad!r} at step {state.step}")
             if stage.grad_clip_norm is not None:
                 optim.clip_gradients(grads, stage.grad_clip_norm)  # scales grads in place
-            lr = optim.lr_at(global_step, total_steps, stage)
+            lr = optim.lr_at(state.step, total_steps, stage)
             optim.adamw_step(theta, grads, state, lr, stage)
             theta32[:] = theta  # round the master to float32 for the network,
             theta[:] = theta32  # and keep the master on those values
-            global_step += 1
 
         val_report = evaluate_wer(theta32, cfg, val, vocab)
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss / len(usable),
             val_wer=val_report.wer,
-            lr=optim.lr_at(global_step, total_steps, stage),
+            lr=optim.lr_at(state.step, total_steps, stage),
             seconds=time.perf_counter() - tic,
         )
         history.records.append(record)

@@ -496,6 +496,31 @@ def test_pseudolabel_pool_with_a_too_short_utterance(run_config):
     assert stats["total"] == len(pool) + 1 and stats["empty_dropped"] >= 1
 
 
+@pytest.mark.parametrize("command,options,paths,wrong,output", [
+    ("eval", ["--checkpoint", "labeler.ckpt", "--manifest", "unlabeled.jsonl"], {}, "unlabeled.jsonl",
+     "eval_wer.json"),
+    ("split", ["--manifest", "unlabeled.jsonl", "--eval-count", "8"], {}, "unlabeled.jsonl", "train.jsonl"),
+    ("pseudolabel", [], {"unlabeled": "labeled.jsonl"}, "labeled.jsonl", "pseudo.jsonl"),
+    ("train-labeler", [], {"labeled": "unlabeled.jsonl"}, "unlabeled.jsonl", "labeler_history.jsonl"),
+], ids=["eval", "split", "pseudolabel", "train-labeler"])
+def test_manifest_of_the_wrong_kind_is_data_error(run_config, capsys, command, options, paths, wrong, output):
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    vocab = build_vocabulary(load_manifest(out_dir / "labeled.jsonl").transcripts())
+    net_cfg = NetConfig(feature_dim=32, vocab_size=vocab.size, downsample_factor=4, conv_layers=1,
+                        conv_channels=8, context_layers=1, hidden_dim=8, context_window=1)
+    save_checkpoint(init_parameters(net_cfg, seed=0), net_cfg, out_dir / "labeler.ckpt")
+    (out_dir / "vocab.json").write_text(json.dumps({"symbols": list(vocab.symbols)}))
+    cfg = json.loads(cfg_path.read_text())
+    cfg["paths"].update({key: str(out_dir / name) for key, name in paths.items()})
+    cfg_path.write_text(json.dumps(cfg))
+    files = [str(out_dir / o) if o.endswith((".ckpt", ".jsonl")) else o for o in options]
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path), *files]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {out_dir / wrong}: ")
+    assert not (out_dir / output).exists()
+
+
 def test_missing_manifest_is_data_error(run_config):
     cfg_path, out_dir = run_config
     assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_DATA

@@ -1,5 +1,7 @@
 """Pseudo-label filtering and the staged pipeline's contracts."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from cptasr.pipeline import (
     filter_pseudo_labels,
     generate_pseudo_labels,
     labeler_stage,
-    pseudo_label_stage,
     run_baseline,
     run_cpt_pipeline,
     validation_split,
@@ -104,6 +105,13 @@ def test_generate_pseudo_labels_requires_unlabeled_pool():
     params = init_parameters(net_cfg, seed=1)
     with pytest.raises(ValueError):
         generate_pseudo_labels(params, net_cfg, labeled, 0.5, vocab)
+
+
+def test_generate_pseudo_labels_raises_when_nothing_is_kept():
+    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture()
+    params = init_parameters(net_cfg, seed=1)
+    with pytest.raises(EmptyPseudoLabelPoolError, match="threshold 1.0"):
+        generate_pseudo_labels(params, net_cfg, pool, 1.0, vocab)
 
 
 def test_pipeline_report_bookkeeping_and_checkpoints(tmp_path):
@@ -200,7 +208,7 @@ def test_pipeline_is_exactly_its_stages(monkeypatch):
 
     train, val = validation_split(labeled, s1)
     labeler, labeler_history = labeler_stage(train, val, s1, net_cfg, vocab)
-    pseudo, _ = pseudo_label_stage(labeler, net_cfg, pool, 0.25, vocab)
+    pseudo, _ = generate_pseudo_labels(labeler, net_cfg, pool, 0.25, vocab)
     cpt, cpt_history = cpt_stage(pseudo, train, val, s2, net_cfg, vocab, labeler=None, include_labeled=False)
     by_hand, finetune_history = train_stage(cpt, net_cfg, train, val, s3, vocab)
 
@@ -221,7 +229,7 @@ def test_stages_validate_on_a_dev_set_of_other_speakers():
     split_val = validation_split(labeled, s1)[1]
 
     labeler, labeler_history = labeler_stage(train, dev, s1, net_cfg, vocab)
-    pseudo, _ = pseudo_label_stage(labeler, net_cfg, pool, 0.25, vocab)
+    pseudo, _ = generate_pseudo_labels(labeler, net_cfg, pool, 0.25, vocab)
     cpt, cpt_history = cpt_stage(pseudo, train, dev, s2, net_cfg, vocab, labeler=None, include_labeled=False)
     final, finetune_history = train_stage(cpt, net_cfg, train, dev, s3, vocab)
     for params, history in ((labeler, labeler_history), (cpt, cpt_history), (final, finetune_history)):
@@ -237,6 +245,17 @@ def test_baseline_equals_pipeline_stage_a(tmp_path):
     labeler, _ = load_checkpoint(tmp_path / "labeler.ckpt")
     baseline_params, report, history = run_baseline(labeled, eval_ds, s1, net_cfg, vocab)
     np.testing.assert_array_equal(labeler, baseline_params)
+
+
+def test_only_the_labeler_meets_the_quality_gate(caplog):
+    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture()
+    s1, _, _ = _quick_stages()
+    with caplog.at_level(logging.WARNING, logger="cptasr.pipeline"):
+        run_baseline(labeled, eval_ds, s1, net_cfg, vocab)
+    assert not any("quality gate" in r.getMessage() for r in caplog.records)
+    with caplog.at_level(logging.WARNING, logger="cptasr.pipeline"):
+        labeler_stage(*validation_split(labeled, s1), s1, net_cfg, vocab)
+    assert any("quality gate" in r.getMessage() for r in caplog.records)
 
 
 def test_cpt_can_start_from_labeler(tmp_path):
