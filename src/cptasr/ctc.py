@@ -122,18 +122,23 @@ def ctc_loss_and_grad_batch(
     frames, states = np.arange(n_frames), np.arange(ext.shape[1])
     frame_ok = frames < lengths[:, None]
     state_ok = states < n_states[:, None]
-    emit = np.take_along_axis(log_probs, ext[:, None, :], axis=2)
-    emit[~(frame_ok[:, :, None] & state_ok[:, None, :])] = NEG_INF
-
     # each member's lattice flipped in frames and states; padded cells map to themselves
     rev_frames = np.where(frame_ok, lengths[:, None] - 1 - frames, frames)
     rev_states = np.where(state_ok, n_states[:, None] - 1 - states, states)
-    flip = (np.arange(n_batch)[:, None, None], rev_frames[:, :, None], rev_states[:, None, :])
-    # alphas and betas in one recursion: the flipped lattices ride as B more members
-    pre = _lattice(np.concatenate([emit, emit[flip]]),
-                   np.concatenate([ext, np.take_along_axis(ext, rev_states, axis=1)]))
-    alpha = pre[:n_batch] + emit
-    beta = pre[n_batch:][flip]
+    # alphas and betas in one recursion: the flipped lattices ride as B more members.
+    # Their emissions are one flat gather from a copy of log_probs whose extra
+    # column C and padded frames hold -inf; padded states read column C.
+    table = np.full((n_batch, n_frames, n_classes + 1), NEG_INF)
+    np.copyto(table[:, :, :n_classes], log_probs, where=frame_ok[:, :, None])
+    first_row = np.arange(n_batch)[:, None] * n_frames
+    rows = np.concatenate([first_row + frames, first_row + rev_frames])  # 2B x T
+    both_ext = np.concatenate([ext, np.take_along_axis(ext, rev_states, axis=1)])  # 2B x S
+    columns = np.where(np.concatenate([state_ok, state_ok]), both_ext, n_classes)
+    emit = np.take(table, rows[:, :, None] * (n_classes + 1) + columns[:, None, :])
+    pre = _lattice(emit, both_ext)
+    alpha = pre[:n_batch] + emit[:n_batch]
+    # each cell's beta is its flipped partner's pre-emission value
+    beta = np.take(pre, (n_batch * n_frames + rows[n_batch:, :, None]) * ext.shape[1] + rev_states[:, None, :])
 
     # a path ends in the final blank or the final label
     last_frame = (np.arange(n_batch), lengths - 1)

@@ -234,6 +234,51 @@ def test_lattice_matches_full_width_recursion_bit_for_bit(batch):
     assert np.array_equal(ctc_mod._lattice(emit, ext), _full_width_lattice(emit, ext))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_ragged_batch())
+def test_flat_gathers_give_the_former_emissions_and_betas_bit_for_bit(batch):
+    """The emissions and betas equal those of the former per-axis gathers, padding included."""
+    logits, lengths, targets, symbols = batch
+    vocab = Vocabulary(symbols)
+    labels = [vocab.encode(t) for t in targets]
+    real_lattice, real_take = ctc_mod._lattice, np.take
+    pres, taken = [], []
+
+    def lattice_spy(emit, ext):
+        pres.append(real_lattice(emit, ext))
+        return pres[-1]
+
+    def take_spy(*args, **kwargs):
+        taken.append(real_take(*args, **kwargs))
+        return taken[-1]
+
+    with mock.patch.object(ctc_mod, "_lattice", side_effect=lattice_spy) as spy, \
+            mock.patch.object(np, "take", side_effect=take_spy):
+        ctc_loss_and_grad_batch(logits, lengths, labels)
+    (emit, ext), _ = spy.call_args
+    assert len(taken) == 2  # the emissions, then the betas
+
+    # the former construction: per-axis gathers, a -inf mask, a 3-index flip and a concatenation
+    lengths = np.asarray(lengths)
+    n_batch, n_frames = logits.shape[:2]
+    n_states = 2 * np.array([len(seq) for seq in labels]) + 1
+    ext_members = np.zeros((n_batch, n_states.max()), dtype=np.intp)
+    for b, seq in enumerate(labels):
+        ext_members[b, 1 : 2 * len(seq) : 2] = seq
+    assert np.array_equal(ext[:n_batch], ext_members)
+    frames, states = np.arange(n_frames), np.arange(ext.shape[1])
+    frame_ok = frames < lengths[:, None]
+    state_ok = states < n_states[:, None]
+    former = np.take_along_axis(log_softmax(logits, axis=2), ext_members[:, None, :], axis=2)
+    former[~(frame_ok[:, :, None] & state_ok[:, None, :])] = -np.inf
+    rev_frames = np.where(frame_ok, lengths[:, None] - 1 - frames, frames)
+    rev_states = np.where(state_ok, n_states[:, None] - 1 - states, states)
+    flip = (np.arange(n_batch)[:, None, None], rev_frames[:, :, None], rev_states[:, None, :])
+    assert np.array_equal(emit, np.concatenate([former, former[flip]]))
+    assert np.array_equal(taken[0], emit)
+    assert np.array_equal(taken[1], pres[0][n_batch:][flip])
+
+
 def test_batched_ctc_rejects_bad_lengths_and_infeasible_members():
     logits = np.zeros((2, 4, 3))
     with pytest.raises(ValueError):

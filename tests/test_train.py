@@ -1,9 +1,16 @@
 """Training loop: shuffling, early stopping, best-epoch selection, reproducibility."""
 
+import ctypes
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # Unix only
+    resource = None
 
 import cptasr.train as train_mod
 from cptasr.corpus import Dataset, SynthConfig, Utterance, build_vocabulary, generate_synthetic_corpus, speaker_disjoint_split
@@ -330,3 +337,50 @@ def test_train_stage_validates_on_a_too_short_utterance():
     _, history = train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val, _stage(epochs=1), vocab)
     # the short utterance decodes to nothing, so its one reference word counts as a deletion
     assert len(history.records) == 1 and history.records[0].val_wer > 0
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(resource is None or not _has_mallopt(), reason="needs getrusage and glibc's mallopt")
+def test_long_utterance_training_keeps_its_heap_and_stays_almost_fault_free():
+    """A repeated stage faults in no fresh pages: the freed heap of one step serves the next."""
+    cfg = SynthConfig(n_speakers=6, n_utterances=20, labeled_fraction=1.0,
+                      chars_per_utterance=(20, 30), frames_per_char=(6, 10), seed=5)
+    labeled, _, _ = generate_synthetic_corpus(cfg)
+    vocab = build_vocabulary(labeled.transcripts())
+    train_ds, val_ds = speaker_disjoint_split(labeled, 4, seed=1)
+    assert np.mean([utt.duration_frames for utt in train_ds]) > 180
+    net_cfg = NetConfig(feature_dim=cfg.feature_dim, vocab_size=vocab.size)
+    stage = _stage(epochs=2, batch_size=8)
+    start = init_parameters(net_cfg, seed=0)
+    train_stage(start, net_cfg, train_ds, val_ds, stage, vocab)  # warms the heap
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_stage(start, net_cfg, train_ds, val_ds, stage, vocab)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    steps = stage.epochs * math.ceil(len(train_ds) / stage.batch_size)
+    # without the heap pad each step faults its temporaries in afresh: over a thousand faults
+    assert faults / steps < 50, f"{faults} minor faults in {steps} steps"
+
+
+@pytest.mark.parametrize("missing", ["library", "mallopt"])
+def test_training_without_mallopt_runs_and_gives_the_same_parameters(monkeypatch, missing):
+    train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
+    start, stage = init_parameters(net_cfg, seed=0), _stage(epochs=2)
+    want, _ = train_stage(start, net_cfg, train_ds, val_ds, stage, vocab)
+    opened = []
+
+    def fake_cdll(name):
+        opened.append(name)
+        if missing == "library":  # as on Windows
+            raise OSError("no C library handle")
+        return object()  # a C library without mallopt, as on macOS
+
+    monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+    got, _ = train_stage(start, net_cfg, train_ds, val_ds, stage, vocab)
+    assert opened == [None]
+    assert got.tobytes() == want.tobytes()
