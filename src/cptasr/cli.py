@@ -139,8 +139,10 @@ def _save_vocab(vocab: Vocabulary, path: Path) -> None:
 
 def _load_vocab(path: Path) -> Vocabulary:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return Vocabulary(symbols=tuple(data["symbols"]))
+        symbols = json.loads(path.read_text(encoding="utf-8"))["symbols"]
+        if not isinstance(symbols, list):
+            raise TypeError(f"symbols must be a list, got {symbols!r}")
+        return Vocabulary(symbols=tuple(symbols))
     except FileNotFoundError:
         raise ManifestError(f"vocabulary file {path} does not exist; run train-labeler first") from None
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -226,12 +228,8 @@ def cmd_cpt(cfg: RunConfig, args: argparse.Namespace) -> int:
     labeled = load_manifest(cfg.path("labeled"), kind="labeled")
     net_cfg = cfg.net_config(vocab)
     _check_feature_dim(net_cfg, {cfg.out_dir / "pseudo.jsonl": pseudo_ds, cfg.path("labeled"): labeled})
-    labeler = None
-    if args.from_labeler:
-        labeler, _ = net.load_checkpoint(cfg.out_dir / "labeler.ckpt", expect_cfg=net_cfg)
     train_ds, val_ds = pipeline.validation_split(labeled, cfg.stages["stage1"])
-    params, history = pipeline.cpt_stage(pseudo_ds, train_ds, val_ds, cfg.stages["stage2-cpt"], net_cfg, vocab,
-                                         labeler=labeler, include_labeled=False)
+    params, history = pipeline.cpt_stage(pseudo_ds, train_ds, val_ds, cfg.stages["stage2-cpt"], net_cfg, vocab)
     net.save_checkpoint(params, net_cfg, cfg.out_dir / "cpt.ckpt")
     train.save_history(history, cfg.out_dir / "cpt_history.jsonl")
     print(f"cpt: best val WER {history.best_val_wer:.4f}; checkpoint at {cfg.out_dir / 'cpt.ckpt'}")
@@ -291,11 +289,7 @@ def cmd_pipeline(cfg: RunConfig, args: argparse.Namespace) -> int:
     _save_vocab(vocab, cfg.out_dir / "vocab.json")
     final_params, report = pipeline.run_cpt_pipeline(
         labeled, pool, eval_ds, cfg.stages["stage1"], cfg.stages["stage2-cpt"], cfg.stages["stage3-finetune"],
-        net_cfg, cfg.threshold, vocab,
-        out_dir=cfg.out_dir,
-        cpt_init="labeler" if args.cpt_from_labeler else "fresh",
-        include_labeled_in_cpt=args.mix_labeled,
-    )
+        net_cfg, cfg.threshold, vocab, out_dir=cfg.out_dir)
     report_path = cfg.out_dir / "report.json"
     _write_json(report.to_dict(), report_path)
     _write_json(report.final_eval_wer.to_dict(), cfg.out_dir / "final_wer.json")
@@ -305,8 +299,10 @@ def cmd_pipeline(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _read_wer(path: Path) -> float:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return float(data["wer"])
+        wer = check_field("wer", json.loads(path.read_text(encoding="utf-8"))["wer"], "float")
+        if wer < 0:
+            raise ValueError(f"wer must be >= 0, got {wer!r}")
+        return float(wer)
     except FileNotFoundError:
         raise ManifestError(f"report file {path} does not exist") from None
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -354,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("pseudolabel", cmd_pseudolabel, "stage 2a: decode the unlabeled pool with confidence filtering")
 
-    p = add("cpt", cmd_cpt, "stage 2b: continued pretraining on pseudo-labels")
-    p.add_argument("--from-labeler", action="store_true", help="start CPT from the labeling model instead of fresh")
+    add("cpt", cmd_cpt, "stage 2b: continued pretraining on pseudo-labels")
 
     add("finetune", cmd_finetune, "stage 3: supervised finetune from the CPT checkpoint")
     add("baseline", cmd_baseline, "train the no-CPT comparison baseline")
@@ -366,9 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", default=None)
     p.add_argument("--out", default=None)
 
-    p = add("pipeline", cmd_pipeline, "run the full staged pipeline")
-    p.add_argument("--cpt-from-labeler", action="store_true")
-    p.add_argument("--mix-labeled", action="store_true", help="include labeled data during CPT")
+    add("pipeline", cmd_pipeline, "run the full staged pipeline")
 
     p = sub.add_parser("report", help="merge saved WER reports into a relative-improvement table")
     p.add_argument("--baseline", required=True, help="baseline WerReport JSON")

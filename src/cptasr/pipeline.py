@@ -167,21 +167,17 @@ def labeler_stage(train: Dataset, val: Dataset, stage1: StageConfig, net: NetCon
     return params, history
 
 
-def cpt_stage(
-    pseudo: Dataset, train: Dataset, val: Dataset, stage2: StageConfig, net: NetConfig,
-    vocab: Vocabulary, labeler: np.ndarray | None, include_labeled: bool,
-) -> tuple[np.ndarray, TrainHistory]:
-    """Stage C: continued pretraining on the pseudo-labels, validated on ``val``.
+def cpt_stage(pseudo: Dataset, train: Dataset, val: Dataset, stage2: StageConfig, net: NetConfig,
+              vocab: Vocabulary) -> tuple[np.ndarray, TrainHistory]:
+    """Stage C: continued pretraining on the pseudo-labels alone, validated on ``val``.
 
-    Starts from ``labeler`` when given, else from a fresh initialization
-    seeded by ``stage2``. ``include_labeled`` mixes ``train`` into the stage.
+    Starts from a fresh initialization seeded by ``stage2``. ``train`` is
+    only checked to share no utterance id with ``pseudo``.
     """
     if len(pseudo) == 0:
         raise EmptyPseudoLabelPoolError("the pseudo-label set is empty")
     _check_no_leak(pseudo, (train, val), None)
-    data = Dataset(pseudo.utterances + train.utterances, "pseudo_labeled") if include_labeled else pseudo
-    start = labeler if labeler is not None else net_mod.init_parameters(net, stage2.seed)
-    return train_mod.train_stage(start, net, data, val, stage2, vocab)
+    return train_mod.train_stage(net_mod.init_parameters(net, stage2.seed), net, pseudo, val, stage2, vocab)
 
 
 def run_baseline(
@@ -207,17 +203,12 @@ def run_cpt_pipeline(
     labeled: Dataset, pool: Dataset, eval_ds: Dataset,
     stage1: StageConfig, stage2: StageConfig, stage3: StageConfig,
     net: NetConfig, threshold: float, vocab: Vocabulary, out_dir: str | Path | None = None,
-    cpt_init: str = "fresh", include_labeled_in_cpt: bool = False,
 ) -> tuple[np.ndarray, PipelineReport]:
     """Run stages A-D and return the finetuned model plus a report.
 
-    ``cpt_init="labeler"`` starts stage C from the labeling model instead
-    of a fresh initialization; ``include_labeled_in_cpt`` mixes the labeled
-    data into stage C. When ``out_dir`` is set, "labeler", "cpt" and
-    "final" checkpoints are written there.
+    When ``out_dir`` is set, "labeler", "cpt" and "final" checkpoints are
+    written there.
     """
-    if cpt_init not in ("fresh", "labeler"):
-        raise ValueError("cpt_init must be 'fresh' or 'labeler'")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
     _check_no_leak(labeled, (pool, eval_ds), eval_ds)
@@ -231,11 +222,7 @@ def run_cpt_pipeline(
 
     pseudo_ds, stats = generate_pseudo_labels(labeler, net, pool, threshold, vocab)
 
-    cpt_params, cpt_history = cpt_stage(
-        pseudo_ds, train_ds, val_ds, stage2, net, vocab,
-        labeler=labeler if cpt_init == "labeler" else None,
-        include_labeled=include_labeled_in_cpt,
-    )
+    cpt_params, cpt_history = cpt_stage(pseudo_ds, train_ds, val_ds, stage2, net, vocab)
     if out_path is not None:
         net_mod.save_checkpoint(cpt_params, net, out_path / "cpt.ckpt")
 

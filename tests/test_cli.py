@@ -84,7 +84,7 @@ def test_gen_data_warns_on_empty_unlabeled(run_config, capsys):
     assert "warning" in capsys.readouterr().err.lower()
 
 
-def test_full_command_chain(run_config, capsys, caplog, tmp_path):
+def test_full_command_chain(run_config, capsys, caplog):
     cfg_path, out_dir = run_config
     assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
     assert main(["split", "--config", str(cfg_path),
@@ -108,12 +108,6 @@ def test_full_command_chain(run_config, capsys, caplog, tmp_path):
     assert main(["finetune", "--config", str(cfg_path)]) == EXIT_OK
     assert (out_dir / "final.ckpt").exists()
 
-    # the one-shot pipeline runs the same stages and writes the same checkpoints
-    pipeline_dir = tmp_path / "pipeline_run"
-    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(pipeline_dir)]) == EXIT_OK
-    for name in ("labeler.ckpt", "cpt.ckpt", "final.ckpt"):
-        assert (pipeline_dir / name).read_bytes() == (out_dir / name).read_bytes()
-
     assert main(["eval", "--config", str(cfg_path),
                  "--checkpoint", str(out_dir / "final.ckpt"),
                  "--manifest", str(out_dir / "eval.jsonl")]) == EXIT_OK
@@ -131,35 +125,20 @@ def test_full_command_chain(run_config, capsys, caplog, tmp_path):
     assert (out_dir / "baseline_wer.json").exists()
 
 
-def test_cpt_from_labeler_chain_equals_pipeline_flag(run_config, tmp_path):
+def test_command_chain_equals_pipeline_command(run_config, tmp_path):
     cfg_path, out_dir = run_config
     main(["gen-data", "--config", str(cfg_path)])
     main(["split", "--config", str(cfg_path),
           "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
-    for command in (["train-labeler"], ["pseudolabel"], ["cpt", "--from-labeler"], ["finetune"]):
-        assert main(command + ["--config", str(cfg_path)]) == EXIT_OK
+    for command in ("train-labeler", "pseudolabel", "cpt", "finetune"):
+        assert main([command, "--config", str(cfg_path)]) == EXIT_OK
     pipeline_dir = tmp_path / "pipeline_run"
-    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(pipeline_dir),
-                 "--cpt-from-labeler"]) == EXIT_OK
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(pipeline_dir)]) == EXIT_OK
     for name in ("labeler.ckpt", "cpt.ckpt", "final.ckpt"):
         assert (pipeline_dir / name).read_bytes() == (out_dir / name).read_bytes()
-    warm = (out_dir / "cpt.ckpt").read_bytes()
+    cpt = (out_dir / "cpt.ckpt").read_bytes()
     assert main(["cpt", "--config", str(cfg_path)]) == EXIT_OK
-    assert (out_dir / "cpt.ckpt").read_bytes() != warm
-
-
-def test_pipeline_mix_labeled_changes_only_cpt_onward(run_config, tmp_path):
-    cfg_path, out_dir = run_config
-    main(["gen-data", "--config", str(cfg_path)])
-    main(["split", "--config", str(cfg_path),
-          "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
-    assert main(["pipeline", "--config", str(cfg_path)]) == EXIT_OK
-    mixed_dir = tmp_path / "mixed"
-    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(mixed_dir), "--mix-labeled"]) == EXIT_OK
-    default = json.loads((out_dir / "report.json").read_text())
-    mixed = json.loads((mixed_dir / "report.json").read_text())
-    assert mixed["labeler_history"] == default["labeler_history"]
-    assert mixed["cpt_history"] != default["cpt_history"]
+    assert (out_dir / "cpt.ckpt").read_bytes() == cpt
 
 
 def test_pipeline_command_is_idempotent_and_quick(run_config):
@@ -445,7 +424,9 @@ def test_vocabulary_checkpoint_size_mismatch_is_data_error(run_config, capsys):
     assert not (out_dir / "eval_wer.json").exists()
 
 
-@pytest.mark.parametrize("symbols", [[1, 2, 3, 4, 5, 6], ["bc", "a", "d", "e", "f", "g"]], ids=["ints", "multi-char"])
+@pytest.mark.parametrize("symbols", [[1, 2, 3, 4, 5, 6], ["bc", "a", "d", "e", "f", "g"], "abcdef",
+                                     {ch: i for i, ch in enumerate("abcdef")}],
+                         ids=["ints", "multi-char", "string", "object"])
 def test_bad_vocabulary_symbols_are_data_error(run_config, capsys, symbols):
     cfg_path, out_dir = run_config
     assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
@@ -571,6 +552,19 @@ def test_report_multiple_runs(tmp_path, capsys):
                  "--run", f"5K+CPT={a}", "--run", f"20K+CPT={b}"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "-38.5%" in out and "-81.7%" in out
+
+
+@pytest.mark.parametrize("wer", [float("nan"), float("inf"), True, "0.3", -0.2],
+                         ids=["nan", "inf", "bool", "string", "negative"])
+@pytest.mark.parametrize("bad", ["baseline", "run"])
+def test_report_rejects_a_wer_that_is_not_one(tmp_path, capsys, bad, wer):
+    paths = {name: tmp_path / f"{name}.json" for name in ("baseline", "run")}
+    for name, path in paths.items():
+        path.write_text(json.dumps({"wer": wer if name == bad else 0.25}))
+    assert main(["report", "--baseline", str(paths["baseline"]), "--run", f"cpt={paths['run']}"]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"data error: report file {paths[bad]} ")
+    assert captured.out == ""
 
 
 def test_out_dir_env_override(run_config, monkeypatch, tmp_path):

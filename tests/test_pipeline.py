@@ -190,7 +190,7 @@ def test_cpt_stage_rejects_pseudo_id_shared_with_labeled():
     for twin in (train.utterances[0], val.utterances[0]):
         pseudo = Dataset([Utterance(twin.id, "spkX", twin.features, twin.transcript)], "pseudo_labeled")
         with pytest.raises(ValueError, match="share utterance ids"):
-            cpt_stage(pseudo, train, val, s2, net_cfg, vocab, labeler=None, include_labeled=False)
+            cpt_stage(pseudo, train, val, s2, net_cfg, vocab)
 
 
 def test_pipeline_is_exactly_its_stages(monkeypatch):
@@ -209,7 +209,7 @@ def test_pipeline_is_exactly_its_stages(monkeypatch):
     train, val = validation_split(labeled, s1)
     labeler, labeler_history = labeler_stage(train, val, s1, net_cfg, vocab)
     pseudo, _ = generate_pseudo_labels(labeler, net_cfg, pool, 0.25, vocab)
-    cpt, cpt_history = cpt_stage(pseudo, train, val, s2, net_cfg, vocab, labeler=None, include_labeled=False)
+    cpt, cpt_history = cpt_stage(pseudo, train, val, s2, net_cfg, vocab)
     by_hand, finetune_history = train_stage(cpt, net_cfg, train, val, s3, vocab)
 
     assert np.array_equal(by_hand, final)
@@ -230,7 +230,7 @@ def test_stages_validate_on_a_dev_set_of_other_speakers():
 
     labeler, labeler_history = labeler_stage(train, dev, s1, net_cfg, vocab)
     pseudo, _ = generate_pseudo_labels(labeler, net_cfg, pool, 0.25, vocab)
-    cpt, cpt_history = cpt_stage(pseudo, train, dev, s2, net_cfg, vocab, labeler=None, include_labeled=False)
+    cpt, cpt_history = cpt_stage(pseudo, train, dev, s2, net_cfg, vocab)
     final, finetune_history = train_stage(cpt, net_cfg, train, dev, s3, vocab)
     for params, history in ((labeler, labeler_history), (cpt, cpt_history), (final, finetune_history)):
         assert history.best_val_wer == evaluate_wer(params, net_cfg, dev, vocab).wer
@@ -258,19 +258,6 @@ def test_only_the_labeler_meets_the_quality_gate(caplog):
     assert any("quality gate" in r.getMessage() for r in caplog.records)
 
 
-def test_cpt_can_start_from_labeler(tmp_path):
-    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture()
-    s1, s2, s3 = _quick_stages()
-    _, rep_fresh = run_cpt_pipeline(labeled, pool, eval_ds, s1, s2, s3, net_cfg, 0.25, vocab)
-    _, rep_warm = run_cpt_pipeline(labeled, pool, eval_ds, s1, s2, s3, net_cfg, 0.25, vocab,
-                                   cpt_init="labeler")
-    # same labeling stage, different CPT trajectories
-    assert rep_fresh.labeler_history.best_val_wer == rep_warm.labeler_history.best_val_wer
-    assert rep_fresh.pool_kept == rep_warm.pool_kept
-    with pytest.raises(ValueError):
-        run_cpt_pipeline(labeled, pool, eval_ds, s1, s2, s3, net_cfg, 0.25, vocab, cpt_init="warm")
-
-
 def test_too_short_pool_utterance_is_counted_as_empty():
     labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture(n_utterances=80)
     params = init_parameters(net_cfg, seed=1)
@@ -282,27 +269,3 @@ def test_too_short_pool_utterance_is_counted_as_empty():
     assert with_short.empty_dropped == stats.empty_dropped + 1
     assert (with_short.kept, with_short.below_threshold) == (stats.kept, stats.below_threshold)
     assert with_short.labels[-1] == PseudoLabel("zz-short", "", 0.0)
-
-
-def test_mixed_cpt_trains_on_pseudo_labels_plus_labeled_train_carve(monkeypatch):
-    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture(n_utterances=120)
-    s1, s2, s3 = _quick_stages()
-    calls = []
-    real_train_stage = pipeline_mod.train_mod.train_stage
-
-    def spy(start, cfg, data, val, stage, vocab):
-        calls.append((stage, data, val))
-        return real_train_stage(start, cfg, data, val, stage, vocab)
-
-    monkeypatch.setattr(pipeline_mod.train_mod, "train_stage", spy)
-    _, report = run_cpt_pipeline(labeled, pool, eval_ds, s1, s2, s3, net_cfg, 0.25, vocab,
-                                 include_labeled_in_cpt=True)
-    (_, _, val), (stage, data, cpt_val), _ = calls
-    carve = {u.id for u in val}
-    assert stage == s2 and {u.id for u in cpt_val} == carve
-    labeled_ids = {u.id for u in labeled}
-    from_pool = [u.id for u in data if u.id not in labeled_ids]
-    assert len(from_pool) == report.pool_kept and set(from_pool) <= {u.id for u in pool}
-    assert {u.id for u in data} & labeled_ids == labeled_ids - carve
-    assert len(data) == report.pool_kept + len(labeled) - len(carve)
-    assert not carve & {u.id for u in data}
