@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
@@ -37,8 +36,6 @@ EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_EMPTY_POOL = 4
-
-OUT_DIR_ENV = "CPTASR_OUT_DIR"
 
 SEED_OFFSETS = {"synth": 0, "stage1": 1, "stage2-cpt": 2, "stage3-finetune": 3, "baseline": 4, "split": 5}
 
@@ -104,14 +101,13 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
     unknown = set(raw) - set(keys)
     if unknown:
         raise ConfigError(f"unknown run config keys {sorted(unknown)}; expected {keys}")
-    raw = {**raw, "out_dir": os.environ.get(OUT_DIR_ENV) or raw.get("out_dir", "runs")}
     for key in ("seed", "threshold", "out_dir"):
         if getattr(overrides, key, None) is not None:
             raw[key] = getattr(overrides, key)
     try:
         seed = check_field("seed", raw.get("seed", 0), "int")
         threshold = float(check_field("threshold", raw.get("threshold", 0.75), "float"))
-        out_dir = Path(check_field("out_dir", raw["out_dir"], "str"))
+        out_dir = Path(check_field("out_dir", raw.get("out_dir", "runs"), "str"))
         net_raw = check_field("net", raw.get("net", {}), "dict")
         synth_raw = check_field("synth", raw.get("synth", {}), "dict")
         stages = check_field("stages", raw.get("stages", {}), "dict")
@@ -336,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run-config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threshold", type=float, default=None, help="override the confidence threshold")
-        p.add_argument("--out-dir", default=None, help=f"override the output directory (or set {OUT_DIR_ENV})")
+        p.add_argument("--out-dir", default=None, help="override the output directory")
         p.set_defaults(func=func)
         return p
 

@@ -12,19 +12,21 @@ from .fieldcheck import check_field
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Every stage shares these: warmup share of the steps, decoupled weight
+# decay, and the global-norm clip bound.
+WARMUP_RATIO = 0.1
+WEIGHT_DECAY = 0.01
+GRAD_CLIP_NORM = 1.0
 
 
 @dataclass(frozen=True)
 class StageConfig:
-    """Full hyperparameter record for one training stage."""
+    """The hyperparameters one training stage varies; the optimizer constants above are shared."""
 
     learning_rate: float
     epochs: int
     batch_size: int
-    warmup_ratio: float = 0.1
-    weight_decay: float = 0.01
     label_smoothing: float = 0.0
-    grad_clip_norm: float | None = 1.0
     patience: int | None = 3
     dropout_rate: float = 0.0
     seed: int = 0
@@ -34,16 +36,10 @@ class StageConfig:
             check_field(f.name, getattr(self, f.name), f.type)
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("learning_rate, epochs and batch_size must be positive")
-        if not 0.0 <= self.warmup_ratio < 1.0:
-            raise ValueError("warmup_ratio must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label_smoothing must lie in [0, 1)")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ValueError("grad_clip_norm must be positive or None")
-        if self.patience is not None and self.patience < 0:
-            raise ValueError("patience must be >= 0 or None")
+        if self.patience is not None and self.patience < 1:
+            raise ValueError("patience must be >= 1, or None to disable early stopping")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
 
@@ -70,15 +66,13 @@ def preset(name: str, **overrides) -> StageConfig:
 
 
 def lr_at(step: int, total_steps: int, cfg: StageConfig) -> float:
-    """Piecewise-linear schedule: ramp 0 -> lr over the warmup steps, then decay to 0."""
+    """Piecewise-linear schedule: ramp 0 -> lr over the first ``WARMUP_RATIO`` of the steps, then decay to 0."""
     if total_steps < 1:
         raise ValueError("total_steps must be >= 1")
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    warmup_steps = math.ceil(cfg.warmup_ratio * total_steps)
+    warmup_steps = math.ceil(WARMUP_RATIO * total_steps)
     if step <= warmup_steps:
-        if warmup_steps == 0:
-            return cfg.learning_rate
         return cfg.learning_rate * step / warmup_steps
     return cfg.learning_rate * (total_steps - step) / (total_steps - warmup_steps)
 
@@ -123,11 +117,10 @@ def adamw_step(
     grads: np.ndarray,
     state: OptState,
     lr: float,
-    cfg: StageConfig,
 ) -> None:
     """One bias-corrected Adam step with decoupled weight decay on the parameter vector, in place.
 
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * weight_decay * theta.
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * WEIGHT_DECAY * theta.
     ``theta``, ``state.m`` and ``state.v`` are overwritten and ``state.step``
     advances; ``grads`` is only read. Each element goes through the same
     operations in the same order as the textbook expression, so the result
@@ -150,7 +143,7 @@ def adamw_step(
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     scratch /= denom  # the Adam update
-    np.multiply(theta, lr * cfg.weight_decay, out=denom)  # the decay, from the old theta
+    np.multiply(theta, lr * WEIGHT_DECAY, out=denom)  # the decay, from the old theta
     theta -= scratch
     theta -= denom
     state.step = t

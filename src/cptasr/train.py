@@ -162,13 +162,14 @@ def train_stage(
     ``stage.label_smoothing``) and
     one :func:`net.backward_batch`; the summed float64 gradient is divided
     by the member count, and a non-finite result raises
-    ``FloatingPointError`` naming its tensor. The vector is clipped and
-    stepped by AdamW under the warmup/decay schedule, then rounded to
-    float32 into the copy and written back, so the master stays
-    float32-representable and checkpoints round-trip bit-exactly.
+    ``FloatingPointError`` naming its tensor. The vector is clipped to
+    ``optim.GRAD_CLIP_NORM`` and stepped by AdamW under the warmup/decay
+    schedule, then rounded to float32 into the copy and written back, so
+    the master stays float32-representable and checkpoints round-trip
+    bit-exactly.
     ``start`` is not modified. Validation WER is measured after every
     epoch, in float32; training stops once ``stage.patience`` consecutive
-    epochs fail to improve the best WER (patience None or 0 disables early
+    epochs fail to improve the best WER (patience None disables early
     stopping). The best epoch's parameters are returned as a float32
     vector; :func:`net.unflatten` gives named views.
     """
@@ -221,10 +222,9 @@ def train_stage(
             if not np.all(np.isfinite(grads)):
                 bad = net.tensor_name(cfg, int(np.argmin(np.isfinite(grads))))
                 raise FloatingPointError(f"non-finite gradient in {bad!r} at step {state.step}")
-            if stage.grad_clip_norm is not None:
-                optim.clip_gradients(grads, stage.grad_clip_norm)  # scales grads in place
+            optim.clip_gradients(grads, optim.GRAD_CLIP_NORM)  # scales grads in place
             lr = optim.lr_at(state.step, total_steps, stage)
-            optim.adamw_step(theta, grads, state, lr, stage)
+            optim.adamw_step(theta, grads, state, lr)
             theta32[:] = theta  # round the master to float32 for the network,
             theta[:] = theta32  # and keep the master on those values
 
@@ -246,7 +246,7 @@ def train_stage(
             bad_epochs = 0
         else:
             bad_epochs += 1
-            if stage.patience and bad_epochs >= stage.patience:
+            if stage.patience is not None and bad_epochs >= stage.patience:
                 history.stopped_early = True
                 logger.info("early stopping after epoch %d (best epoch %d)", epoch, history.best_epoch)
                 break

@@ -2,8 +2,11 @@
 
 import json
 import logging
+import re
+import shlex
 import time
 from dataclasses import replace
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -12,6 +15,7 @@ from cptasr.cli import (
     EXIT_DATA,
     EXIT_EMPTY_POOL,
     EXIT_OK,
+    build_parser,
     main,
 )
 from cptasr.corpus import Dataset, build_vocabulary, load_manifest, save_manifest
@@ -204,7 +208,10 @@ def test_bad_baseline_stage_is_config_error_before_any_training(run_config):
     ("pipeline", "baseline", "batch_size", 0),
     ("gen-data", "net", "hidden_dim", 24.5),
     ("split", "net", "hidden_dim", 24.5),
-], ids=["gen-data-baseline", "train-labeler-synth", "pipeline-baseline", "gen-data-net", "split-net"])
+    ("gen-data", "stage2-cpt", "weight_decay", 0.01),  # optimizer constants are not stage keys
+    ("train-labeler", "stage1", "grad_clip_norm", 1.0),
+], ids=["gen-data-baseline", "train-labeler-synth", "pipeline-baseline", "gen-data-net", "split-net",
+        "gen-data-removed-key", "train-labeler-removed-key"])
 def test_bad_section_the_command_does_not_use_is_config_error_before_any_work(run_config, capsys, command,
                                                                               section, field, value):
     cfg_path, out_dir = run_config
@@ -279,14 +286,14 @@ def test_unknown_run_config_key_is_config_error_before_any_work(run_config, caps
     ("stage1", "seed", "x"),
     ("stage1", "patience", 1.5),
     ("stage1", "learning_rate", True),
-    ("stage1", "weight_decay", True),
+    ("stage1", "label_smoothing", True),
     ("stage1", "learning_rate", float("nan")),
-    ("stage1", "weight_decay", float("inf")),
-    ("stage1", "grad_clip_norm", float("nan")),
+    ("stage1", "label_smoothing", float("inf")),
+    ("stage1", "dropout_rate", float("nan")),
     ("stage1", "seed", -3),
 ], ids=["hidden_dim-float", "context_window-bool", "epochs-float", "batch_size-float", "seed-str",
-        "patience-float", "learning_rate-bool", "weight_decay-bool", "learning_rate-nan", "weight_decay-inf",
-        "grad_clip_norm-nan", "seed-negative"])
+        "patience-float", "learning_rate-bool", "label_smoothing-bool", "learning_rate-nan", "label_smoothing-inf",
+        "dropout_rate-nan", "seed-negative"])
 def test_wrongly_typed_net_or_stage_field_is_config_error_before_any_work(run_config, capsys, section, field, value):
     cfg_path, out_dir = run_config
     main(["gen-data", "--config", str(cfg_path)])
@@ -567,12 +574,12 @@ def test_report_rejects_a_wer_that_is_not_one(tmp_path, capsys, bad, wer):
     assert captured.out == ""
 
 
-def test_out_dir_env_override(run_config, monkeypatch, tmp_path):
-    cfg_path, _ = run_config
+def test_out_dir_flag_overrides_config(run_config, tmp_path):
+    cfg_path, out_dir = run_config
     override = tmp_path / "elsewhere"
-    monkeypatch.setenv("CPTASR_OUT_DIR", str(override))
-    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
-    assert (override / "labeled.jsonl").exists()
+    assert main(["gen-data", "--config", str(cfg_path), "--out-dir", str(override)]) == EXIT_OK
+    assert (override / "labeled.jsonl").exists() and (override / "unlabeled.jsonl").exists()
+    assert not out_dir.exists()
 
 
 def test_seed_flag_overrides_config(run_config):
@@ -581,3 +588,25 @@ def test_seed_flag_overrides_config(run_config):
     base = (out_dir / "labeled.jsonl").read_bytes()
     main(["gen-data", "--config", str(cfg_path), "--seed", "99"])
     assert (out_dir / "labeled.jsonl").read_bytes() != base
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_command_block_reads_where_its_config_writes():
+    """Each path the README's command sequence reads lies under the out_dir that wrote it."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    commands = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    config = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    roots = [PurePosixPath(config["out_dir"])]
+    parser = build_parser()
+    for line in commands.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "cptasr", line
+        args = parser.parse_args(argv[1:])
+        paths = [getattr(args, key, None) for key in ("manifest", "checkpoint", "vocab", "out", "baseline")]
+        paths += [entry.partition("=")[2] for entry in getattr(args, "run", None) or []]
+        for path in filter(None, paths):
+            assert any(PurePosixPath(path).is_relative_to(root) for root in roots), f"{path} in: {line}"
+        if getattr(args, "out_dir", None):
+            roots.append(PurePosixPath(args.out_dir))
