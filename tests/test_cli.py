@@ -288,11 +288,11 @@ def test_unknown_run_config_key_is_config_error_before_any_work(run_config, caps
     ("stage1", "learning_rate", True),
     ("stage1", "label_smoothing", True),
     ("stage1", "learning_rate", float("nan")),
-    ("stage1", "label_smoothing", float("inf")),
+    ("stage1", "dropout_rate", float("inf")),
     ("stage1", "dropout_rate", float("nan")),
     ("stage1", "seed", -3),
 ], ids=["hidden_dim-float", "context_window-bool", "epochs-float", "batch_size-float", "seed-str",
-        "patience-float", "learning_rate-bool", "label_smoothing-bool", "learning_rate-nan", "label_smoothing-inf",
+        "patience-float", "learning_rate-bool", "label_smoothing-bool", "learning_rate-nan", "dropout_rate-inf",
         "dropout_rate-nan", "seed-negative"])
 def test_wrongly_typed_net_or_stage_field_is_config_error_before_any_work(run_config, capsys, section, field, value):
     cfg_path, out_dir = run_config
