@@ -18,8 +18,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, fields
-from functools import partial
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from . import corpus, net, pipeline, train
 from .corpus import ManifestError, SynthConfig, Vocabulary, build_vocabulary, load_manifest, save_manifest
 from .fieldcheck import as_record, check_field
 from .metrics import relative_improvement
-from .optim import PRESETS, StageConfig, preset
+from .optim import PRESETS, StageConfig
 from .pipeline import EmptyPseudoLabelPoolError
 
 EXIT_OK = 0
@@ -44,10 +43,19 @@ class ConfigError(ValueError):
     """Raised for unusable run configuration."""
 
 
-def _checked(section: str, make, raw: dict):
-    """``make(**raw)``, with its TypeError or ValueError raised as a ConfigError naming ``section``."""
+def _check_keys(section: str, cls: type, raw: dict) -> None:
+    """Raise a ConfigError naming ``raw``'s keys that are not fields of the dataclass ``cls``."""
+    keys = tuple(f.name for f in fields(cls))
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {section} keys {sorted(unknown)}; expected {keys}")
+
+
+def _checked(section: str, cls: type, raw: dict):
+    """``cls(**raw)``; an unknown key, TypeError or ValueError raises a ConfigError naming ``section``."""
+    _check_keys(section, cls, raw)
     try:
-        return make(**raw)
+        return cls(**raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {section} config: {exc}") from None
 
@@ -97,10 +105,7 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise ConfigError("run config must be a JSON object")
-    keys = tuple(f.name for f in fields(RunConfig))
-    unknown = set(raw) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown run config keys {sorted(unknown)}; expected {keys}")
+    _check_keys("run config", RunConfig, raw)
     for key in ("seed", "threshold", "out_dir"):
         if getattr(overrides, key, None) is not None:
             raw[key] = getattr(overrides, key)
@@ -122,8 +127,9 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold {threshold} outside [0, 1]")
     synth = _checked("synth", SynthConfig, {"seed": seed + SEED_OFFSETS["synth"], **synth_raw})
-    stages = {name: _checked(f"stages.{name}", partial(preset, name),
-                             {"seed": seed + SEED_OFFSETS[name], **stage_raw.get(name, {})}) for name in PRESETS}
+    stages = {name: _checked(f"stages.{name}", StageConfig,
+                             {**asdict(PRESETS[name]), "seed": seed + SEED_OFFSETS[name], **stage_raw.get(name, {})})
+              for name in PRESETS}
     _checked("net", net.NetConfig, {"vocab_size": 1, **net_raw})
     return RunConfig(seed, threshold, out_dir, net_raw, synth, stages, paths)
 

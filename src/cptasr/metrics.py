@@ -1,4 +1,4 @@
-"""Word/character error rate via Levenshtein alignment, plus report arithmetic."""
+"""Word error rate via Levenshtein alignment, plus report arithmetic."""
 
 from __future__ import annotations
 
@@ -69,25 +69,16 @@ def edit_distance(ref: list[str], hyp: list[str]) -> tuple[int, int, int]:
     return subs, ins, dels
 
 
-def _tokenize(text: str, unit: str) -> list[str]:
-    text = normalize_text(text)
-    if unit == "word":
-        return text.split(" ") if text else []
-    if unit == "char":
-        return list(text)
-    raise ValueError(f"unknown unit {unit!r}, expected 'word' or 'char'")
+def wer(pairs: list[tuple[str, str]]) -> WerReport:
+    """Corpus-level word error rate over (reference, hypothesis) pairs.
 
-
-def wer(pairs: list[tuple[str, str]], unit: str = "word") -> WerReport:
-    """Corpus-level error rate over (reference, hypothesis) pairs.
-
-    Edits are summed across utterances and divided by the summed reference
-    token count (pooled, not a mean of per-utterance rates).
+    Words are separated by whitespace runs, the ones ``normalize_text``
+    collapses. Edits are summed across utterances and divided by the summed
+    reference word count (pooled, not a mean of per-utterance rates).
     """
     total_s = total_i = total_d = total_ref = 0
     for ref_text, hyp_text in pairs:
-        ref_toks = _tokenize(ref_text, unit)
-        hyp_toks = _tokenize(hyp_text, unit)
+        ref_toks, hyp_toks = ref_text.split(), hyp_text.split()
         s, ins, d = edit_distance(ref_toks, hyp_toks)
         total_s += s
         total_i += ins

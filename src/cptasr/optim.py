@@ -85,13 +85,13 @@ def clip_gradients(grads: np.ndarray, max_norm: float) -> tuple[np.ndarray, floa
     """Scale the gradient vector in place so its L2 norm is at most ``max_norm``.
 
     Returns the vector and the applied scale.
-    Non-finite gradients raise, since they signal divergence.
+    A non-finite norm raises, since it signals divergence.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    if not np.all(np.isfinite(grads)):
-        raise FloatingPointError("non-finite gradient")
     norm = global_grad_norm(grads)
+    if not math.isfinite(norm):
+        raise FloatingPointError("non-finite gradient norm")
     if norm <= max_norm:
         return grads, 1.0
     scale = max_norm / norm

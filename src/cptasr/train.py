@@ -102,7 +102,7 @@ def evaluate_wer(theta: np.ndarray, cfg: NetConfig, ds: Dataset, vocab: Vocabula
         raise ValueError("cannot score an unlabeled dataset")
     decodes = decode_dataset(theta, cfg, ds, vocab)
     pairs = [(utt.transcript, dec.hypothesis) for utt, dec in zip(ds, decodes)]
-    return wer(pairs, unit="word")
+    return wer(pairs)
 
 
 def _feasible_subset(data: Dataset, cfg: NetConfig, vocab: Vocabulary) -> tuple[list, list[np.ndarray], int]:

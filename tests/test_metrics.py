@@ -93,12 +93,6 @@ def test_wer_invariant_to_pair_order():
     assert fwd.to_dict() == rev.to_dict()
 
 
-def test_wer_char_unit():
-    report = wer([("ab", "ax")], unit="char")
-    assert report.wer == pytest.approx(0.5)
-    assert report.ref_words == 2
-
-
 def test_wer_all_empty_references_rejected():
     with pytest.raises(ValueError):
         wer([("", "a"), ("  ", "b")])

@@ -80,8 +80,9 @@ def test_clip_post_norm_and_idempotence():
 
 
 def test_clip_rejects_nonfinite():
-    with pytest.raises(FloatingPointError):
-        clip_gradients(np.array([np.nan]), 1.0)
+    for grads in ([np.nan], [np.inf], [1.0, np.nan]):
+        with pytest.raises(FloatingPointError):
+            clip_gradients(np.array(grads), 1.0)
 
 
 def test_adamw_pure_decay_with_zero_gradient():

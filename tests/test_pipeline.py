@@ -247,15 +247,25 @@ def test_baseline_equals_pipeline_stage_a(tmp_path):
     np.testing.assert_array_equal(labeler, baseline_params)
 
 
-def test_only_the_labeler_meets_the_quality_gate(caplog):
+def test_baseline_is_one_labeler_stage_on_the_split_and_neither_warns(monkeypatch, caplog):
     labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture()
     s1, _, _ = _quick_stages()
-    with caplog.at_level(logging.WARNING, logger="cptasr.pipeline"):
-        run_baseline(labeled, eval_ds, s1, net_cfg, vocab)
-    assert not any("quality gate" in r.getMessage() for r in caplog.records)
-    with caplog.at_level(logging.WARNING, logger="cptasr.pipeline"):
-        labeler_stage(*validation_split(labeled, s1), s1, net_cfg, vocab)
-    assert any("quality gate" in r.getMessage() for r in caplog.records)
+    calls = []
+
+    def spied_labeler_stage(*args):
+        calls.append(args)
+        return labeler_stage(*args)
+
+    monkeypatch.setattr(pipeline_mod, "labeler_stage", spied_labeler_stage)
+    with caplog.at_level(logging.WARNING, logger="cptasr.pipeline"):  # run_baseline's labeler_stage is the real one
+        _, _, history = run_baseline(labeled, eval_ds, s1, net_cfg, vocab)
+    assert history.best_val_wer >= 0.25  # a weak labeler: no validation WER makes stage A warn
+    assert len(calls) == 1
+    train, val = validation_split(labeled, s1)
+    got_train, got_val, got_cfg, got_net, got_vocab = calls[0]
+    assert [u.id for u in got_train] == [u.id for u in train] and [u.id for u in got_val] == [u.id for u in val]
+    assert (got_cfg, got_net, got_vocab) == (s1, net_cfg, vocab)
+    assert not [r for r in caplog.records if r.name == "cptasr.pipeline" and r.levelno >= logging.WARNING]
 
 
 def test_too_short_pool_utterance_is_counted_as_empty():
