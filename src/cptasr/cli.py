@@ -5,8 +5,8 @@ individual fields. ``main`` reads it once and checks every section before
 a command starts (``net`` with a stand-in ``vocab_size`` until the
 vocabulary is known), so a bad section fails every command. All
 randomness fans out from the config's single seed by fixed offsets (synth
-data +0, stage1 +1, stage2 +2, stage3 +3, baseline +4, eval split +5), so
-one number reproduces a whole run.
+data +0, stage1 +1, stage2 +2, stage3 +3, eval split +5), so one number
+reproduces a whole run. The no-CPT baseline is ``eval`` of ``labeler.ckpt``.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 empty pseudo-label
 pool, 1 anything else.
@@ -36,7 +36,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_EMPTY_POOL = 4
 
-SEED_OFFSETS = {"synth": 0, "stage1": 1, "stage2-cpt": 2, "stage3-finetune": 3, "baseline": 4, "split": 5}
+SEED_OFFSETS = {"synth": 0, "stage1": 1, "stage2-cpt": 2, "stage3-finetune": 3, "split": 5}
+STAGES = ("stage1", "stage2-cpt", "stage3-finetune")
 
 
 class ConfigError(ValueError):
@@ -64,7 +65,7 @@ def _checked(section: str, cls: type, raw: dict):
 class RunConfig:
     """A checked run-config file; its fields are the file's accepted keys.
 
-    ``synth`` and each preset's stage are built, seeded by :data:`SEED_OFFSETS`
+    ``synth`` and each of :data:`STAGES` are built, seeded by :data:`SEED_OFFSETS`
     unless their section sets ``seed``; ``net`` is checked with a stand-in
     ``vocab_size`` and stays raw until :meth:`net_config` knows the
     vocabulary. Relative paths resolve against the working directory.
@@ -121,15 +122,15 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
         paths = {k: Path(check_field(f"paths.{k}", v, "str")) for k, v in paths.items()}
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    unknown = set(stage_raw) - set(PRESETS)
+    unknown = set(stage_raw) - set(STAGES)
     if unknown:
-        raise ConfigError(f"unknown stage names {sorted(unknown)}; expected {tuple(PRESETS)}")
+        raise ConfigError(f"unknown stage names {sorted(unknown)}; expected {STAGES}")
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold {threshold} outside [0, 1]")
     synth = _checked("synth", SynthConfig, {"seed": seed + SEED_OFFSETS["synth"], **synth_raw})
     stages = {name: _checked(f"stages.{name}", StageConfig,
                              {**asdict(PRESETS[name]), "seed": seed + SEED_OFFSETS[name], **stage_raw.get(name, {})})
-              for name in PRESETS}
+              for name in STAGES}
     _checked("net", net.NetConfig, {"vocab_size": 1, **net_raw})
     return RunConfig(seed, threshold, out_dir, net_raw, synth, stages, paths)
 
@@ -252,21 +253,6 @@ def cmd_finetune(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_baseline(cfg: RunConfig, args: argparse.Namespace) -> int:
-    labeled = load_manifest(cfg.path("labeled"), kind="labeled")
-    eval_ds = load_manifest(cfg.path("eval"), kind="labeled")
-    vocab = build_vocabulary(labeled.transcripts())
-    net_cfg = cfg.net_config(vocab)
-    _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled, cfg.path("eval"): eval_ds})
-    params, report, history = pipeline.run_baseline(labeled, eval_ds, cfg.stages["baseline"], net_cfg, vocab)
-    _save_vocab(vocab, cfg.out_dir / "vocab.json")
-    net.save_checkpoint(params, net_cfg, cfg.out_dir / "baseline.ckpt")
-    train.save_history(history, cfg.out_dir / "baseline_history.jsonl")
-    _write_json(report.to_dict(), cfg.out_dir / "baseline_wer.json")
-    print(f"baseline eval WER {report.wer:.4f}; report at {cfg.out_dir / 'baseline_wer.json'}")
-    return EXIT_OK
-
-
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     ds = load_manifest(Path(args.manifest), kind="labeled")
     vocab = _load_vocab(Path(args.vocab) if args.vocab else cfg.out_dir / "vocab.json")
@@ -355,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("cpt", cmd_cpt, "stage 2b: continued pretraining on pseudo-labels")
 
     add("finetune", cmd_finetune, "stage 3: supervised finetune from the CPT checkpoint")
-    add("baseline", cmd_baseline, "train the no-CPT comparison baseline")
 
     p = add("eval", cmd_eval, "score a checkpoint against a labeled manifest")
     p.add_argument("--checkpoint", required=True)

@@ -24,11 +24,6 @@ class WerReport:
         return as_record(self)
 
 
-def normalize_text(text: str) -> str:
-    """Trim and collapse whitespace runs to single spaces. No case folding."""
-    return " ".join(text.split())
-
-
 def edit_distance(ref: list[str], hyp: list[str]) -> tuple[int, int, int]:
     """Minimal unit-cost alignment of ``hyp`` against ``ref``.
 
@@ -72,9 +67,9 @@ def edit_distance(ref: list[str], hyp: list[str]) -> tuple[int, int, int]:
 def wer(pairs: list[tuple[str, str]]) -> WerReport:
     """Corpus-level word error rate over (reference, hypothesis) pairs.
 
-    Words are separated by whitespace runs, the ones ``normalize_text``
-    collapses. Edits are summed across utterances and divided by the summed
-    reference word count (pooled, not a mean of per-utterance rates).
+    Words are separated by whitespace runs. Edits are summed across
+    utterances and divided by the summed reference word count (pooled, not
+    a mean of per-utterance rates).
     """
     total_s = total_i = total_d = total_ref = 0
     for ref_text, hyp_text in pairs:

@@ -15,11 +15,13 @@ from cptasr.cli import (
     EXIT_EMPTY_POOL,
     EXIT_OK,
     build_parser,
+    load_run_config,
     main,
 )
 from cptasr.corpus import Dataset, build_vocabulary, load_manifest, save_manifest
 from cptasr.metrics import WerReport
 from cptasr.net import NetConfig, init_parameters, save_checkpoint
+from cptasr.pipeline import run_baseline
 
 
 @pytest.fixture()
@@ -47,7 +49,6 @@ def run_config(tmp_path):
             "stage1": {"learning_rate": 1e-3, "epochs": 2},
             "stage2-cpt": {"learning_rate": 5e-4, "epochs": 1},
             "stage3-finetune": {"learning_rate": 1e-3, "epochs": 2},
-            "baseline": {"learning_rate": 1e-3, "epochs": 2},
         },
         "paths": {
             "labeled": str(out_dir / "train.jsonl"),
@@ -121,8 +122,17 @@ def test_full_command_chain(run_config, capsys):
     train_report = json.loads((out_dir / "train_wer.json").read_text())
     assert train_report["ref_words"] != report["ref_words"]
 
-    assert main(["baseline", "--config", str(cfg_path)]) == EXIT_OK
-    assert (out_dir / "baseline_wer.json").exists()
+    # the same-budget no-CPT baseline is stage A: eval of the labeler's checkpoint
+    assert main(["eval", "--config", str(cfg_path),
+                 "--checkpoint", str(out_dir / "labeler.ckpt"),
+                 "--manifest", str(out_dir / "eval.jsonl"),
+                 "--out", str(out_dir / "baseline_wer.json")]) == EXIT_OK
+    cfg = load_run_config(cfg_path)
+    labeled = load_manifest(out_dir / "train.jsonl")
+    vocab = build_vocabulary(labeled.transcripts())
+    _, baseline, _ = run_baseline(labeled, load_manifest(out_dir / "eval.jsonl"), cfg.stages["stage1"],
+                                  cfg.net_config(vocab), vocab)
+    assert json.loads((out_dir / "baseline_wer.json").read_text()) == baseline.to_dict()
 
 
 def test_command_chain_equals_pipeline_command(run_config, tmp_path):
@@ -186,30 +196,60 @@ def test_out_of_range_threshold_is_config_error_before_any_work(run_config):
     assert main(["pseudolabel", "--config", str(cfg_path), "--threshold", "-0.1"]) == EXIT_CONFIG
 
 
-def test_bad_baseline_stage_is_config_error_before_any_training(run_config):
+@pytest.mark.parametrize("command", ["train-labeler", "pipeline"])
+def test_bad_finetune_stage_is_config_error_before_any_training(run_config, command):
     cfg_path, out_dir = run_config
     main(["gen-data", "--config", str(cfg_path)])
     main(["split", "--config", str(cfg_path),
           "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
     cfg = json.loads(cfg_path.read_text())
-    cfg["stages"]["baseline"]["learning_rate"] = -1
+    cfg["stages"]["stage3-finetune"]["learning_rate"] = -1
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["pipeline", "--config", str(cfg_path)]) == EXIT_CONFIG
-    assert not list(out_dir.glob("*.ckpt"))
+    assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert not list(out_dir.glob("*.ckpt")) and not (out_dir / "vocab.json").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-labeler"])
+def test_baseline_stage_section_is_config_error_before_any_work(run_config, capsys, command):
+    cfg_path, out_dir = run_config
+    if command != "gen-data":
+        main(["gen-data", "--config", str(cfg_path)])
+        main(["split", "--config", str(cfg_path),
+              "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    written = sorted(out_dir.rglob("*"))
+    cfg = json.loads(cfg_path.read_text())
+    cfg["stages"]["baseline"] = {"learning_rate": 1e-3, "epochs": 2}
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown stage names ['baseline']; "
+                          "expected ('stage1', 'stage2-cpt', 'stage3-finetune')")
+    assert sorted(out_dir.rglob("*")) == written
+
+
+def test_baseline_command_is_gone(run_config):
+    cfg_path, out_dir = run_config
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "--config", str(cfg_path)])
+    assert exc.value.code == EXIT_CONFIG
+    assert not out_dir.exists()
 
 
 # ``accepted`` is a field that the message of an unknown key must list.
 @pytest.mark.parametrize("command,section,field,value,accepted", [
-    ("gen-data", "baseline", "learning_rate", -1, None),
+    ("gen-data", "stage3-finetune", "learning_rate", -1, None),
     ("train-labeler", "synth", "n_speakers", 2.5, None),
-    ("pipeline", "baseline", "batch_size", 0, None),
+    ("train-labeler", "stage2-cpt", "batch_size", 0, None),
+    ("pipeline", "synth", "n_speakers", 2.5, None),
     ("gen-data", "net", "hidden_dim", 24.5, None),
     ("split", "net", "hidden_dim", 24.5, None),
     ("gen-data", "stage2-cpt", "weight_decay", 0.01, "learning_rate"),  # optimizer constants are not stage keys
     ("train-labeler", "stage1", "grad_clip_norm", 1.0, "label_smoothing"),
     ("gen-data", "net", "num_layers", 2, "context_layers"),
     ("split", "synth", "n_speaker", 8, "n_speakers"),
-], ids=["gen-data-baseline", "train-labeler-synth", "pipeline-baseline", "gen-data-net", "split-net",
+], ids=["gen-data-stage3-finetune", "train-labeler-synth", "train-labeler-stage2-cpt", "pipeline-bad-synth",
+        "gen-data-net", "split-net",
         "gen-data-removed-key", "train-labeler-removed-key", "gen-data-net-unknown-key", "split-synth-unknown-key"])
 def test_bad_section_the_command_does_not_use_is_config_error_before_any_work(run_config, capsys, command,
                                                                               section, field, value, accepted):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cptasr.metrics import edit_distance, normalize_text, relative_improvement, wer
+from cptasr.metrics import edit_distance, relative_improvement, wer
 
 from oracles import edit_cost_recursive
 
@@ -59,11 +59,6 @@ def test_triangle_inequality_on_total_cost():
         seqs = [[tokens[k] for k in rng.integers(0, 3, size=rng.integers(0, 5))] for _ in range(3)]
         a, b, c = seqs
         assert cost(a, c) <= cost(a, b) + cost(b, c)
-
-
-def test_normalize_collapses_whitespace():
-    assert normalize_text("  ab   cd ") == "ab cd"
-    assert normalize_text("AB cd") == "AB cd"  # no case folding
 
 
 def test_wer_identity_pair():
