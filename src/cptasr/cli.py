@@ -199,6 +199,9 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_train_labeler(cfg: RunConfig, args: argparse.Namespace) -> int:
     labeled = load_manifest(cfg.path("labeled"), kind="labeled")
+    if "eval" in cfg.paths:  # the labeler is also the no-CPT baseline, scored on this set
+        eval_ds = load_manifest(cfg.path("eval"), kind="labeled")
+        pipeline._check_no_leak(labeled, (eval_ds,), eval_ds)
     vocab = build_vocabulary(labeled.transcripts())
     net_cfg = cfg.net_config(vocab)
     _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled})

@@ -1,8 +1,12 @@
 """CTC loss, analytic gradient, and greedy decoding with confidence scoring.
 
-All dynamic programming runs in log-space over the blank-interleaved
-extended target; there is no probability-space fallback, so long inputs
-cannot underflow.
+The forward-backward recursion over the blank-interleaved extended target
+runs in probability space, each frame's alphas divided by their total
+(Graves et al., ICML 2006, section 4.1; Rabiner, Proc. IEEE 1989, section
+V.A), so a frame costs multiplies and adds. Where a frame's total of the
+alpha-beta product falls below ``_MIN_FRAME_MASS``, the rescaled values may
+have lost paths to underflow, and the whole batch is rerun in log space,
+which cannot underflow.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ import numpy as np
 from .corpus import Vocabulary
 
 NEG_INF = -np.inf
+# the smallest per-frame total of the rescaled alpha-beta product that the probability-space
+# kernel trusts: e^-230, so what underflows (below e^-708) is e^-478 of the frame or less
+_MIN_FRAME_MASS = 1e-100
 
 
 class InfeasibleTargetError(ValueError):
@@ -43,7 +50,7 @@ def min_frames(target: Sequence) -> int:
 
 
 def _lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    """Pre-emission lattices: pre[b, t, s] sums every path into state s at frame t, excluding frame t's emission.
+    """Pre-emission lattices in log space: pre[b, t, s] sums every path into state s at frame t, minus its emission.
 
     ``emit[b, t, s]`` is the log-probability of ``ext[b, s]`` at frame t of
     member b. The alphas are ``pre + emit``; run on each member's lattice
@@ -51,6 +58,10 @@ def _lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
     Padded cells must carry an emission of -inf. A path advances at most
     two states per frame, so frame t computes only the states below 2t + 2;
     the cells beyond stay -inf, as the full-width recursion would leave them.
+    The kernel runs this only when :func:`_scaled_lattice` may have
+    underflowed: it cannot underflow for finite log-probabilities, but its
+    two ``np.logaddexp`` calls per frame cost several times the rescaled
+    recursion.
     """
     n_frames, n_states = emit.shape[1:]
     # only a label (odd) state may skip from s-2: if it is non-blank and differs from the label two back
@@ -69,6 +80,85 @@ def _lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
     return pre
 
 
+def _scaled_lattice(emit: np.ndarray, ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lattices of :func:`_lattice` in probability space, rescaled at every frame.
+
+    ``emit[b, t, s]`` is the probability of ``ext[b, s]`` at frame t of
+    member b, 0 in padded cells. Returns (pre, mass): mass[b, t] is the
+    total of member b's alphas at frame t < T-1, and pre[b, t] is the
+    recursion applied to frame t-1's alphas divided by mass[b, t-1], so it
+    is the pre-emission lattice over the product of the masses of the
+    frames before t. Each frame takes a multiply, a row sum, a divide, a
+    shift-add and a masked skip-add, within the ``2t + 2`` reach band of
+    :func:`_lattice`. A mass below :data:`_MIN_FRAME_MASS` (padded frames
+    have mass 0) is divided by that constant instead, so no frame divides by
+    zero and each frame's rescaled alphas sum to at most 1.
+    """
+    n_members, n_frames, n_states = emit.shape
+    # frames lead and members come last, so each frame is one contiguous S x B slab
+    emit = np.ascontiguousarray(emit.transpose(1, 2, 0))
+    # 1 where state s may skip from s-2: a label (odd) state that is non-blank and differs from the
+    # label two back; the other states hold 0, so the skip-add runs over whole contiguous rows
+    skip = np.zeros((n_states, n_members))
+    skip[3::2] = ((ext[:, 3::2] != 0) & (ext[:, 3::2] != ext[:, 1:-2:2])).T
+
+    pre = np.zeros(emit.shape)
+    pre[0, :2] = 1.0
+    mass = np.empty((n_frames - 1, n_members))
+    # frame t-1's alphas sit below two rows of zeros, so state s reads s-1 and s-2 without edge cases
+    shifted = np.zeros((n_states + 2, n_members))
+    skipped, ones = np.empty((n_states, n_members)), np.ones(n_states)
+    for t in range(1, n_frames):
+        reach = min(n_states, 2 * t + 2)
+        prev = np.multiply(pre[t - 1, :reach], emit[t - 1, :reach], out=shifted[2 : reach + 2])
+        prev /= np.maximum(np.dot(ones[:reach], prev, out=mass[t - 1]), _MIN_FRAME_MASS)
+        acc = np.add(prev, shifted[1 : reach + 1], out=pre[t, :reach])
+        acc += np.multiply(shifted[:reach], skip[:reach], out=skipped[:reach])
+    del emit
+    return np.ascontiguousarray(pre.transpose(2, 0, 1)), mass.T
+
+
+def _scaled_posteriors(
+    probs: np.ndarray,
+    rows: np.ndarray,
+    columns: np.ndarray,
+    rev_states: np.ndarray,
+    both_ext: np.ndarray,
+    lengths: np.ndarray,
+    frame_ok: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(log Z, per-frame-normalised posteriors) by :func:`_scaled_lattice`, or None where it may have underflowed.
+
+    Lattice m of the 2B (the members, then their flipped copies) reads its
+    emissions from row ``rows[m, t]`` and column ``columns[m, s]`` of a
+    flattened B x T x (C+1) table. None means that some member's
+    alpha-beta product had a valid frame whose total fell below
+    :data:`_MIN_FRAME_MASS`: paths it needed may have underflowed.
+    """
+    n_batch, n_frames, n_classes = probs.shape
+    table = np.zeros((n_batch, n_frames, n_classes + 1))
+    np.copyto(table[:, :, :n_classes], probs, where=frame_ok[:, :, None])
+    emit = np.take(table, rows[:, :, None] * (n_classes + 1) + columns[:, None, :])
+    pre, mass = _scaled_lattice(emit, both_ext)
+    # each cell's beta is its flipped partner's pre-emission value, and alpha is its own pre times its emission
+    n_states = both_ext.shape[1]
+    posterior = np.take(pre, (n_batch * n_frames + rows[n_batch:, :, None]) * n_states + rev_states[:, None, :])
+    posterior *= pre[:n_batch]
+    posterior *= emit[:n_batch]
+    del pre, emit
+    totals = posterior.sum(axis=2)
+    # the betas are at most 1, so a frame's total is at most the mass its alphas were divided by
+    if not np.all(totals >= _MIN_FRAME_MASS, where=frame_ok):
+        return None
+    # log Z sums the logs of the masses a member's frames were divided by (all valid frames but its
+    # last) and of the last frame's total: its betas are 1 on the final blank and the final label
+    divided = np.arange(n_frames - 1) < lengths[:, None] - 1
+    log_z = np.sum(np.log(mass[:n_batch], out=np.zeros(divided.shape), where=divided), axis=1)
+    log_z += np.log(totals[np.arange(n_batch), lengths - 1])
+    posterior /= np.where(frame_ok, totals, 1.0)[:, :, None]
+    return log_z, posterior
+
+
 def ctc_loss_and_grad_batch(
     logits: np.ndarray,
     lengths: Sequence[int],
@@ -82,7 +172,12 @@ def ctc_loss_and_grad_batch(
     label indices in [1, C), as :meth:`Vocabulary.encode` gives them. One
     float64 log-softmax feeds all members' shared forward-backward
     recursion over a B x T x S lattice padded to the longest member and the
-    longest extended target. loss_b = (1-s) * ctc_b + s * mean_u
+    longest extended target. The recursion runs in probability space,
+    rescaled per frame; if any member's alpha-beta product has a valid frame
+    whose total falls below ``_MIN_FRAME_MASS`` (1e-100, which takes
+    log-probabilities hundreds below zero, such as a label whose probability
+    underflows to 0), the whole batch reruns in log space.
+    loss_b = (1-s) * ctc_b + s * mean_u
     KL(uniform || softmax(logits_b,u)), with the mean over member b's
     frames and s = ``smoothing`` in [0, 1); s = 0 is plain CTC. The CTC
     gradient is softmax minus the label-occupancy posterior per frame and
@@ -126,30 +221,35 @@ def ctc_loss_and_grad_batch(
     rev_frames = np.where(frame_ok, lengths[:, None] - 1 - frames, frames)
     rev_states = np.where(state_ok, n_states[:, None] - 1 - states, states)
     # alphas and betas in one recursion: the flipped lattices ride as B more members.
-    # Their emissions are one flat gather from a copy of log_probs whose extra
-    # column C and padded frames hold -inf; padded states read column C.
-    table = np.full((n_batch, n_frames, n_classes + 1), NEG_INF)
-    np.copyto(table[:, :, :n_classes], log_probs, where=frame_ok[:, :, None])
+    # Their emissions are one flat gather from a B x T x (C+1) table whose extra
+    # column C and padded frames hold probability 0 (or -inf in log space);
+    # padded states read column C.
     first_row = np.arange(n_batch)[:, None] * n_frames
     rows = np.concatenate([first_row + frames, first_row + rev_frames])  # 2B x T
     both_ext = np.concatenate([ext, np.take_along_axis(ext, rev_states, axis=1)])  # 2B x S
     columns = np.where(np.concatenate([state_ok, state_ok]), both_ext, n_classes)
-    emit = np.take(table, rows[:, :, None] * (n_classes + 1) + columns[:, None, :])
-    pre = _lattice(emit, both_ext)
-    alpha = pre[:n_batch] + emit[:n_batch]
-    # each cell's beta is its flipped partner's pre-emission value
-    beta = np.take(pre, (n_batch * n_frames + rows[n_batch:, :, None]) * ext.shape[1] + rev_states[:, None, :])
-
-    # a path ends in the final blank or the final label
-    last_frame = (np.arange(n_batch), lengths - 1)
-    final_label = np.where(n_states > 1, alpha[last_frame + (np.maximum(n_states - 2, 0),)], NEG_INF)
-    log_z = np.logaddexp(alpha[last_frame + (n_states - 1,)], final_label)
-
-    posterior = np.exp(alpha + beta - log_z[:, None, None])  # per lattice state; 0 on padding
-    # rounding in the recursion grows with |log Z|, so each frame is divided by its own total, not trusted to sum to 1
-    posterior /= np.where(frame_ok, posterior.sum(axis=2), 1.0)[:, :, None]
-    occupancy = posterior @ (ext[:, :, None] == np.arange(n_classes)).astype(np.float64)
     probs = np.exp(log_probs)
+    scaled = _scaled_posteriors(probs, rows, columns, rev_states, both_ext, lengths, frame_ok)
+    if scaled is not None:
+        log_z, posterior = scaled
+    else:  # a frame's total fell below _MIN_FRAME_MASS: rerun the batch in log space, which cannot underflow
+        table = np.full((n_batch, n_frames, n_classes + 1), NEG_INF)
+        np.copyto(table[:, :, :n_classes], log_probs, where=frame_ok[:, :, None])
+        emit = np.take(table, rows[:, :, None] * (n_classes + 1) + columns[:, None, :])
+        pre = _lattice(emit, both_ext)
+        alpha = pre[:n_batch] + emit[:n_batch]
+        # each cell's beta is its flipped partner's pre-emission value
+        beta = np.take(pre, (n_batch * n_frames + rows[n_batch:, :, None]) * ext.shape[1] + rev_states[:, None, :])
+
+        # a path ends in the final blank or the final label
+        last_frame = (np.arange(n_batch), lengths - 1)
+        final_label = np.where(n_states > 1, alpha[last_frame + (np.maximum(n_states - 2, 0),)], NEG_INF)
+        log_z = np.logaddexp(alpha[last_frame + (n_states - 1,)], final_label)
+
+        posterior = np.exp(alpha + beta - log_z[:, None, None])  # per lattice state; 0 on padding
+        # rounding in the recursion grows with |log Z|, so each frame is divided by its own total, not trusted to sum to 1
+        posterior /= np.where(frame_ok, posterior.sum(axis=2), 1.0)[:, :, None]
+    occupancy = posterior @ (ext[:, :, None] == np.arange(n_classes)).astype(np.float64)
     grad = probs - occupancy
     grad[~frame_ok] = 0.0
     if smoothing == 0.0:

@@ -13,6 +13,7 @@ from cptasr.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_EMPTY_POOL,
+    EXIT_ERROR,
     EXIT_OK,
     build_parser,
     load_run_config,
@@ -548,6 +549,22 @@ def test_manifest_of_the_wrong_kind_is_data_error(run_config, capsys, command, o
     assert main([command, "--config", str(cfg_path), *files]) == EXIT_DATA
     assert capsys.readouterr().err.startswith(f"data error: {out_dir / wrong}: ")
     assert not (out_dir / output).exists()
+
+
+def test_labeler_trained_on_the_eval_utterances_is_an_error_before_training(run_config, capsys):
+    """The labeler is the no-CPT baseline: labeled data holding eval utterances would score it on its training set."""
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["split", "--config", str(cfg_path),
+                 "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"]) == EXIT_OK
+    cfg = json.loads(cfg_path.read_text())
+    cfg["paths"]["labeled"] = str(out_dir / "labeled.jsonl")  # the unsplit manifest
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: datasets share utterance ids")
+    assert not (out_dir / "labeler.ckpt").exists()
+    assert not (out_dir / "vocab.json").exists()
 
 
 def test_missing_manifest_is_data_error(run_config):

@@ -1,6 +1,7 @@
 """CTC loss against exhaustive enumeration, gradient audits, label smoothing, collapse, decoding."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -222,13 +223,18 @@ def _full_width_lattice(emit, ext):
     return pre
 
 
+def _log_space_only():
+    """An infinite guard, which every frame total falls below: the kernel always runs the log-space fallback."""
+    return mock.patch.object(ctc_mod, "_MIN_FRAME_MASS", math.inf)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_ragged_batch())
 def test_lattice_matches_full_width_recursion_bit_for_bit(batch):
     """The banded, label-state-only recursion leaves every cell, padding included, as the full one does."""
     logits, lengths, targets, symbols = batch
     vocab = Vocabulary(symbols)
-    with mock.patch.object(ctc_mod, "_lattice", wraps=ctc_mod._lattice) as spy:
+    with _log_space_only(), mock.patch.object(ctc_mod, "_lattice", wraps=ctc_mod._lattice) as spy:
         ctc_loss_and_grad_batch(logits, lengths, [vocab.encode(t) for t in targets])
     (emit, ext), _ = spy.call_args  # the members' lattices, then the same lattices flipped
     assert np.array_equal(ctc_mod._lattice(emit, ext), _full_width_lattice(emit, ext))
@@ -252,11 +258,11 @@ def test_flat_gathers_give_the_former_emissions_and_betas_bit_for_bit(batch):
         taken.append(real_take(*args, **kwargs))
         return taken[-1]
 
-    with mock.patch.object(ctc_mod, "_lattice", side_effect=lattice_spy) as spy, \
+    with _log_space_only(), mock.patch.object(ctc_mod, "_lattice", side_effect=lattice_spy) as spy, \
             mock.patch.object(np, "take", side_effect=take_spy):
         ctc_loss_and_grad_batch(logits, lengths, labels)
     (emit, ext), _ = spy.call_args
-    assert len(taken) == 2  # the emissions, then the betas
+    emissions, betas = taken[-2:]  # the fallback's gathers come after the probability-space attempt's
 
     # the former construction: per-axis gathers, a -inf mask, a 3-index flip and a concatenation
     lengths = np.asarray(lengths)
@@ -275,8 +281,85 @@ def test_flat_gathers_give_the_former_emissions_and_betas_bit_for_bit(batch):
     rev_states = np.where(state_ok, n_states[:, None] - 1 - states, states)
     flip = (np.arange(n_batch)[:, None, None], rev_frames[:, :, None], rev_states[:, None, :])
     assert np.array_equal(emit, np.concatenate([former, former[flip]]))
-    assert np.array_equal(taken[0], emit)
-    assert np.array_equal(taken[1], pres[0][n_batch:][flip])
+    assert np.array_equal(emissions, emit)
+    assert np.array_equal(betas, pres[0][n_batch:][flip])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ragged_batch(), st.sampled_from([0.0, 0.1, 0.5]))
+def test_scaled_kernel_matches_log_space_kernel(batch, smoothing):
+    """The probability-space kernel gives the log-space losses and gradients, padding included, and never warns."""
+    logits, lengths, targets, symbols = batch
+    labels = [Vocabulary(symbols).encode(t) for t in targets]
+    with warnings.catch_warnings(), mock.patch.object(ctc_mod, "_lattice", wraps=ctc_mod._lattice) as spy:
+        warnings.simplefilter("error")
+        losses, grad = ctc_loss_and_grad_batch(logits, lengths, labels, smoothing)
+    assert spy.call_count == 0
+    with _log_space_only():
+        want_losses, want_grad = ctc_loss_and_grad_batch(logits, lengths, labels, smoothing)
+    # relative to the loss, or absolute where the loss is below 1: a near-certain path has a loss near 0
+    assert np.all(np.abs(losses - want_losses) <= 1e-10 * np.maximum(np.abs(want_losses), 1.0))
+    np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+    assert np.all(grad[np.arange(logits.shape[1]) >= np.asarray(lengths)[:, None]] == 0.0)
+
+
+def _extreme_batch(case):
+    """Logits whose probability-space lattice underflows, with their targets."""
+    vocab = Vocabulary(("a", "b"))
+    if case == "blank-1000":
+        # every label's probability is exp(-1000) = 0 in float64
+        logits = np.zeros((2, 12, 3))
+        logits[:, :, 0] = 1000.0
+        return logits, [12, 9], [vocab.encode("ab"), vocab.encode("b")]
+    # 150 labels in 200 frames: at least 50 fall in the first 100, where each costs e^-60, so the
+    # paths that end are e^-3000 of the forward mass there and flush to 0
+    logits = np.zeros((2, 200, 3))
+    logits[:, :100, 0] = 60.0
+    logits[:, 100:, 1:] = 60.0
+    return logits, [200, 190], [vocab.encode("ab" * 75), vocab.encode("ba" * 70)]
+
+
+@pytest.mark.parametrize("case", ["blank-1000", "blank-then-labels-60"])
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+def test_underflowing_batch_falls_back_to_log_space_bit_for_bit(case, smoothing):
+    logits, lengths, labels = _extreme_batch(case)
+    with mock.patch.object(ctc_mod, "_lattice", wraps=ctc_mod._lattice) as spy:
+        losses, grad = ctc_loss_and_grad_batch(logits, lengths, labels, smoothing)
+    assert spy.call_count == 1
+    with _log_space_only():
+        want_losses, want_grad = ctc_loss_and_grad_batch(logits, lengths, labels, smoothing)
+    assert np.all(np.isfinite(losses)) and np.all(losses > 100.0)
+    assert np.array_equal(losses, want_losses)
+    assert np.array_equal(grad, want_grad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ragged_batch())
+def test_scaled_lattice_is_the_per_frame_normalised_log_space_lattice(batch):
+    """Each frame of the scaled lattice is exp of the log-space one over its frame total; dead cells are exactly 0."""
+    logits, lengths, targets, symbols = batch
+    labels = [Vocabulary(symbols).encode(t) for t in targets]
+    lengths = np.asarray(lengths)
+    n_batch, n_frames = logits.shape[:2]
+    n_states = 2 * np.array([len(seq) for seq in labels]) + 1
+    ext = np.zeros((n_batch, n_states.max()), dtype=np.intp)
+    for b, seq in enumerate(labels):
+        ext[b, 1 : 2 * len(seq) : 2] = seq
+    emit = np.take_along_axis(log_softmax(logits, axis=2), ext[:, None, :], axis=2)
+    frame_ok = np.arange(n_frames) < lengths[:, None]
+    state_ok = np.arange(ext.shape[1]) < n_states[:, None]
+    emit[~(frame_ok[:, :, None] & state_ok[:, None, :])] = -np.inf
+    want = ctc_mod._lattice(emit, ext)
+    got, mass = ctc_mod._scaled_lattice(np.exp(emit), ext)
+    assert np.all(got[want == -np.inf] == 0.0) and np.all(got[want > -np.inf] > 0.0)
+    live = np.any(want > -np.inf, axis=2)  # the valid frames and the one after each member's last
+    want_frames = np.exp(want[live] - np.logaddexp.reduce(want[live], axis=1, keepdims=True))
+    np.testing.assert_allclose(got[live] / got[live].sum(axis=1, keepdims=True), want_frames, rtol=1e-9, atol=1e-15)
+    # each mass is the total of the alphas the next frame's values were divided by
+    alpha_totals = np.logaddexp.reduce(want + emit, axis=2)
+    divided = np.arange(n_frames - 1) < lengths[:, None] - 1
+    log_scale = np.cumsum(np.log(np.where(divided, mass, 1.0)), axis=1)
+    np.testing.assert_allclose(log_scale[divided], alpha_totals[:, :-1][divided], rtol=1e-11, atol=1e-13)
 
 
 def test_batched_ctc_rejects_bad_lengths_and_infeasible_members():
