@@ -6,7 +6,10 @@ a command starts (``net`` with a stand-in ``vocab_size`` until the
 vocabulary is known), so a bad section fails every command. All
 randomness fans out from the config's single seed by fixed offsets (synth
 data +0, stage1 +1, stage2 +2, stage3 +3, eval split +5), so one number
-reproduces a whole run. The no-CPT baseline is ``eval`` of ``labeler.ckpt``.
+reproduces a whole run. ``pipeline`` is the command chain itself:
+``train-labeler``, ``pseudolabel``, ``cpt``, ``finetune``, then ``eval`` of
+``final.ckpt`` on ``paths.eval`` into ``final_wer.json``. The no-CPT
+baseline is ``eval`` of ``labeler.ckpt``.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 empty pseudo-label
 pool, 1 anything else.
@@ -199,12 +202,14 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_train_labeler(cfg: RunConfig, args: argparse.Namespace) -> int:
     labeled = load_manifest(cfg.path("labeled"), kind="labeled")
-    if "eval" in cfg.paths:  # the labeler is also the no-CPT baseline, scored on this set
-        eval_ds = load_manifest(cfg.path("eval"), kind="labeled")
-        pipeline._check_no_leak(labeled, (eval_ds,), eval_ds)
+    # the later stages read the pool, and the labeler is also the no-CPT baseline scored on eval:
+    # every manifest the config names is checked before training
+    others = {key: load_manifest(cfg.paths[key], kind=kind)
+              for key, kind in (("unlabeled", "unlabeled"), ("eval", "labeled")) if key in cfg.paths}
+    pipeline._check_no_leak(labeled, tuple(others.values()), others.get("eval"))
     vocab = build_vocabulary(labeled.transcripts())
     net_cfg = cfg.net_config(vocab)
-    _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled})
+    _check_feature_dim(net_cfg, {cfg.paths[key]: ds for key, ds in {"labeled": labeled, **others}.items()})
     stage1 = cfg.stages["stage1"]
     params, history = pipeline.labeler_stage(*pipeline.validation_split(labeled, stage1), stage1, net_cfg, vocab)
     _save_vocab(vocab, cfg.out_dir / "vocab.json")
@@ -256,36 +261,33 @@ def cmd_finetune(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ds = load_manifest(Path(args.manifest), kind="labeled")
-    vocab = _load_vocab(Path(args.vocab) if args.vocab else cfg.out_dir / "vocab.json")
-    params, net_cfg = _load_model(Path(args.checkpoint), vocab)
-    _check_feature_dim(net_cfg, {Path(args.manifest): ds})
+def _evaluate(checkpoint: Path, manifest: Path, vocab_path: Path, out_path: Path) -> int:
+    """Score ``checkpoint`` on the labeled ``manifest`` and write the WerReport to ``out_path``."""
+    ds = load_manifest(manifest, kind="labeled")
+    vocab = _load_vocab(vocab_path)
+    params, net_cfg = _load_model(checkpoint, vocab)
+    _check_feature_dim(net_cfg, {manifest: ds})
     report = train.evaluate_wer(params, net_cfg, ds, vocab)
-    out_path = Path(args.out) if args.out else cfg.out_dir / "eval_wer.json"
     _write_json(report.to_dict(), out_path)
     print(f"WER {report.wer:.4f} (S={report.substitutions} I={report.insertions} "
           f"D={report.deletions} / {report.ref_words} ref words); report at {out_path}")
     return EXIT_OK
 
 
+def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
+    return _evaluate(Path(args.checkpoint), Path(args.manifest),
+                     Path(args.vocab) if args.vocab else cfg.out_dir / "vocab.json",
+                     Path(args.out) if args.out else cfg.out_dir / "eval_wer.json")
+
+
 def cmd_pipeline(cfg: RunConfig, args: argparse.Namespace) -> int:
-    labeled = load_manifest(cfg.path("labeled"), kind="labeled")
-    pool = load_manifest(cfg.path("unlabeled"), kind="unlabeled")
-    eval_ds = load_manifest(cfg.path("eval"), kind="labeled")
-    vocab = build_vocabulary(labeled.transcripts())
-    net_cfg = cfg.net_config(vocab)
-    _check_feature_dim(net_cfg, {cfg.path("labeled"): labeled, cfg.path("unlabeled"): pool,
-                                 cfg.path("eval"): eval_ds})
-    _save_vocab(vocab, cfg.out_dir / "vocab.json")
-    final_params, report = pipeline.run_cpt_pipeline(
-        labeled, pool, eval_ds, cfg.stages["stage1"], cfg.stages["stage2-cpt"], cfg.stages["stage3-finetune"],
-        net_cfg, cfg.threshold, vocab, out_dir=cfg.out_dir)
-    report_path = cfg.out_dir / "report.json"
-    _write_json(report.to_dict(), report_path)
-    _write_json(report.final_eval_wer.to_dict(), cfg.out_dir / "final_wer.json")
-    print(f"final eval WER {report.final_eval_wer.wer:.4f}; report at {report_path}")
-    return EXIT_OK
+    """The command chain: train-labeler, pseudolabel, cpt, finetune, then eval of final.ckpt on paths.eval."""
+    for key in ("unlabeled", "eval"):  # train-labeler skips a missing one; fail before stage A trains
+        cfg.path(key)
+    for command in (cmd_train_labeler, cmd_pseudolabel, cmd_cpt, cmd_finetune):
+        command(cfg, args)
+    return _evaluate(cfg.out_dir / "final.ckpt", cfg.path("eval"), cfg.out_dir / "vocab.json",
+                     cfg.out_dir / "final_wer.json")
 
 
 def _read_wer(path: Path) -> float:
@@ -351,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", default=None)
     p.add_argument("--out", default=None)
 
-    add("pipeline", cmd_pipeline, "run the full staged pipeline")
+    add("pipeline", cmd_pipeline, "train-labeler, pseudolabel, cpt, finetune, then eval of final.ckpt on "
+                                  "paths.eval into final_wer.json")
 
     p = sub.add_parser("report", help="merge saved WER reports into a relative-improvement table")
     p.add_argument("--baseline", required=True, help="baseline WerReport JSON")

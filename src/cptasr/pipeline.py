@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -182,34 +181,18 @@ def run_baseline(
 def run_cpt_pipeline(
     labeled: Dataset, pool: Dataset, eval_ds: Dataset,
     stage1: StageConfig, stage2: StageConfig, stage3: StageConfig,
-    net: NetConfig, threshold: float, vocab: Vocabulary, out_dir: str | Path | None = None,
+    net: NetConfig, threshold: float, vocab: Vocabulary,
 ) -> tuple[np.ndarray, PipelineReport]:
-    """Run stages A-D and return the finetuned model plus a report.
-
-    When ``out_dir`` is set, "labeler", "cpt" and "final" checkpoints are
-    written there.
-    """
+    """Run stages A-D and return the finetuned model plus a report; nothing is written to disk."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
     _check_no_leak(labeled, (pool, eval_ds), eval_ds)
 
-    out_path = Path(out_dir) if out_dir is not None else None
-
     train_ds, val_ds = validation_split(labeled, stage1)
     labeler, labeler_history = labeler_stage(train_ds, val_ds, stage1, net, vocab)
-    if out_path is not None:
-        net_mod.save_checkpoint(labeler, net, out_path / "labeler.ckpt")
-
     pseudo_ds, stats = generate_pseudo_labels(labeler, net, pool, threshold, vocab)
-
     cpt_params, cpt_history = cpt_stage(pseudo_ds, train_ds, val_ds, stage2, net, vocab)
-    if out_path is not None:
-        net_mod.save_checkpoint(cpt_params, net, out_path / "cpt.ckpt")
-
     final_params, finetune_history = train_mod.train_stage(cpt_params, net, train_ds, val_ds, stage3, vocab)
-    if out_path is not None:
-        net_mod.save_checkpoint(final_params, net, out_path / "final.ckpt")
-
     final_report = train_mod.evaluate_wer(final_params, net, eval_ds, vocab)
     report = PipelineReport(
         pool_total=stats.total,

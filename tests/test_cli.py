@@ -136,20 +136,34 @@ def test_full_command_chain(run_config, capsys):
     assert json.loads((out_dir / "baseline_wer.json").read_text()) == baseline.to_dict()
 
 
+def _without_seconds(path):
+    """A file's bytes, or for a stage history its lines with the wall-clock ``seconds`` field dropped."""
+    if not path.name.endswith("_history.jsonl"):
+        return path.read_bytes()
+    return [{k: v for k, v in json.loads(line).items() if k != "seconds"} for line in path.read_text().splitlines()]
+
+
 def test_command_chain_equals_pipeline_command(run_config, tmp_path):
     cfg_path, out_dir = run_config
     main(["gen-data", "--config", str(cfg_path)])
     main(["split", "--config", str(cfg_path),
           "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    chain_dir = tmp_path / "chain_run"
     for command in ("train-labeler", "pseudolabel", "cpt", "finetune"):
-        assert main([command, "--config", str(cfg_path)]) == EXIT_OK
+        assert main([command, "--config", str(cfg_path), "--out-dir", str(chain_dir)]) == EXIT_OK
+    assert main(["eval", "--config", str(cfg_path), "--out-dir", str(chain_dir),
+                 "--checkpoint", str(chain_dir / "final.ckpt"), "--manifest", str(out_dir / "eval.jsonl"),
+                 "--out", str(chain_dir / "final_wer.json")]) == EXIT_OK
     pipeline_dir = tmp_path / "pipeline_run"
     assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(pipeline_dir)]) == EXIT_OK
-    for name in ("labeler.ckpt", "cpt.ckpt", "final.ckpt"):
-        assert (pipeline_dir / name).read_bytes() == (out_dir / name).read_bytes()
-    cpt = (out_dir / "cpt.ckpt").read_bytes()
-    assert main(["cpt", "--config", str(cfg_path)]) == EXIT_OK
-    assert (out_dir / "cpt.ckpt").read_bytes() == cpt
+    names = sorted(p.name for p in chain_dir.iterdir())
+    assert sorted(p.name for p in pipeline_dir.iterdir()) == names
+    assert {"labeler.ckpt", "cpt.ckpt", "final.ckpt", "pseudo.jsonl", "final_wer.json"} <= set(names)
+    for name in names:
+        assert _without_seconds(pipeline_dir / name) == _without_seconds(chain_dir / name), name
+    cpt = (chain_dir / "cpt.ckpt").read_bytes()
+    assert main(["cpt", "--config", str(cfg_path), "--out-dir", str(chain_dir)]) == EXIT_OK
+    assert (chain_dir / "cpt.ckpt").read_bytes() == cpt
 
 
 def test_pipeline_command_is_idempotent_and_quick(run_config):
@@ -157,12 +171,13 @@ def test_pipeline_command_is_idempotent_and_quick(run_config):
     main(["gen-data", "--config", str(cfg_path)])
     main(["split", "--config", str(cfg_path),
           "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    outputs = ("labeler.ckpt", "cpt.ckpt", "final.ckpt", "pseudo_stats.json", "final_wer.json")
     tic = time.perf_counter()
     assert main(["pipeline", "--config", str(cfg_path)]) == EXIT_OK
     assert time.perf_counter() - tic < 60.0  # smoke config stays fast
-    report1 = (out_dir / "report.json").read_bytes()
+    first = {name: (out_dir / name).read_bytes() for name in outputs}
     assert main(["pipeline", "--config", str(cfg_path)]) == EXIT_OK
-    assert (out_dir / "report.json").read_bytes() == report1
+    assert {name: (out_dir / name).read_bytes() for name in outputs} == first
 
 
 def test_zero_wer_baseline_reports_no_delta(run_config, capsys):
@@ -565,6 +580,52 @@ def test_labeler_trained_on_the_eval_utterances_is_an_error_before_training(run_
     assert capsys.readouterr().err.startswith("error: datasets share utterance ids")
     assert not (out_dir / "labeler.ckpt").exists()
     assert not (out_dir / "vocab.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train-labeler", "pipeline"])
+def test_pool_sharing_a_labeled_id_is_an_error_before_training(run_config, capsys, command):
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["split", "--config", str(cfg_path),
+                 "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"]) == EXIT_OK
+    pool = load_manifest(out_dir / "unlabeled.jsonl")
+    twin = load_manifest(out_dir / "train.jsonl").utterances[0]
+    leaky = Dataset(pool.utterances + [replace(twin, transcript=None)], "unlabeled")
+    save_manifest(leaky, out_dir / "unlabeled.jsonl")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: datasets share utterance ids")
+    assert not (out_dir / "labeler.ckpt").exists()
+    assert not (out_dir / "vocab.json").exists()
+
+
+def test_eval_manifest_of_the_wrong_width_is_data_error_before_training(run_config, capsys):
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["split", "--config", str(cfg_path),
+                 "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"]) == EXIT_OK
+    eval_ds = load_manifest(out_dir / "eval.jsonl")
+    save_manifest(Dataset([replace(u, features=u.features[:, :16]) for u in eval_ds], "labeled"),
+                  out_dir / "eval.jsonl")
+    capsys.readouterr()
+    assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {out_dir / 'eval.jsonl'}: utterance ")
+    assert not (out_dir / "labeler.ckpt").exists()
+    assert not (out_dir / "vocab.json").exists()
+
+
+def test_pipeline_without_a_pool_path_is_config_error_before_training(run_config, capsys):
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["split", "--config", str(cfg_path),
+                 "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"]) == EXIT_OK
+    cfg = json.loads(cfg_path.read_text())
+    del cfg["paths"]["unlabeled"]
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: run config is missing paths.unlabeled")
+    assert not (out_dir / "labeler.ckpt").exists()
 
 
 def test_missing_manifest_is_data_error(run_config):
