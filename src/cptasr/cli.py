@@ -9,7 +9,9 @@ data +0, stage1 +1, stage2 +2, stage3 +3, eval split +5), so one number
 reproduces a whole run. ``pipeline`` is the command chain itself:
 ``train-labeler``, ``pseudolabel``, ``cpt``, ``finetune``, then ``eval`` of
 ``final.ckpt`` on ``paths.eval`` into ``final_wer.json``. The no-CPT
-baseline is ``eval`` of ``labeler.ckpt``.
+baseline is ``eval`` of ``labeler.ckpt``. ``pseudolabel`` and ``eval``
+decode a checkpoint with the ``vocab.json`` that ``train-labeler`` writes
+beside it.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 empty pseudo-label
 pool, 1 anything else.
@@ -155,12 +157,13 @@ def _load_vocab(path: Path) -> Vocabulary:
         raise ManifestError(f"vocabulary file {path} is unreadable: {exc}") from None
 
 
-def _load_model(checkpoint: Path, vocab: Vocabulary) -> tuple[np.ndarray, net.NetConfig]:
-    """A checkpoint's parameters and config, checked against the vocabulary its outputs decode into."""
+def _load_model(checkpoint: Path) -> tuple[np.ndarray, net.NetConfig, Vocabulary]:
+    """A checkpoint's parameters and config, and the ``vocab.json`` beside it that its outputs decode into."""
+    vocab = _load_vocab(checkpoint.with_name("vocab.json"))
     params, net_cfg = net.load_checkpoint(checkpoint)
     if vocab.size != net_cfg.vocab_size:
         raise ManifestError(f"vocabulary size {vocab.size} does not match checkpoint vocab_size {net_cfg.vocab_size}")
-    return params, net_cfg
+    return params, net_cfg, vocab
 
 
 def _check_feature_dim(net_cfg: net.NetConfig, manifests: dict[Path, corpus.Dataset]) -> None:
@@ -221,8 +224,7 @@ def cmd_train_labeler(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_pseudolabel(cfg: RunConfig, args: argparse.Namespace) -> int:
-    vocab = _load_vocab(cfg.out_dir / "vocab.json")
-    params, net_cfg = _load_model(cfg.out_dir / "labeler.ckpt", vocab)
+    params, net_cfg, vocab = _load_model(cfg.out_dir / "labeler.ckpt")
     pool = load_manifest(cfg.path("unlabeled"), kind="unlabeled")
     _check_feature_dim(net_cfg, {cfg.path("unlabeled"): pool})
     pseudo_ds, stats = pipeline.generate_pseudo_labels(params, net_cfg, pool, cfg.threshold, vocab)
@@ -261,11 +263,10 @@ def cmd_finetune(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _evaluate(checkpoint: Path, manifest: Path, vocab_path: Path, out_path: Path) -> int:
+def _evaluate(checkpoint: Path, manifest: Path, out_path: Path) -> int:
     """Score ``checkpoint`` on the labeled ``manifest`` and write the WerReport to ``out_path``."""
     ds = load_manifest(manifest, kind="labeled")
-    vocab = _load_vocab(vocab_path)
-    params, net_cfg = _load_model(checkpoint, vocab)
+    params, net_cfg, vocab = _load_model(checkpoint)
     _check_feature_dim(net_cfg, {manifest: ds})
     report = train.evaluate_wer(params, net_cfg, ds, vocab)
     _write_json(report.to_dict(), out_path)
@@ -276,7 +277,6 @@ def _evaluate(checkpoint: Path, manifest: Path, vocab_path: Path, out_path: Path
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     return _evaluate(Path(args.checkpoint), Path(args.manifest),
-                     Path(args.vocab) if args.vocab else cfg.out_dir / "vocab.json",
                      Path(args.out) if args.out else cfg.out_dir / "eval_wer.json")
 
 
@@ -286,8 +286,7 @@ def cmd_pipeline(cfg: RunConfig, args: argparse.Namespace) -> int:
         cfg.path(key)
     for command in (cmd_train_labeler, cmd_pseudolabel, cmd_cpt, cmd_finetune):
         command(cfg, args)
-    return _evaluate(cfg.out_dir / "final.ckpt", cfg.path("eval"), cfg.out_dir / "vocab.json",
-                     cfg.out_dir / "final_wer.json")
+    return _evaluate(cfg.out_dir / "final.ckpt", cfg.path("eval"), cfg.out_dir / "final_wer.json")
 
 
 def _read_wer(path: Path) -> float:
@@ -348,9 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("finetune", cmd_finetune, "stage 3: supervised finetune from the CPT checkpoint")
 
     p = add("eval", cmd_eval, "score a checkpoint against a labeled manifest")
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="decoded with the vocab.json beside it")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--vocab", default=None)
     p.add_argument("--out", default=None)
 
     add("pipeline", cmd_pipeline, "train-labeler, pseudolabel, cpt, finetune, then eval of final.ckpt on "

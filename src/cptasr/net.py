@@ -112,23 +112,18 @@ class NetConfig:
 class ForwardCache:
     """Inputs and pre-activations of one packed forward pass, retained for the backward pass.
 
-    The packed rows are the members' frames back to back, in member order.
+    The packed rows are the members' kept frames back to back, in member order.
     """
 
-    lengths: np.ndarray | None = None  # output frames U_b of each member
-    conv_rows: list[np.ndarray] = field(default_factory=list)  # input rows each conv layer keeps
-    conv_patches: list[np.ndarray] = field(default_factory=list)
+    lengths: np.ndarray  # output frames U_b of each member
+    valid: np.ndarray  # B x max(U_b) mask of the padded logit rows that hold a member's frame
+    conv_patches: list[np.ndarray] = field(default_factory=list)  # each conv layer's input, one patch per row
     conv_pre: list[np.ndarray] = field(default_factory=list)
-    ctx_rows: np.ndarray | None = None  # row of each packed frame in the zero-gapped copy
+    ctx_windows: np.ndarray | None = None  # gapped rows of each packed frame's context window
     ctx_gapped: list[np.ndarray] = field(default_factory=list)  # each context layer's zero-gapped input
     ctx_pre: list[np.ndarray] = field(default_factory=list)
     ctx_masks: list[np.ndarray | None] = field(default_factory=list)
     head_input: np.ndarray | None = None
-
-    @property
-    def valid(self) -> np.ndarray:
-        """B x max(U_b) mask of the padded logit rows that hold a member's frame."""
-        return np.arange(self.lengths.max()) < self.lengths[:, None]
 
 
 def float32_exact(arr: np.ndarray) -> np.ndarray:
@@ -209,17 +204,6 @@ def init_parameters(cfg: NetConfig, seed: int) -> np.ndarray:
     return theta
 
 
-def _leading_rows(lengths: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Packed-row index of the first ``keep[b]`` rows of each member b, where member b has ``lengths[b]`` rows."""
-    starts = np.cumsum(lengths) - lengths
-    return np.arange(keep.sum()) + np.repeat(starts - (np.cumsum(keep) - keep), keep)
-
-
-def _windows(gapped: np.ndarray, rows: np.ndarray, w: int) -> np.ndarray:
-    """Context window of each row in ``rows``: gapped rows r - w .. r + w, side by side."""
-    return gapped[rows[:, None] + np.arange(-w, w + 1)].reshape(len(rows), -1)
-
-
 def forward_batch(
     theta: np.ndarray,
     cfg: NetConfig,
@@ -230,17 +214,19 @@ def forward_batch(
     """Map B utterances of T_b x D features to B x max(U_b) x (V+1) logits, U_b = floor(T_b / downsample_factor).
 
     ``theta`` is the flat parameter vector, and the arithmetic runs in its
-    dtype: float32 in training, float64 for the oracle audits. The members
-    run as one packed (sum of T_b) x D array. Each conv layer keeps only
-    the rows of each member that fill its stride, and the context windows
-    read a copy of the rows with ``context_window`` zero rows before,
-    between and after the members, so no frame sees another utterance.
-    Logit rows past a member's U_b are zero; ``cache.lengths`` holds the
-    U_b. With ``dropout_rate`` above 0, member b's dropout masks are drawn
-    from ``seeds[b]`` and recorded in the cache, so they do not depend on
-    the rest of its batch; its float32 logits can, in their last bits,
-    because the packed matrix products round differently with the batch.
-    At rate 0 the pass is deterministic and ``seeds`` is ignored.
+    dtype: float32 in training, float64 for the oracle audits. Only each
+    member's first U_b * downsample_factor frames reach the network; the
+    rest cannot fill an output frame. The kept frames run as one packed
+    array, so every conv stride divides every member and a layer's
+    patches are a reshape of its input. The context windows read a copy of
+    the rows with ``context_window`` zero rows before, between and after
+    the members, so no frame sees another utterance. Logit rows past a
+    member's U_b are zero; ``cache.lengths`` holds the U_b. With
+    ``dropout_rate`` above 0, member b's dropout masks are drawn from
+    ``seeds[b]`` and recorded in the cache, so they do not depend on the
+    rest of its batch; its float32 logits can, in their last bits, because
+    the packed matrix products round differently with the batch. At rate 0
+    the pass is deterministic and ``seeds`` is ignored.
     """
     feats = [np.asarray(f) for f in features]
     if not feats:
@@ -252,36 +238,32 @@ def forward_batch(
     for f in feats:
         if f.ndim != 2 or f.shape[1] != cfg.feature_dim:
             raise ValueError(f"features must be T x {cfg.feature_dim}, got {f.shape}")
-    n = np.array([f.shape[0] for f in feats])
-    if n.min() < cfg.downsample_factor:
+    frames = np.array([f.shape[0] for f in feats])
+    if frames.min() < cfg.downsample_factor:
         raise InputTooShortError(
-            f"{n.min()} frames cannot fill one downsampled step of {cfg.downsample_factor}"
+            f"{frames.min()} frames cannot fill one downsampled step of {cfg.downsample_factor}"
         )
+    n = frames // cfg.downsample_factor
     params = unflatten(cfg, theta)
     dtype = theta.dtype
-    x = np.concatenate(feats, dtype=dtype)
+    x = np.concatenate([f[: u * cfg.downsample_factor] for f, u in zip(feats, n)], dtype=dtype)
 
-    cache = ForwardCache()
+    cache = ForwardCache(lengths=n, valid=np.arange(n.max()) < n[:, None])
     for i, stride in enumerate(_layout(cfg).strides):
-        t_out = n // stride
-        rows = _leading_rows(n, t_out * stride)
-        patches = x[rows].reshape(-1, stride * x.shape[1])
+        patches = x.reshape(-1, stride * x.shape[1])
         pre = patches @ params[f"conv{i}_w"].T + params[f"conv{i}_b"]
-        cache.conv_rows.append(rows)
         cache.conv_patches.append(patches)
         cache.conv_pre.append(pre)
         x = _gelu(pre)
-        n = t_out
-    cache.lengths = n
 
     w = cfg.context_window
     rows = np.arange(n.sum()) + w * np.repeat(np.arange(1, len(n) + 1), n)
-    cache.ctx_rows = rows
+    windows = cache.ctx_windows = rows[:, None] + np.arange(-w, w + 1)
     rngs = [np.random.default_rng(s) for s in seeds] if dropout_rate > 0 else None
     for j in range(cfg.context_layers):
         gapped = np.zeros((rows[-1] + w + 1, cfg.hidden_dim), dtype)
         gapped[rows] = x
-        pre = _windows(gapped, rows, w) @ params[f"ctx{j}_w"].T + params[f"ctx{j}_b"]
+        pre = gapped[windows].reshape(len(rows), -1) @ params[f"ctx{j}_w"].T + params[f"ctx{j}_b"]
         act = _gelu(pre)
         if rngs is not None:
             keep = 1.0 - dropout_rate
@@ -324,25 +306,23 @@ def backward_batch(theta: np.ndarray, cfg: NetConfig, cache: ForwardCache, dlogi
     grads["head_b"][...] = dlogits.sum(axis=0)
     dx = dlogits @ params["head_w"]
 
-    w = cfg.context_window
-    rows = cache.ctx_rows
-    span = 2 * w + 1
+    windows = cache.ctx_windows
+    span = windows.shape[1]
     for j in range(cfg.context_layers - 1, -1, -1):
         pre = cache.ctx_pre[j]
         mask = cache.ctx_masks[j]
         dact = dx * mask if mask is not None else dx
         dz = _gelu_grad(pre)
         dz *= dact
-        grads[f"ctx{j}_w"][...] = dz.T @ _windows(cache.ctx_gapped[j], rows, w)
+        gapped = cache.ctx_gapped[j]
+        grads[f"ctx{j}_w"][...] = dz.T @ gapped[windows].reshape(len(windows), -1)
         grads[f"ctx{j}_b"][...] = dz.sum(axis=0)
-        # window gradients of every gapped row r in [w, end - w), whose tap k read row r - w + k
-        dwindow = np.zeros((rows[-1] + 1 - w, span, cfg.hidden_dim), dtype)
-        dwindow[rows - w] = (dz @ params[f"ctx{j}_w"]).reshape(len(rows), span, cfg.hidden_dim)
-        dgapped = np.zeros((rows[-1] + w + 1, cfg.hidden_dim), dtype)
-        for k in range(span):
-            dgapped[k : k + len(dwindow)] += dwindow[:, k]
+        dwindow = (dz @ params[f"ctx{j}_w"]).reshape(len(windows), span, cfg.hidden_dim)
+        dgapped = np.zeros(gapped.shape, dtype)
+        for k in range(span):  # tap k of each window read gapped row windows[:, k]; within a tap the rows differ
+            dgapped[windows[:, k]] += dwindow[:, k]
         # residual: gradient flows both around and through the block
-        dx = dx + dgapped[rows]
+        dx = dx + dgapped[windows[:, span // 2]]
 
     for i in range(cfg.conv_layers - 1, -1, -1):
         pre = cache.conv_pre[i]
@@ -351,10 +331,8 @@ def backward_batch(theta: np.ndarray, cfg: NetConfig, cache: ForwardCache, dlogi
         dz *= dx
         grads[f"conv{i}_w"][...] = dz.T @ patches
         grads[f"conv{i}_b"][...] = dz.sum(axis=0)
-        if i > 0:
-            rows = cache.conv_rows[i]
-            dx = np.zeros(cache.conv_pre[i - 1].shape, dtype)  # this layer's input
-            dx[rows] = (dz @ params[f"conv{i}_w"]).reshape(len(rows), -1)  # cropped frames get zero gradient
+        if i > 0:  # this layer's input gradient, one patch per row back to one frame per row
+            dx = (dz @ params[f"conv{i}_w"]).reshape(cache.conv_pre[i - 1].shape)
     return flat
 
 

@@ -464,10 +464,23 @@ def test_eval_without_vocabulary_is_data_error(run_config):
     assert main(args) == EXIT_DATA
     assert not (out_dir / "eval_wer.json").exists()
 
-    vocab_path = out_dir / "labeler_vocab.json"
-    vocab_path.write_text(json.dumps({"symbols": list(vocab.symbols)}))
-    assert main(args + ["--vocab", str(vocab_path)]) == EXIT_OK
+    # the vocabulary is the one beside the checkpoint
+    (out_dir / "vocab.json").write_text(json.dumps({"symbols": list(vocab.symbols)}))
+    assert main(args) == EXIT_OK
     assert (out_dir / "eval_wer.json").exists()
+
+
+def test_eval_reads_the_vocabulary_beside_its_checkpoint(run_config, tmp_path):
+    cfg_path, out_dir = run_config
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["split", "--config", str(cfg_path),
+          "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    piped, scored = tmp_path / "piped", tmp_path / "scored"
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(piped)]) == EXIT_OK
+    assert main(["eval", "--config", str(cfg_path), "--out-dir", str(scored),
+                 "--checkpoint", str(piped / "final.ckpt"), "--manifest", str(out_dir / "eval.jsonl")]) == EXIT_OK
+    assert not (scored / "vocab.json").exists()
+    assert (scored / "eval_wer.json").read_bytes() == (piped / "final_wer.json").read_bytes()
 
 
 def test_vocabulary_checkpoint_size_mismatch_is_data_error(run_config, capsys):
@@ -723,7 +736,7 @@ def test_readme_command_block_reads_where_its_config_writes():
         argv = shlex.split(line, comments=True)
         assert argv[0] == "cptasr", line
         args = parser.parse_args(argv[1:])
-        paths = [getattr(args, key, None) for key in ("manifest", "checkpoint", "vocab", "out", "baseline")]
+        paths = [getattr(args, key, None) for key in ("manifest", "checkpoint", "out", "baseline")]
         paths += [entry.partition("=")[2] for entry in getattr(args, "run", None) or []]
         for path in filter(None, paths):
             assert any(PurePosixPath(path).is_relative_to(root) for root in roots), f"{path} in: {line}"

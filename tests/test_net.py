@@ -222,6 +222,27 @@ def test_no_frame_sees_another_utterance():
         np.testing.assert_array_equal(logits[others], base[others])
 
 
+@pytest.mark.parametrize("cfg", [RAGGED, NetConfig(feature_dim=4, vocab_size=3)], ids=["strides-2-3", "strides-2-2"])
+def test_frames_past_the_last_output_frame_are_cropped(cfg):
+    params = init_parameters(cfg, seed=3).astype(np.float32)
+    feats = _ragged_features([6, 31, 13, 47, 12, 17, 9], seed=4)
+    seeds = [[7, pos] for pos in range(len(feats))]
+    logits, cache = forward_batch(params, cfg, feats, dropout_rate=0.1, seeds=seeds)
+    kept = [len(f) // cfg.downsample_factor * cfg.downsample_factor for f in feats]
+    assert cache.lengths.tolist() == [len(f) // cfg.downsample_factor for f in feats]
+    dl = np.random.default_rng(5).normal(size=logits.shape)
+    grad = backward_batch(params, cfg, cache, dl)
+    cropped = [b for b, f in enumerate(feats) if kept[b] < len(f)]
+    assert len(cropped) >= 4
+    for b in cropped:
+        moved = list(feats)
+        moved[b] = feats[b].copy()
+        moved[b][kept[b]:] += 1e3
+        out, out_cache = forward_batch(params, cfg, moved, dropout_rate=0.1, seeds=seeds)
+        assert np.array_equal(out, logits)
+        assert np.array_equal(backward_batch(params, cfg, out_cache, dl), grad)
+
+
 def test_packed_backward_finite_difference_audit_with_dropout():
     theta = init_parameters(RAGGED, seed=1)
     assert theta.size <= 2000
