@@ -79,7 +79,7 @@ class Utterance:
         feats = np.asarray(self.features, dtype=np.float32)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ValueError(f"utterance {self.id!r}: features must be a T x D matrix with T,D >= 1")
-        if not np.all(np.isfinite(feats)):
+        if not np.isfinite(feats).all():
             raise ValueError(f"utterance {self.id!r}: features contain non-finite values")
         self.features = feats
 

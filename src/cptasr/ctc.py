@@ -159,17 +159,72 @@ def _scaled_posteriors(
     return log_z, posterior
 
 
+@dataclass(frozen=True, eq=False)
+class LabelPlan:
+    """The blank-interleaved CTC targets of fixed label sequences, built once and read by row.
+
+    Row i serves sequence i of k labels: ``ext[i]`` is [blank, l1, blank, ...,
+    lk, blank] padded with blanks to the longest row, ``n_states[i]`` is
+    2k + 1, ``rev_states[i, s]`` is the state that s becomes when the lattice
+    is flipped (a padded state stays where it is), ``rev_ext[i]`` is the
+    flipped target and ``needed[i]`` is the fewest frames that can emit it.
+    The arrays are int16 where every value fits, int32 otherwise.
+    """
+
+    n_classes: int
+    ext: np.ndarray
+    n_states: np.ndarray
+    rev_states: np.ndarray
+    rev_ext: np.ndarray
+    needed: np.ndarray
+
+    @classmethod
+    def build(cls, labels: Sequence[Sequence[int]], n_classes: int) -> "LabelPlan":
+        """The plan of ``labels``, sequences of label indices in [1, ``n_classes``); ValueError on any other index."""
+        if len(labels) == 0:
+            raise ValueError("a label plan needs at least one label sequence")
+        n_labels = np.array([len(seq) for seq in labels], dtype=np.intp)
+        flat = np.concatenate([np.asarray(seq, dtype=np.intp) for seq in labels])
+        if np.any((flat < 1) | (flat >= n_classes)):
+            raise ValueError(f"labels must lie in [1, {n_classes - 1}]")
+        n_states = 2 * n_labels + 1
+        dtype = np.int16 if max(n_classes, n_states.max()) <= np.iinfo(np.int16).max else np.int32
+        label_ok = np.arange(n_labels.max()) < n_labels[:, None]
+        padded = np.zeros(label_ok.shape, dtype=dtype)  # padded with blanks
+        padded[label_ok] = flat
+        needed = n_labels + np.sum((padded[:, 1:] == padded[:, :-1]) & label_ok[:, 1:], axis=1)
+        ext = np.zeros((len(labels), n_states.max()), dtype=dtype)
+        ext[:, 1::2] = padded
+        states = np.arange(ext.shape[1], dtype=dtype)
+        last = (n_states - 1).astype(dtype)[:, None]
+        rev_states = np.where(states <= last, last - states, states)
+        return cls(n_classes, ext, n_states.astype(dtype), rev_states,
+                   np.take_along_axis(ext, rev_states, axis=1), needed.astype(dtype))
+
+    def __len__(self) -> int:
+        return len(self.n_states)
+
+    def rows(self, members: Sequence[int] | np.ndarray) -> "LabelPlan":
+        """The plan of sequences ``members``, in that order, cropped to the longest of them."""
+        members = np.asarray(members, dtype=np.intp)
+        n_states = self.n_states[members]
+        width = n_states.max()
+        return LabelPlan(self.n_classes, self.ext[members, :width], n_states, self.rev_states[members, :width],
+                         self.rev_ext[members, :width], self.needed[members])
+
+
 def ctc_loss_and_grad_batch(
     logits: np.ndarray,
     lengths: Sequence[int],
-    labels: Sequence[Sequence[int]],
+    labels: LabelPlan | Sequence[Sequence[int]],
     smoothing: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Label-smoothed CTC losses of a padded batch and their exact gradients with respect to the logits.
 
     ``logits`` is B x T x C; member b owns its first ``lengths[b]`` frames
-    and rows past them are ignored. ``labels[b]`` is member b's target as
-    label indices in [1, C), as :meth:`Vocabulary.encode` gives them. One
+    and rows past them are ignored. ``labels`` is a :class:`LabelPlan` of B
+    rows for C classes, or B sequences of label indices in [1, C), as
+    :meth:`Vocabulary.encode` gives them, which become one on entry. One
     float64 log-softmax feeds all members' shared forward-backward
     recursion over a B x T x S lattice padded to the longest member and the
     longest extended target. The recursion runs in probability space,
@@ -182,10 +237,10 @@ def ctc_loss_and_grad_batch(
     frames and s = ``smoothing`` in [0, 1); s = 0 is plain CTC. The CTC
     gradient is softmax minus the label-occupancy posterior per frame and
     the KL term's is softmax minus uniform, so each row sums to zero and
-    rows of padded frames are exactly zero. Label range, lengths and
-    feasibility are checked on every call; an infeasible target raises
-    :class:`InfeasibleTargetError` rather than returning +inf: in training
-    that signals a data or downsampling bug.
+    rows of padded frames are exactly zero. Lengths and feasibility are
+    checked on every call, label ranges where the plan is built; an
+    infeasible target raises :class:`InfeasibleTargetError` rather than
+    returning +inf: in training that signals a data or downsampling bug.
     """
     if not 0.0 <= smoothing < 1.0:
         raise ValueError("smoothing must lie in [0, 1)")
@@ -196,37 +251,30 @@ def ctc_loss_and_grad_batch(
         raise ValueError(f"{n_batch} members need {n_batch} lengths and label sequences")
     if n_batch == 0 or lengths.min() < 1 or lengths.max() > n_frames:
         raise ValueError(f"lengths must lie in [1, {n_frames}], got {lengths.tolist()}")
-
-    n_labels = np.array([len(seq) for seq in labels], dtype=np.intp)
-    label_ok = np.arange(n_labels.max()) < n_labels[:, None]
-    padded = np.zeros(label_ok.shape, dtype=np.intp)  # padded with blanks
-    padded[label_ok] = np.concatenate([np.asarray(seq, dtype=np.intp) for seq in labels])
-    if np.any(label_ok & ((padded < 1) | (padded >= n_classes))):
-        raise ValueError(f"labels must lie in [1, {n_classes - 1}]")
-    needed = n_labels + np.sum((padded[:, 1:] == padded[:, :-1]) & label_ok[:, 1:], axis=1)
-    short = np.flatnonzero(lengths < needed)
+    plan = labels if isinstance(labels, LabelPlan) else LabelPlan.build(labels, n_classes)
+    if plan.n_classes != n_classes:
+        raise ValueError(f"the label plan is for {plan.n_classes} classes, the logits have {n_classes}")
+    short = np.flatnonzero(lengths < plan.needed)
     if short.size:
         b = short[0]
         raise InfeasibleTargetError(
-            f"member {b}: target of length {n_labels[b]} needs at least {needed[b]} frames, got {lengths[b]}"
+            f"member {b}: target of length {plan.n_states[b] // 2} needs at least {plan.needed[b]} frames, "
+            f"got {lengths[b]}"
         )
 
-    n_states = 2 * n_labels + 1
-    ext = np.zeros((n_batch, n_states.max()), dtype=np.intp)  # blank-interleaved: [blank, l1, blank, ..., blank]
-    ext[:, 1::2] = padded
+    ext, n_states, rev_states = plan.ext, plan.n_states, plan.rev_states
     frames, states = np.arange(n_frames), np.arange(ext.shape[1])
     frame_ok = frames < lengths[:, None]
     state_ok = states < n_states[:, None]
     # each member's lattice flipped in frames and states; padded cells map to themselves
     rev_frames = np.where(frame_ok, lengths[:, None] - 1 - frames, frames)
-    rev_states = np.where(state_ok, n_states[:, None] - 1 - states, states)
     # alphas and betas in one recursion: the flipped lattices ride as B more members.
     # Their emissions are one flat gather from a B x T x (C+1) table whose extra
     # column C and padded frames hold probability 0 (or -inf in log space);
     # padded states read column C.
     first_row = np.arange(n_batch)[:, None] * n_frames
     rows = np.concatenate([first_row + frames, first_row + rev_frames])  # 2B x T
-    both_ext = np.concatenate([ext, np.take_along_axis(ext, rev_states, axis=1)])  # 2B x S
+    both_ext = np.concatenate([ext, plan.rev_ext])  # 2B x S
     columns = np.where(np.concatenate([state_ok, state_ok]), both_ext, n_classes)
     probs = np.exp(log_probs)
     scaled = _scaled_posteriors(probs, rows, columns, rev_states, both_ext, lengths, frame_ok)

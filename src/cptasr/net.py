@@ -165,6 +165,14 @@ class _Layout:
     spans: dict[str, slice]
     size: int
 
+    def check(self, flat: np.ndarray) -> None:
+        if flat.shape != (self.size,):
+            raise ValueError(f"parameter vector shape {flat.shape} != expected ({self.size},)")
+
+    def view(self, flat: np.ndarray, name: str) -> np.ndarray:
+        """Tensor ``name`` as a view into the flat vector ``flat``."""
+        return flat[self.spans[name]].reshape(self.shapes[name])
+
 
 @functools.lru_cache(maxsize=64)
 def _layout(cfg: NetConfig) -> _Layout:
@@ -179,9 +187,8 @@ def _layout(cfg: NetConfig) -> _Layout:
 def unflatten(cfg: NetConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
     """Named views into ``flat``, in ``parameter_shapes`` order; writes through them change ``flat``."""
     layout = _layout(cfg)
-    if flat.shape != (layout.size,):
-        raise ValueError(f"parameter vector shape {flat.shape} != expected ({layout.size},)")
-    return {name: flat[span].reshape(layout.shapes[name]) for name, span in layout.spans.items()}
+    layout.check(flat)
+    return {name: layout.view(flat, name) for name in layout.spans}
 
 
 def tensor_name(cfg: NetConfig, index: int) -> str:
@@ -244,14 +251,15 @@ def forward_batch(
             f"{frames.min()} frames cannot fill one downsampled step of {cfg.downsample_factor}"
         )
     n = frames // cfg.downsample_factor
-    params = unflatten(cfg, theta)
+    layout = _layout(cfg)
+    layout.check(theta)
     dtype = theta.dtype
     x = np.concatenate([f[: u * cfg.downsample_factor] for f, u in zip(feats, n)], dtype=dtype)
 
     cache = ForwardCache(lengths=n, valid=np.arange(n.max()) < n[:, None])
-    for i, stride in enumerate(_layout(cfg).strides):
+    for i, stride in enumerate(layout.strides):
         patches = x.reshape(-1, stride * x.shape[1])
-        pre = patches @ params[f"conv{i}_w"].T + params[f"conv{i}_b"]
+        pre = patches @ layout.view(theta, f"conv{i}_w").T + layout.view(theta, f"conv{i}_b")
         cache.conv_patches.append(patches)
         cache.conv_pre.append(pre)
         x = _gelu(pre)
@@ -263,7 +271,8 @@ def forward_batch(
     for j in range(cfg.context_layers):
         gapped = np.zeros((rows[-1] + w + 1, cfg.hidden_dim), dtype)
         gapped[rows] = x
-        pre = gapped[windows].reshape(len(rows), -1) @ params[f"ctx{j}_w"].T + params[f"ctx{j}_b"]
+        pre = gapped[windows].reshape(len(rows), -1) @ layout.view(theta, f"ctx{j}_w").T
+        pre += layout.view(theta, f"ctx{j}_b")
         act = _gelu(pre)
         if rngs is not None:
             keep = 1.0 - dropout_rate
@@ -280,7 +289,7 @@ def forward_batch(
 
     cache.head_input = x
     logits = np.zeros((len(n), n.max(), cfg.vocab_size + 1), dtype)
-    logits[cache.valid] = x @ params["head_w"].T + params["head_b"]
+    logits[cache.valid] = x @ layout.view(theta, "head_w").T + layout.view(theta, "head_b")
     return logits, cache
 
 
@@ -292,22 +301,26 @@ def backward_batch(theta: np.ndarray, cfg: NetConfig, cache: ForwardCache, dlogi
     the returned float64 vector is the sum over the members, laid out
     like ``theta``; :func:`unflatten` gives named views into it.
     """
-    params = unflatten(cfg, theta)
+    layout = _layout(cfg)
+    layout.check(theta)
     dlogits = np.asarray(dlogits)
     valid = cache.valid
     if cache.head_input is None or dlogits.shape != valid.shape + (cfg.vocab_size + 1,):
         raise ValueError(f"dlogits shape {dlogits.shape} does not match the cached forward pass")
     dtype = cache.head_input.dtype
-    flat = np.zeros(_layout(cfg).size)
-    grads = unflatten(cfg, flat)
+    flat = np.zeros(layout.size)
+
+    def put(name: str, value: np.ndarray) -> None:
+        layout.view(flat, name)[...] = value
 
     dlogits = dlogits[valid].astype(dtype, copy=False)
-    grads["head_w"][...] = dlogits.T @ cache.head_input
-    grads["head_b"][...] = dlogits.sum(axis=0)
-    dx = dlogits @ params["head_w"]
+    put("head_w", dlogits.T @ cache.head_input)
+    put("head_b", dlogits.sum(axis=0))
+    dx = dlogits @ layout.view(theta, "head_w")
 
     windows = cache.ctx_windows
-    span = windows.shape[1]
+    rows = windows[:, cfg.context_window]
+    span, hidden = windows.shape[1], cfg.hidden_dim
     for j in range(cfg.context_layers - 1, -1, -1):
         pre = cache.ctx_pre[j]
         mask = cache.ctx_masks[j]
@@ -315,24 +328,26 @@ def backward_batch(theta: np.ndarray, cfg: NetConfig, cache: ForwardCache, dlogi
         dz = _gelu_grad(pre)
         dz *= dact
         gapped = cache.ctx_gapped[j]
-        grads[f"ctx{j}_w"][...] = dz.T @ gapped[windows].reshape(len(windows), -1)
-        grads[f"ctx{j}_b"][...] = dz.sum(axis=0)
-        dwindow = (dz @ params[f"ctx{j}_w"]).reshape(len(windows), span, cfg.hidden_dim)
-        dgapped = np.zeros(gapped.shape, dtype)
-        for k in range(span):  # tap k of each window read gapped row windows[:, k]; within a tap the rows differ
-            dgapped[windows[:, k]] += dwindow[:, k]
+        put(f"ctx{j}_w", dz.T @ gapped[windows].reshape(len(windows), -1))
+        put(f"ctx{j}_b", dz.sum(axis=0))
+        # gapped row g fed tap k of the window centred on row g + w - k, so its gradient is dz over g's
+        # own window, tap k' through weight tap span-1-k': one product, with dz zero in the gaps
+        dz_gapped = np.zeros(gapped.shape, dtype)
+        dz_gapped[rows] = dz
+        taps = layout.view(theta, f"ctx{j}_w").reshape(hidden, span, hidden)[:, ::-1]
+        taps = taps.transpose(1, 0, 2).reshape(span * hidden, hidden)
         # residual: gradient flows both around and through the block
-        dx = dx + dgapped[windows[:, span // 2]]
+        dx = dx + dz_gapped[windows].reshape(len(windows), -1) @ taps
 
     for i in range(cfg.conv_layers - 1, -1, -1):
         pre = cache.conv_pre[i]
         patches = cache.conv_patches[i]
         dz = _gelu_grad(pre)
         dz *= dx
-        grads[f"conv{i}_w"][...] = dz.T @ patches
-        grads[f"conv{i}_b"][...] = dz.sum(axis=0)
+        put(f"conv{i}_w", dz.T @ patches)
+        put(f"conv{i}_b", dz.sum(axis=0))
         if i > 0:  # this layer's input gradient, one patch per row back to one frame per row
-            dx = (dz @ params[f"conv{i}_w"]).reshape(cache.conv_pre[i - 1].shape)
+            dx = (dz @ layout.view(theta, f"conv{i}_w")).reshape(cache.conv_pre[i - 1].shape)
     return flat
 
 

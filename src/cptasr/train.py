@@ -153,14 +153,14 @@ def train_stage(
     serve the next instead of being faulted in afresh; no number changes.
     The master is a float64 copy of ``start``, which AdamW updates in place
     with float64 moments; the network computes in float32 on a float32
-    copy of it. The transcripts are encoded as label indices once per
-    stage. Each epoch shuffles the data by (stage seed, epoch) and
-    runs each batch through one packed :func:`net.forward_batch` (member
-    ``pos`` of batch ``b`` draws its ``stage.dropout_rate`` masks from
-    ``[stage.seed, epoch, b, pos]``), one
-    :func:`ctc.ctc_loss_and_grad_batch` (float64 CTC lattice, with
-    ``stage.label_smoothing``) and
-    one :func:`net.backward_batch`; the summed float64 gradient is divided
+    copy of it. The transcripts become one :class:`ctc.LabelPlan` per
+    stage, whose build checks their label ranges. Each epoch shuffles the
+    data by (stage seed, epoch) and runs each batch through one packed
+    :func:`net.forward_batch` (member ``pos`` of batch ``b`` draws its
+    ``stage.dropout_rate`` masks from ``[stage.seed, epoch, b, pos]``), one
+    :func:`ctc.ctc_loss_and_grad_batch` on the members' plan rows (float64
+    CTC lattice, with ``stage.label_smoothing``) and one
+    :func:`net.backward_batch`; the summed float64 gradient is divided
     by the member count, and a non-finite result raises
     ``FloatingPointError`` naming its tensor. The vector is clipped to
     ``optim.GRAD_CLIP_NORM`` and stepped by AdamW under the warmup/decay
@@ -188,6 +188,7 @@ def train_stage(
             f"{skipped}/{len(data)} utterances are CTC-infeasible after downsampling; "
             f"check downsample_factor={cfg.downsample_factor}"
         )
+    plan = ctc.LabelPlan.build(labels, cfg.vocab_size + 1)
 
     _keep_freed_heap()
     theta = start.astype(np.float64)  # the master, a copy even when start is float64
@@ -212,9 +213,8 @@ def train_stage(
                 theta32, cfg, [utt.features for utt in batch],
                 dropout_rate=stage.dropout_rate, seeds=[[stage.seed, epoch, b, pos] for pos in range(len(batch))],
             )
-            losses, dlogits = ctc.ctc_loss_and_grad_batch(
-                logits, cache.lengths, [labels[idx] for idx in members], stage.label_smoothing
-            )
+            losses, dlogits = ctc.ctc_loss_and_grad_batch(logits, cache.lengths, plan.rows(members),
+                                                          stage.label_smoothing)
             epoch_loss += float(np.sum(losses))
             grads = net.backward_batch(theta32, cfg, cache, dlogits)
             grads /= len(batch)

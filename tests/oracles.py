@@ -2,7 +2,9 @@
 
 Everything here is deliberately brute-force and shares no code with the
 package: exhaustive path enumeration for CTC, central finite differences
-for gradients, and memo-free recursion for edit distance.
+for gradients, memo-free recursion for edit distance, and a layer-by-layer
+network backward pass whose context layers scatter their input gradient
+tap by tap.
 """
 
 from __future__ import annotations
@@ -107,3 +109,61 @@ def random_feasible_instance(rng: np.random.Generator, max_frames: int = 6, max_
         if n_frames >= target_len + repeats:
             logits = rng.normal(scale=2.0, size=(n_frames, len(symbols) + 1))
             return logits, target, symbols
+
+
+def gelu_slope(x: np.ndarray) -> np.ndarray:
+    """Derivative of the tanh-form GELU 0.5 * x * (1 + tanh(c * (x + 0.044715 * x^3))), c = sqrt(2 / pi)."""
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x * x * x))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x * x)
+
+
+def context_input_grad_by_taps(dz: np.ndarray, weight: np.ndarray, lengths, window: int) -> np.ndarray:
+    """Input gradient of a windowed context layer, scattered tap by tap and frame by frame.
+
+    ``dz`` holds the gradient of the layer's pre-activations, the members'
+    frames back to back (``lengths[b]`` rows each). ``weight`` is
+    H_out x (2 * window + 1) * H_in: tap k of output frame u reads input frame
+    u + k - window of the same member, and a tap past either end of the member
+    reads zeros, so it passes no gradient back.
+    """
+    span = 2 * window + 1
+    n_in = weight.shape[1] // span
+    grad = np.zeros((dz.shape[0], n_in), dtype=dz.dtype)
+    start = 0
+    for n in lengths:
+        for k in range(span):
+            through_tap = dz[start : start + n] @ weight[:, k * n_in : (k + 1) * n_in]
+            for u in range(n):
+                source = u + k - window
+                if 0 <= source < n:
+                    grad[start + source] += through_tap[u]
+        start += n
+    return grad
+
+
+def packed_net_backward(params: dict, cache, dlogits: np.ndarray, window: int) -> dict:
+    """Parameter gradients of sum(dlogits * logits) from a packed forward pass's cached activations.
+
+    The chain rule runs layer by layer from the head down, in the
+    activations' dtype; ``params`` maps tensor names to arrays, and the
+    context layers' input gradient is :func:`context_input_grad_by_taps`.
+    """
+    dtype = cache.head_input.dtype
+    lengths = [int(n) for n in cache.lengths]
+    dout = np.concatenate([dlogits[b, :n] for b, n in enumerate(lengths)]).astype(dtype)
+    grads = {"head_w": dout.T @ cache.head_input, "head_b": dout.sum(axis=0)}
+    dx = dout @ params["head_w"]
+    for j in reversed(range(len(cache.ctx_pre))):
+        dact = dx if cache.ctx_masks[j] is None else dx * cache.ctx_masks[j]
+        dz = dact * gelu_slope(cache.ctx_pre[j])
+        grads[f"ctx{j}_w"] = dz.T @ cache.ctx_gapped[j][cache.ctx_windows].reshape(len(dz), -1)
+        grads[f"ctx{j}_b"] = dz.sum(axis=0)
+        dx = dx + context_input_grad_by_taps(dz, params[f"ctx{j}_w"], lengths, window)
+    for i in reversed(range(len(cache.conv_pre))):
+        dz = dx * gelu_slope(cache.conv_pre[i])
+        grads[f"conv{i}_w"] = dz.T @ cache.conv_patches[i]
+        grads[f"conv{i}_b"] = dz.sum(axis=0)
+        if i > 0:
+            dx = (dz @ params[f"conv{i}_w"]).reshape(cache.conv_pre[i - 1].shape)
+    return grads

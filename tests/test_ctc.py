@@ -12,6 +12,7 @@ import cptasr.ctc as ctc_mod
 from cptasr.corpus import Vocabulary
 from cptasr.ctc import (
     InfeasibleTargetError,
+    LabelPlan,
     collapse,
     ctc_loss_and_grad_batch,
     greedy_decode_batch,
@@ -372,6 +373,74 @@ def test_batched_ctc_rejects_bad_lengths_and_infeasible_members():
         ctc_loss_and_grad_batch(logits, [4], [VAB.encode("a"), VAB.encode("b")])
     with pytest.raises(InfeasibleTargetError):
         ctc_loss_and_grad_batch(logits, [4, 2], [VAB.encode("a"), VAB.encode("aab")])
+
+
+@st.composite
+def _stage_targets(draw):
+    """A stage's targets of mixed lengths (some empty, some with repeats), each with a feasible frame count."""
+    symbols = tuple("abcde"[: draw(st.integers(1, 5))])
+    targets = [
+        "".join(draw(st.lists(st.sampled_from(symbols), max_size=draw(st.sampled_from([0, 2, 6, 15])))))
+        for _ in range(draw(st.integers(2, 24)))
+    ]
+    frames = [draw(st.integers(max(1, min_frames(t)), max(1, min_frames(t)) + 10)) for t in targets]
+    return symbols, targets, frames, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stage_targets(), st.sampled_from([0.0, 0.1]))
+def test_stage_plan_rows_match_plans_built_per_call_bit_for_bit(stage, smoothing):
+    symbols, targets, frames, seed = stage
+    vocab = Vocabulary(symbols)
+    labels = [vocab.encode(t) for t in targets]
+    plan = LabelPlan.build(labels, vocab.size + 1)
+    assert plan.ext.dtype == plan.rev_states.dtype == plan.rev_ext.dtype == np.int16
+    rng = np.random.default_rng(seed)
+    for _ in range(5):  # random batches of the one stage, as an epoch's shuffle gives them
+        members = rng.permutation(len(targets))[: int(rng.integers(1, 9))]
+        lengths = [frames[m] for m in members]
+        logits = rng.normal(scale=rng.uniform(0.5, 10.0), size=(len(members), max(lengths), vocab.size + 1))
+        rows = plan.rows(members)
+        per_call = LabelPlan.build([labels[m] for m in members], vocab.size + 1)
+        for name in ("ext", "n_states", "rev_states", "rev_ext", "needed"):
+            assert np.array_equal(getattr(rows, name), getattr(per_call, name)), name
+        losses, grad = ctc_loss_and_grad_batch(logits, lengths, rows, smoothing)
+        want_losses, want_grad = ctc_loss_and_grad_batch(logits, lengths, [labels[m] for m in members], smoothing)
+        assert np.array_equal(losses, want_losses)
+        assert np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("case", ["blank-1000", "blank-then-labels-60"])
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+def test_stage_plan_rows_take_the_log_space_fallback_bit_for_bit(case, smoothing):
+    logits, lengths, labels = _extreme_batch(case)
+    # the stage also holds a longer target, so the batch's rows are cropped
+    plan = LabelPlan.build([[1, 2] * 80] + labels, 3)
+    with mock.patch.object(ctc_mod, "_lattice", wraps=ctc_mod._lattice) as spy:
+        losses, grad = ctc_loss_and_grad_batch(logits, lengths, plan.rows([1, 2]), smoothing)
+    assert spy.call_count == 1
+    want_losses, want_grad = ctc_loss_and_grad_batch(logits, lengths, labels, smoothing)
+    assert np.array_equal(losses, want_losses)
+    assert np.array_equal(grad, want_grad)
+
+
+def test_plan_rejects_what_the_per_call_build_rejected_with_the_same_text():
+    labels = [VAB.encode("ab"), [3]]  # label 3 is past the last of 3 classes
+    with pytest.raises(ValueError, match=r"labels must lie in \[1, 2\]") as at_build:
+        LabelPlan.build(labels, 3)
+    with pytest.raises(ValueError) as per_call:
+        ctc_loss_and_grad_batch(np.zeros((2, 4, 3)), [4, 4], labels)
+    assert str(at_build.value) == str(per_call.value)
+
+    plan = LabelPlan.build([VAB.encode("a"), VAB.encode("aab"), VAB.encode("b")], 3)
+    logits = np.zeros((2, 4, 3))
+    with pytest.raises(InfeasibleTargetError) as from_rows:
+        ctc_loss_and_grad_batch(logits, [4, 3], plan.rows([0, 1]))
+    with pytest.raises(InfeasibleTargetError) as per_call:
+        ctc_loss_and_grad_batch(logits, [4, 3], [VAB.encode("a"), VAB.encode("aab")])
+    assert str(from_rows.value) == str(per_call.value) == "member 1: target of length 3 needs at least 4 frames, got 3"
+    with pytest.raises(ValueError, match="3 classes, the logits have 4"):
+        ctc_loss_and_grad_batch(np.zeros((2, 4, 4)), [4, 4], plan.rows([0, 2]))
 
 
 def _two_step_objective(logits, lengths, labels, smoothing):

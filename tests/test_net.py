@@ -26,7 +26,7 @@ from cptasr.net import (
     unflatten,
 )
 
-from oracles import assert_grad_close, central_difference_grad
+from oracles import assert_grad_close, central_difference_grad, packed_net_backward
 
 # activation shapes of one batch of 8: the acceptance net on `pipeline`'s short
 # utterances (one conv layer to 32 channels), and the default net on
@@ -262,6 +262,34 @@ def test_packed_backward_finite_difference_audit_with_dropout():
 
         numeric = central_difference_grad(objective, tensor.copy())
         assert_grad_close(grads[name], numeric)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rate", [0.0, RAGGED_DROPOUT])
+@pytest.mark.parametrize("cfg", [
+    RAGGED,
+    NetConfig(feature_dim=32, vocab_size=27, downsample_factor=4, conv_layers=1, conv_channels=24,
+              context_layers=1, hidden_dim=32, context_window=3),
+    NetConfig(feature_dim=4, vocab_size=3, context_window=0),
+], ids=["window-2", "acceptance-window-3", "window-0"])
+def test_window_product_matches_per_tap_scatter(cfg, rate, dtype):
+    """The context layers' input gradient as one window product equals the per-tap scatter, short members included."""
+    params = init_parameters(cfg, seed=2).astype(dtype)
+    rng = np.random.default_rng(8)
+    # members of 1 to 11 output frames, several shorter than a window
+    feats = [rng.normal(size=(t, cfg.feature_dim)).astype(np.float32) for t in (6, 31, 13, 47, 12, 17, 8)]
+    seeds = [[3, pos] for pos in range(len(feats))]
+    logits, cache = forward_batch(params, cfg, feats, dropout_rate=rate, seeds=seeds)
+    dl = rng.normal(size=logits.shape)
+    got = unflatten(cfg, backward_batch(params, cfg, cache, dl))
+    want = packed_net_backward(unflatten(cfg, params), cache, dl, cfg.context_window)
+    assert got.keys() == want.keys()
+    for name, grad in got.items():
+        if dtype == np.float64:
+            np.testing.assert_allclose(grad, want[name], rtol=0, atol=1e-12, err_msg=name)
+        else:  # the sums round in another order: a few float32 ulps of the tensor's largest entry
+            tol = 4 * np.finfo(np.float32).eps * np.max(np.abs(want[name]))
+            np.testing.assert_allclose(grad, want[name], rtol=0, atol=tol, err_msg=name)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.1])

@@ -190,6 +190,29 @@ def test_out_of_vocabulary_training_character_names_the_utterance():
         train_stage(init_parameters(net_cfg, seed=0), net_cfg, data, val_ds, _stage(epochs=1), vocab)
 
 
+def test_label_plan_is_built_once_per_stage_and_checks_label_ranges_before_training(monkeypatch):
+    train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
+    real_build = train_mod.ctc.LabelPlan.build
+    builds = []
+
+    def spy(labels, n_classes):
+        builds.append(len(labels))
+        return real_build(labels, n_classes)
+
+    monkeypatch.setattr(train_mod.ctc.LabelPlan, "build", spy)
+    train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val_ds, _stage(epochs=3, batch_size=5), vocab)
+    assert builds == [len(train_ds)]
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward_batch ran before the label ranges were checked")
+
+    monkeypatch.setattr(train_mod.net, "forward_batch", no_forward)
+    small = replace(net_cfg, vocab_size=vocab.size - 1)  # the last symbol's label is past the head's classes
+    assert any(vocab.symbols[-1] in u.transcript for u in train_ds)
+    with pytest.raises(ValueError, match=rf"labels must lie in \[1, {vocab.size - 1}\]"):
+        train_stage(init_parameters(small, seed=0), small, train_ds, val_ds, _stage(epochs=1), vocab)
+
+
 def test_empty_validation_set_is_rejected_before_any_forward_pass(monkeypatch):
     train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
 
