@@ -49,9 +49,9 @@ class ConfigError(ValueError):
     """Raised for unusable run configuration."""
 
 
-def _check_keys(section: str, cls: type, raw: dict) -> None:
-    """Raise a ConfigError naming ``raw``'s keys that are not fields of the dataclass ``cls``."""
-    keys = tuple(f.name for f in fields(cls))
+def _check_keys(section: str, cls: type, raw: dict, fixed: tuple[str, ...] = ()) -> None:
+    """Raise a ConfigError naming ``raw``'s keys that are not fields of the dataclass ``cls``, or are ``fixed`` ones."""
+    keys = tuple(f.name for f in fields(cls) if f.name not in fixed)
     unknown = set(raw) - set(keys)
     if unknown:
         raise ConfigError(f"unknown {section} keys {sorted(unknown)}; expected {keys}")
@@ -71,9 +71,10 @@ class RunConfig:
     """A checked run-config file; its fields are the file's accepted keys.
 
     ``synth`` and each of :data:`STAGES` are built, seeded by :data:`SEED_OFFSETS`
-    unless their section sets ``seed``; ``net`` is checked with a stand-in
-    ``vocab_size`` and stays raw until :meth:`net_config` knows the
-    vocabulary. Relative paths resolve against the working directory.
+    unless their section sets ``seed``; ``net`` may not set ``vocab_size``,
+    is checked with a stand-in one and stays raw until :meth:`net_config`
+    sets it to the vocabulary's size. Relative paths resolve against the
+    working directory.
     """
 
     seed: int
@@ -85,10 +86,7 @@ class RunConfig:
     paths: dict[str, Path]
 
     def net_config(self, vocab: Vocabulary) -> net.NetConfig:
-        raw = {"vocab_size": vocab.size, **self.net}
-        if raw["vocab_size"] != vocab.size:
-            raise ConfigError(f"net vocab_size {raw['vocab_size']} != vocabulary size {vocab.size}")
-        return _checked("net", net.NetConfig, raw)
+        return _checked("net", net.NetConfig, {"vocab_size": vocab.size, **self.net})
 
     def path(self, key: str) -> Path:
         if key not in self.paths:
@@ -136,6 +134,7 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
     stages = {name: _checked(f"stages.{name}", StageConfig,
                              {**asdict(PRESETS[name]), "seed": seed + SEED_OFFSETS[name], **stage_raw.get(name, {})})
               for name in STAGES}
+    _check_keys("net", net.NetConfig, net_raw, fixed=("vocab_size",))  # the vocabulary sets it
     _checked("net", net.NetConfig, {"vocab_size": 1, **net_raw})
     return RunConfig(seed, threshold, out_dir, net_raw, synth, stages, paths)
 

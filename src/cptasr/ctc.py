@@ -33,7 +33,6 @@ class InfeasibleTargetError(ValueError):
 class DecodeResult:
     hypothesis: str
     confidence: float
-    frame_argmax: np.ndarray
 
 
 def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -41,12 +40,6 @@ def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     shifted = values - np.max(values, axis=axis, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def min_frames(target: Sequence) -> int:
-    """Fewest frames that can emit ``target`` (characters or label indices): its length plus one blank per adjacent repeat."""
-    repeats = sum(1 for a, b in zip(target, target[1:]) if a == b)
-    return len(target) + repeats
 
 
 def _lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
@@ -167,8 +160,9 @@ class LabelPlan:
     lk, blank] padded with blanks to the longest row, ``n_states[i]`` is
     2k + 1, ``rev_states[i, s]`` is the state that s becomes when the lattice
     is flipped (a padded state stays where it is), ``rev_ext[i]`` is the
-    flipped target and ``needed[i]`` is the fewest frames that can emit it.
-    The arrays are int16 where every value fits, int32 otherwise.
+    flipped target and ``needed[i]`` is the fewest frames that can emit it:
+    its length plus one separating blank per adjacent repeat, and at least 1,
+    since a member has at least one frame. All arrays are int32.
     """
 
     n_classes: int
@@ -187,19 +181,18 @@ class LabelPlan:
         flat = np.concatenate([np.asarray(seq, dtype=np.intp) for seq in labels])
         if np.any((flat < 1) | (flat >= n_classes)):
             raise ValueError(f"labels must lie in [1, {n_classes - 1}]")
-        n_states = 2 * n_labels + 1
-        dtype = np.int16 if max(n_classes, n_states.max()) <= np.iinfo(np.int16).max else np.int32
+        n_states = (2 * n_labels + 1).astype(np.int32)
         label_ok = np.arange(n_labels.max()) < n_labels[:, None]
-        padded = np.zeros(label_ok.shape, dtype=dtype)  # padded with blanks
+        padded = np.zeros(label_ok.shape, dtype=np.int32)  # padded with blanks
         padded[label_ok] = flat
         needed = n_labels + np.sum((padded[:, 1:] == padded[:, :-1]) & label_ok[:, 1:], axis=1)
-        ext = np.zeros((len(labels), n_states.max()), dtype=dtype)
+        ext = np.zeros((len(labels), n_states.max()), dtype=np.int32)
         ext[:, 1::2] = padded
-        states = np.arange(ext.shape[1], dtype=dtype)
-        last = (n_states - 1).astype(dtype)[:, None]
+        states = np.arange(ext.shape[1], dtype=np.int32)
+        last = (n_states - 1)[:, None]
         rev_states = np.where(states <= last, last - states, states)
-        return cls(n_classes, ext, n_states.astype(dtype), rev_states,
-                   np.take_along_axis(ext, rev_states, axis=1), needed.astype(dtype))
+        return cls(n_classes, ext, n_states, rev_states,
+                   np.take_along_axis(ext, rev_states, axis=1), np.maximum(needed, 1).astype(np.int32))
 
     def __len__(self) -> int:
         return len(self.n_states)
@@ -336,7 +329,6 @@ def greedy_decode_batch(logits: np.ndarray, lengths: Sequence[int], vocab: Vocab
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits contain non-finite values")
     log_probs = log_softmax(logits, axis=2)
-    frame_argmax = np.argmax(log_probs, axis=2)
+    best_path = np.argmax(log_probs, axis=2)
     confidence = np.exp(np.sum(np.max(log_probs, axis=2), axis=1, where=frame_ok) / lengths)
-    return [DecodeResult(collapse(frame_argmax[b, :n], vocab), float(confidence[b]), frame_argmax[b, :n])
-            for b, n in enumerate(lengths)]
+    return [DecodeResult(collapse(best_path[b, :n], vocab), float(confidence[b])) for b, n in enumerate(lengths)]

@@ -82,7 +82,7 @@ def decode_dataset(theta: np.ndarray, cfg: NetConfig, ds: Dataset, vocab: Vocabu
     forward pass, and one warning per call counts such utterances.
     """
     utts = list(ds)
-    results = [ctc.DecodeResult("", 0.0, np.zeros(0, dtype=np.intp)) for _ in utts]
+    results = [ctc.DecodeResult("", 0.0) for _ in utts]
     decodable = [i for i, utt in enumerate(utts) if utt.duration_frames >= cfg.downsample_factor]
     if len(decodable) < len(utts):
         logger.warning("%d of %d utterances are shorter than one downsampled step of %d frames; they decode empty",
@@ -103,26 +103,6 @@ def evaluate_wer(theta: np.ndarray, cfg: NetConfig, ds: Dataset, vocab: Vocabula
     decodes = decode_dataset(theta, cfg, ds, vocab)
     pairs = [(utt.transcript, dec.hypothesis) for utt, dec in zip(ds, decodes)]
     return wer(pairs)
-
-
-def _feasible_subset(data: Dataset, cfg: NetConfig, vocab: Vocabulary) -> tuple[list, list[np.ndarray], int]:
-    """The utterances CTC can train on, each one's transcript as label indices, and the count skipped."""
-    usable, labels = [], []
-    skipped = 0
-    for utt in data:
-        try:
-            encoded = np.array(vocab.encode(utt.transcript), dtype=np.intp)
-        except ValueError as exc:
-            raise ValueError(f"utterance {utt.id!r}: {exc}") from None
-        u_frames = utt.duration_frames // cfg.downsample_factor
-        if u_frames < max(1, ctc.min_frames(utt.transcript)):
-            logger.warning("skipping utterance %s: %d downsampled frames cannot emit %r",
-                           utt.id, u_frames, utt.transcript)
-            skipped += 1
-            continue
-        usable.append(utt)
-        labels.append(encoded)
-    return usable, labels, skipped
 
 
 def _keep_freed_heap() -> None:
@@ -153,9 +133,14 @@ def train_stage(
     serve the next instead of being faulted in afresh; no number changes.
     The master is a float64 copy of ``start``, which AdamW updates in place
     with float64 moments; the network computes in float32 on a float32
-    copy of it. The transcripts become one :class:`ctc.LabelPlan` per
-    stage, whose build checks their label ranges. Each epoch shuffles the
-    data by (stage seed, epoch) and runs each batch through one packed
+    copy of it. The transcripts are encoded once (an out-of-vocabulary
+    character raises ValueError naming the utterance) into one
+    :class:`ctc.LabelPlan` per stage, whose build checks their label ranges
+    and whose ``needed`` alone decides what trains: an utterance with fewer
+    downsampled frames is skipped with a warning, more than
+    ``MAX_SKIP_FRACTION`` skipped raises ValueError, and the rest train on
+    the plan cut to their rows. Each epoch shuffles the data by (stage
+    seed, epoch) and runs each batch through one packed
     :func:`net.forward_batch` (member ``pos`` of batch ``b`` draws its
     ``stage.dropout_rate`` masks from ``[stage.seed, epoch, b, pos]``), one
     :func:`ctc.ctc_loss_and_grad_batch` on the members' plan rows (float64
@@ -182,13 +167,27 @@ def train_stage(
     if len(data) == 0:
         raise ValueError("training data is empty")
 
-    usable, labels, skipped = _feasible_subset(data, cfg, vocab)
-    if skipped > MAX_SKIP_FRACTION * len(data):
+    utts = list(data)
+    labels = []
+    for utt in utts:
+        try:
+            labels.append(vocab.encode(utt.transcript))
+        except ValueError as exc:
+            raise ValueError(f"utterance {utt.id!r}: {exc}") from None
+    plan = ctc.LabelPlan.build(labels, cfg.vocab_size + 1)
+    u_frames = np.array([utt.duration_frames for utt in utts]) // cfg.downsample_factor
+    skipped = np.flatnonzero(u_frames < plan.needed)
+    for i in skipped:
+        logger.warning("skipping utterance %s: %d downsampled frames cannot emit %r",
+                       utts[i].id, u_frames[i], utts[i].transcript)
+    if len(skipped) > MAX_SKIP_FRACTION * len(data):
         raise ValueError(
-            f"{skipped}/{len(data)} utterances are CTC-infeasible after downsampling; "
+            f"{len(skipped)}/{len(data)} utterances are CTC-infeasible after downsampling; "
             f"check downsample_factor={cfg.downsample_factor}"
         )
-    plan = ctc.LabelPlan.build(labels, cfg.vocab_size + 1)
+    kept = np.flatnonzero(u_frames >= plan.needed)
+    usable = [utts[i] for i in kept]
+    plan = plan.rows(kept)
 
     _keep_freed_heap()
     theta = start.astype(np.float64)  # the master, a copy even when start is float64
@@ -197,7 +196,7 @@ def train_stage(
     batches_per_epoch = math.ceil(len(usable) / stage.batch_size)
     total_steps = stage.epochs * batches_per_epoch
 
-    history = TrainHistory(skipped_utterances=skipped)
+    history = TrainHistory(skipped_utterances=len(skipped))
     best_wer = math.inf
     best = theta32.copy()
     bad_epochs = 0

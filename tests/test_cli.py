@@ -289,6 +289,24 @@ def test_bad_section_the_command_does_not_use_is_config_error_before_any_work(ru
     assert not list(out_dir.glob("*.ckpt"))
 
 
+def test_net_vocab_size_is_config_error_even_at_the_vocabulary_size(run_config, capsys):
+    """The vocabulary sets the head's size, so a ``net`` section may not: any value exits 2 before any work."""
+    cfg_path, out_dir = run_config
+    good = json.loads(cfg_path.read_text())
+    main(["gen-data", "--config", str(cfg_path)])
+    main(["split", "--config", str(cfg_path), "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    size = build_vocabulary(load_manifest(out_dir / "train.jsonl", kind="labeled").transcripts()).size
+    written = sorted(out_dir.rglob("*"))
+    for command, value in (("gen-data", size), ("train-labeler", size), ("train-labeler", size + 1)):
+        cfg_path.write_text(json.dumps({**good, "net": {**good["net"], "vocab_size": value}}))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown net keys ['vocab_size']; expected ('feature_dim', ")
+        assert "'vocab_size'" not in err.split("; expected (")[1]
+        assert sorted(out_dir.rglob("*")) == written
+
+
 @pytest.mark.parametrize("field,value", [
     ("seed", "x"),
     ("threshold", "abc"),

@@ -1,5 +1,6 @@
 """CTC loss against exhaustive enumeration, gradient audits, label smoothing, collapse, decoding."""
 
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -17,7 +18,6 @@ from cptasr.ctc import (
     ctc_loss_and_grad_batch,
     greedy_decode_batch,
     log_softmax,
-    min_frames,
 )
 
 from oracles import (
@@ -29,6 +29,12 @@ from oracles import (
 
 VAB = Vocabulary(("a", "b"))
 VA = Vocabulary(("a",))
+
+
+def _needed(targets, symbols):
+    """Each target's fewest frames, as its label plan gives them."""
+    vocab = Vocabulary(symbols)
+    return LabelPlan.build([vocab.encode(t) for t in targets], vocab.size + 1).needed.tolist()
 
 
 def test_log_softmax_symmetric_pair():
@@ -60,10 +66,27 @@ def test_target_longer_than_frames_is_infeasible():
 
 
 def test_repeat_needs_separating_blank():
-    assert min_frames("aa") == min_frames(VA.encode("aa")) == 3
+    assert LabelPlan.build([VA.encode("aa")], VA.size + 1).needed.tolist() == [3]
     with pytest.raises(InfeasibleTargetError):
         ctc_loss_and_grad_batch(np.zeros((1, 2, 2)), [2], [VA.encode("aa")])
     assert math.isfinite(ctc_loss_and_grad_batch(np.zeros((1, 3, 2)), [3], [VA.encode("aa")])[0][0])
+
+
+def test_needed_is_where_the_enumerated_loss_turns_finite():
+    """Every target over {a, b} up to 3 labels, empty and repeats included: finite loss exactly when T >= needed."""
+    targets = ["".join(p) for k in range(4) for p in itertools.product("ab", repeat=k)]
+    rng = np.random.default_rng(0)
+    for target, needed in zip(targets, _needed(targets, VAB.symbols)):
+        for n_frames in range(1, 7):  # "aaa" needs 5, so every target has frames on both sides
+            logits = rng.normal(size=(n_frames, VAB.size + 1))
+            enumerated = ctc_loss_by_enumeration(logits, target, VAB.symbols)
+            assert math.isfinite(enumerated) == (n_frames >= needed), (target, n_frames)
+            if n_frames >= needed:
+                loss = ctc_loss_and_grad_batch(logits[None], [n_frames], [VAB.encode(target)])[0][0]
+                assert loss == pytest.approx(enumerated, rel=1e-10)
+            else:
+                with pytest.raises(InfeasibleTargetError):
+                    ctc_loss_and_grad_batch(logits[None], [n_frames], [VAB.encode(target)])
 
 
 def test_character_outside_vocabulary_rejected():
@@ -153,7 +176,7 @@ def _training_shaped_instance(draw):
     """Logits, target and vocabulary at training shapes, past the enumeration oracle's reach."""
     symbols = tuple("abcdefghij"[: draw(st.integers(1, 10))])
     target = "".join(draw(st.lists(st.sampled_from(symbols), max_size=30)))
-    n_frames = draw(st.integers(max(1, min_frames(target)), 60))
+    n_frames = draw(st.integers(_needed([target], symbols)[0], 60))
     scale = draw(st.floats(0.5, 20.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng.normal(scale=scale, size=(n_frames, len(symbols) + 1)), target, Vocabulary(symbols)
@@ -189,7 +212,7 @@ def _ragged_batch(draw):
         "".join(draw(st.lists(st.sampled_from(symbols), max_size=draw(st.sampled_from([0, 3, 8])))))
         for _ in range(draw(st.integers(1, 6)))
     ]
-    lengths = [draw(st.integers(max(1, min_frames(t)), max(1, min_frames(t)) + 12)) for t in targets]
+    lengths = [draw(st.integers(n, n + 12)) for n in _needed(targets, symbols)]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     logits = rng.normal(scale=draw(st.floats(0.5, 10.0)), size=(len(targets), max(lengths), len(symbols) + 1))
     return logits, lengths, targets, symbols
@@ -383,7 +406,7 @@ def _stage_targets(draw):
         "".join(draw(st.lists(st.sampled_from(symbols), max_size=draw(st.sampled_from([0, 2, 6, 15])))))
         for _ in range(draw(st.integers(2, 24)))
     ]
-    frames = [draw(st.integers(max(1, min_frames(t)), max(1, min_frames(t)) + 10)) for t in targets]
+    frames = [draw(st.integers(n, n + 10)) for n in _needed(targets, symbols)]
     return symbols, targets, frames, draw(st.integers(0, 2**32 - 1))
 
 
@@ -394,7 +417,8 @@ def test_stage_plan_rows_match_plans_built_per_call_bit_for_bit(stage, smoothing
     vocab = Vocabulary(symbols)
     labels = [vocab.encode(t) for t in targets]
     plan = LabelPlan.build(labels, vocab.size + 1)
-    assert plan.ext.dtype == plan.rev_states.dtype == plan.rev_ext.dtype == np.int16
+    for name in ("ext", "n_states", "rev_states", "rev_ext", "needed"):
+        assert getattr(plan, name).dtype == np.int32, name
     rng = np.random.default_rng(seed)
     for _ in range(5):  # random batches of the one stage, as an epoch's shuffle gives them
         members = rng.permutation(len(targets))[: int(rng.integers(1, 9))]
@@ -550,7 +574,6 @@ def test_greedy_decode_dominant_logits():
     result = greedy_decode_batch(logits[None], [len(logits)], VAB)[0]
     assert result.hypothesis == "ab"
     assert result.confidence == pytest.approx(1.0, abs=1e-10)
-    assert list(result.frame_argmax) == [1, 0, 2]
 
 
 def test_greedy_decode_uniform_confidence_is_one_third():
