@@ -1,12 +1,13 @@
 """CTC loss, analytic gradient, and greedy decoding with confidence scoring.
 
 The forward-backward recursion over the blank-interleaved extended target
-runs in probability space, each frame's alphas divided by their total
-(Graves et al., ICML 2006, section 4.1; Rabiner, Proc. IEEE 1989, section
-V.A), so a frame costs multiplies and adds. Where a frame's total of the
-alpha-beta product falls below ``_MIN_FRAME_MASS``, the rescaled values may
-have lost paths to underflow, and the whole batch is rerun in log space,
-which cannot underflow.
+runs in probability space, the alphas of every ``_RESCALE_EVERY``-th frame
+divided by their total and the scale coefficient 1 at the others (Graves
+et al., ICML 2006, section 4.1; Rabiner, Proc. IEEE 1989, section V.A), so
+a frame costs multiplies and adds. Where a frame's total of the alpha-beta
+product falls below ``_MIN_FRAME_MASS``, the rescaled values may have lost
+paths to underflow, and the whole batch is rerun in log space, which cannot
+underflow.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ NEG_INF = -np.inf
 # the smallest per-frame total of the rescaled alpha-beta product that the probability-space
 # kernel trusts: e^-230, so what underflows (below e^-708) is e^-478 of the frame or less
 _MIN_FRAME_MASS = 1e-100
+# the probability-space lattice divides the alphas of frames 0, k, 2k, ... by their total (k this constant)
+_RESCALE_EVERY = 4
 
 
 class InfeasibleTargetError(ValueError):
@@ -74,18 +77,24 @@ def _lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
 
 
 def _scaled_lattice(emit: np.ndarray, ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lattices of :func:`_lattice` in probability space, rescaled at every frame.
+    """The lattices of :func:`_lattice` in probability space, rescaled at every ``_RESCALE_EVERY``-th frame.
 
     ``emit[b, t, s]`` is the probability of ``ext[b, s]`` at frame t of
-    member b, 0 in padded cells. Returns (pre, mass): mass[b, t] is the
-    total of member b's alphas at frame t < T-1, and pre[b, t] is the
-    recursion applied to frame t-1's alphas divided by mass[b, t-1], so it
-    is the pre-emission lattice over the product of the masses of the
-    frames before t. Each frame takes a multiply, a row sum, a divide, a
-    shift-add and a masked skip-add, within the ``2t + 2`` reach band of
-    :func:`_lattice`. A mass below :data:`_MIN_FRAME_MASS` (padded frames
-    have mass 0) is divided by that constant instead, so no frame divides by
-    zero and each frame's rescaled alphas sum to at most 1.
+    member b, 0 in padded cells. Returns (pre, mass): for a frame t < T-1
+    that is a multiple of :data:`_RESCALE_EVERY`, mass[b, t] is the total of
+    member b's alphas at frame t, and at the other frames it is 1; pre[b, t]
+    is the recursion applied to frame t-1's alphas divided by mass[b, t-1],
+    so it is the pre-emission lattice over the product of the masses of the
+    frames before t. A frame takes a multiply, a shift-add and a masked
+    skip-add, within the ``2t + 2`` reach band of :func:`_lattice`, and a
+    rescaled frame also a row sum and a divide. A mass below
+    :data:`_MIN_FRAME_MASS` (padded frames have mass 0) is divided by that
+    constant instead, so no frame divides by zero and each rescaled frame's
+    alphas sum to at most 1. An emission is at most 1 and a state reads at
+    most three states of the frame before, so between rescalings the values
+    grow at most 3x per frame: every alpha and beta stays below
+    3^_RESCALE_EVERY, and what underflows is still a negligible share of any
+    frame whose alpha-beta total passes the ``_MIN_FRAME_MASS`` check.
     """
     n_members, n_frames, n_states = emit.shape
     # frames lead and members come last, so each frame is one contiguous S x B slab
@@ -97,14 +106,15 @@ def _scaled_lattice(emit: np.ndarray, ext: np.ndarray) -> tuple[np.ndarray, np.n
 
     pre = np.zeros(emit.shape)
     pre[0, :2] = 1.0
-    mass = np.empty((n_frames - 1, n_members))
+    mass = np.ones((n_frames - 1, n_members))
     # frame t-1's alphas sit below two rows of zeros, so state s reads s-1 and s-2 without edge cases
     shifted = np.zeros((n_states + 2, n_members))
     skipped, ones = np.empty((n_states, n_members)), np.ones(n_states)
     for t in range(1, n_frames):
         reach = min(n_states, 2 * t + 2)
         prev = np.multiply(pre[t - 1, :reach], emit[t - 1, :reach], out=shifted[2 : reach + 2])
-        prev /= np.maximum(np.dot(ones[:reach], prev, out=mass[t - 1]), _MIN_FRAME_MASS)
+        if (t - 1) % _RESCALE_EVERY == 0:
+            prev /= np.maximum(np.dot(ones[:reach], prev, out=mass[t - 1]), _MIN_FRAME_MASS)
         acc = np.add(prev, shifted[1 : reach + 1], out=pre[t, :reach])
         acc += np.multiply(shifted[:reach], skip[:reach], out=skipped[:reach])
     del emit
@@ -140,11 +150,12 @@ def _scaled_posteriors(
     posterior *= emit[:n_batch]
     del pre, emit
     totals = posterior.sum(axis=2)
-    # the betas are at most 1, so a frame's total is at most the mass its alphas were divided by
+    # a frame whose total is this small may have lost paths to underflow (see _scaled_lattice)
     if not np.all(totals >= _MIN_FRAME_MASS, where=frame_ok):
         return None
-    # log Z sums the logs of the masses a member's frames were divided by (all valid frames but its
-    # last) and of the last frame's total: its betas are 1 on the final blank and the final label
+    # log Z sums the logs of the masses a member's frames were divided by (1 at the frames that were
+    # not rescaled; all valid frames but its last) and of the last frame's total: its betas are 1 on
+    # the final blank and the final label
     divided = np.arange(n_frames - 1) < lengths[:, None] - 1
     log_z = np.sum(np.log(mass[:n_batch], out=np.zeros(divided.shape), where=divided), axis=1)
     log_z += np.log(totals[np.arange(n_batch), lengths - 1])
@@ -221,10 +232,10 @@ def ctc_loss_and_grad_batch(
     float64 log-softmax feeds all members' shared forward-backward
     recursion over a B x T x S lattice padded to the longest member and the
     longest extended target. The recursion runs in probability space,
-    rescaled per frame; if any member's alpha-beta product has a valid frame
-    whose total falls below ``_MIN_FRAME_MASS`` (1e-100, which takes
-    log-probabilities hundreds below zero, such as a label whose probability
-    underflows to 0), the whole batch reruns in log space.
+    rescaled every ``_RESCALE_EVERY`` frames; if any member's alpha-beta
+    product has a valid frame whose total falls below ``_MIN_FRAME_MASS``
+    (1e-100, which takes log-probabilities far below zero, such as a label
+    whose probability underflows to 0), the whole batch reruns in log space.
     loss_b = (1-s) * ctc_b + s * mean_u
     KL(uniform || softmax(logits_b,u)), with the mean over member b's
     frames and s = ``smoothing`` in [0, 1); s = 0 is plain CTC. The CTC

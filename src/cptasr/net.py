@@ -28,31 +28,29 @@ CHECKPOINT_VERSION = 3
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-# Both functions evaluate their expression in one output buffer, operation by
-# operation in the order written, so the values are those of the one-line
-# form; x * x * x rather than x**3, as numpy's float power calls pow() per
-# element, ~40x slower.
-def _gelu(x: np.ndarray) -> np.ndarray:
-    """Smooth tanh-form GELU, 0.5 * x * (1 + tanh(c * (x + 0.044715 * x^3))); differentiable everywhere, so finite-difference audits hold."""
-    y = x * x
-    y *= x
-    y *= 0.044715
-    y += x
-    y *= _GELU_C
-    np.tanh(y, out=y)
-    y += 1.0
-    y *= 0.5 * x
-    return y
+# Both functions evaluate their expressions operation by operation in the order
+# written, so the values are those of the one-line forms; x * x * x rather than
+# x**3, as numpy's float power calls pow() per element, ~40x slower.
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth tanh-form GELU 0.5 * x * (1 + t), t = tanh(c * (x + 0.044715 * x^3)), and t itself.
 
-
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    """0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2), with t = tanh(c * (x + 0.044715 * x^3))."""
-    x2 = x * x
-    t = x2 * x
+    Differentiable everywhere, so finite-difference audits hold; the forward
+    pass keeps t for :func:`_gelu_slope`.
+    """
+    t = x * x
+    t *= x
     t *= 0.044715
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
+    y = t + 1.0
+    y *= 0.5 * x
+    return y, t
+
+
+def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU's derivative 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2), given :func:`_gelu`'s t; reads t, never writes it."""
+    x2 = x * x
     x2 *= 3 * 0.044715
     x2 += 1.0
     slope = t * t
@@ -60,10 +58,10 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
     slope *= 0.5 * x
     slope *= _GELU_C
     slope *= x2
-    t += 1.0
-    t *= 0.5
-    t += slope
-    return t
+    grad = t + 1.0
+    grad *= 0.5
+    grad += slope
+    return grad
 
 
 class CheckpointError(ValueError):
@@ -110,18 +108,21 @@ class NetConfig:
 
 @dataclass
 class ForwardCache:
-    """Inputs and pre-activations of one packed forward pass, retained for the backward pass.
+    """Inputs, pre-activations and GELU tanh values of one packed forward pass, retained for the backward pass.
 
-    The packed rows are the members' kept frames back to back, in member order.
+    The packed rows are the members' kept frames back to back, in member
+    order. The backward pass reads these arrays and never writes them.
     """
 
     lengths: np.ndarray  # output frames U_b of each member
     valid: np.ndarray  # B x max(U_b) mask of the padded logit rows that hold a member's frame
     conv_patches: list[np.ndarray] = field(default_factory=list)  # each conv layer's input, one patch per row
     conv_pre: list[np.ndarray] = field(default_factory=list)
-    ctx_windows: np.ndarray | None = None  # gapped rows of each packed frame's context window
-    ctx_gapped: list[np.ndarray] = field(default_factory=list)  # each context layer's zero-gapped input
+    conv_tanh: list[np.ndarray] = field(default_factory=list)  # the t of each conv layer's GELU
+    window_rows: np.ndarray | None = None  # gapped rows of each packed frame's context window
+    ctx_windows: list[np.ndarray] = field(default_factory=list)  # each context layer's R x span*H window matrix
     ctx_pre: list[np.ndarray] = field(default_factory=list)
+    ctx_tanh: list[np.ndarray] = field(default_factory=list)  # the t of each context layer's GELU
     ctx_masks: list[np.ndarray | None] = field(default_factory=list)
     head_input: np.ndarray | None = None
 
@@ -235,6 +236,29 @@ def forward_batch(
     the packed matrix products round differently with the batch. At rate 0
     the pass is deterministic and ``seeds`` is ignored.
     """
+    logits, _, cache = _forward(theta, cfg, features, dropout_rate, seeds, keep=True)
+    return logits, cache
+
+
+def infer_batch(theta: np.ndarray, cfg: NetConfig, features: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The logits of :func:`forward_batch` at dropout rate 0, bit for bit, and the members' U_b, with no cache.
+
+    No activation outlives the layer that reads it, so decoding holds no
+    cached inputs, pre-activations, tanh values or window matrices.
+    """
+    logits, lengths, _ = _forward(theta, cfg, features, 0.0, None, keep=False)
+    return logits, lengths
+
+
+def _forward(
+    theta: np.ndarray,
+    cfg: NetConfig,
+    features: Sequence[np.ndarray],
+    dropout_rate: float,
+    seeds: Sequence[int | Sequence[int]] | None,
+    keep: bool,
+) -> tuple[np.ndarray, np.ndarray, ForwardCache | None]:
+    """The layer loop of :func:`forward_batch` and :func:`infer_batch`: (logits, U_b, the cache if ``keep``)."""
     feats = [np.asarray(f) for f in features]
     if not feats:
         raise ValueError("a batch needs at least one utterance")
@@ -255,51 +279,61 @@ def forward_batch(
     layout.check(theta)
     dtype = theta.dtype
     x = np.concatenate([f[: u * cfg.downsample_factor] for f, u in zip(feats, n)], dtype=dtype)
+    valid = np.arange(n.max()) < n[:, None]
+    cache = ForwardCache(lengths=n, valid=valid) if keep else None
 
-    cache = ForwardCache(lengths=n, valid=np.arange(n.max()) < n[:, None])
     for i, stride in enumerate(layout.strides):
         patches = x.reshape(-1, stride * x.shape[1])
         pre = patches @ layout.view(theta, f"conv{i}_w").T + layout.view(theta, f"conv{i}_b")
-        cache.conv_patches.append(patches)
-        cache.conv_pre.append(pre)
-        x = _gelu(pre)
+        x, tanh = _gelu(pre)
+        if cache is not None:
+            cache.conv_patches.append(patches)
+            cache.conv_pre.append(pre)
+            cache.conv_tanh.append(tanh)
 
     w = cfg.context_window
     rows = np.arange(n.sum()) + w * np.repeat(np.arange(1, len(n) + 1), n)
-    windows = cache.ctx_windows = rows[:, None] + np.arange(-w, w + 1)
+    window_rows = rows[:, None] + np.arange(-w, w + 1)
+    # one zero-gapped copy serves every layer: each overwrites the member rows, and the gaps stay zero
+    gapped = np.zeros((rows[-1] + w + 1, cfg.hidden_dim), dtype)
     rngs = [np.random.default_rng(s) for s in seeds] if dropout_rate > 0 else None
     for j in range(cfg.context_layers):
-        gapped = np.zeros((rows[-1] + w + 1, cfg.hidden_dim), dtype)
         gapped[rows] = x
-        pre = gapped[windows].reshape(len(rows), -1) @ layout.view(theta, f"ctx{j}_w").T
+        windows = np.take(gapped, window_rows, axis=0).reshape(len(rows), -1)
+        pre = windows @ layout.view(theta, f"ctx{j}_w").T
         pre += layout.view(theta, f"ctx{j}_b")
-        act = _gelu(pre)
+        act, tanh = _gelu(pre)
         if rngs is not None:
-            keep = 1.0 - dropout_rate
+            keep_rate = 1.0 - dropout_rate
             draws = np.concatenate([rng.random((u, cfg.hidden_dim)) for rng, u in zip(rngs, n)])
-            mask = ((draws < keep) / keep).astype(dtype)
-            dropped = act * mask
+            mask = ((draws < keep_rate) / keep_rate).astype(dtype)
+            act *= mask
         else:
             mask = None
-            dropped = act
-        cache.ctx_gapped.append(gapped)
-        cache.ctx_pre.append(pre)
-        cache.ctx_masks.append(mask)
-        x = x + dropped
+        if cache is not None:
+            cache.ctx_windows.append(windows)
+            cache.ctx_pre.append(pre)
+            cache.ctx_tanh.append(tanh)
+            cache.ctx_masks.append(mask)
+        x = x + act
 
-    cache.head_input = x
     logits = np.zeros((len(n), n.max(), cfg.vocab_size + 1), dtype)
-    logits[cache.valid] = x @ layout.view(theta, "head_w").T + layout.view(theta, "head_b")
-    return logits, cache
+    logits[valid] = x @ layout.view(theta, "head_w").T + layout.view(theta, "head_b")
+    if cache is not None:
+        cache.window_rows = window_rows
+        cache.head_input = x
+    return logits, n, cache
 
 
 def backward_batch(theta: np.ndarray, cfg: NetConfig, cache: ForwardCache, dlogits: np.ndarray) -> np.ndarray:
     """Gradient of sum(dlogits * logits) over a :func:`forward_batch` pass of ``theta``, as one flat vector.
 
     ``dlogits`` is B x max(U_b) x (V+1) like the logits; rows past a
-    member's U_b are ignored. The pass runs in the forward pass's dtype;
-    the returned float64 vector is the sum over the members, laid out
-    like ``theta``; :func:`unflatten` gives named views into it.
+    member's U_b are ignored. The pass runs in the forward pass's dtype and
+    reads the cache's GELU tanh values and window matrices without writing
+    them, so one cache can be backpropagated more than once; the returned
+    float64 vector is the sum over the members, laid out like ``theta``;
+    :func:`unflatten` gives named views into it.
     """
     layout = _layout(cfg)
     layout.check(theta)
@@ -318,33 +352,29 @@ def backward_batch(theta: np.ndarray, cfg: NetConfig, cache: ForwardCache, dlogi
     put("head_b", dlogits.sum(axis=0))
     dx = dlogits @ layout.view(theta, "head_w")
 
-    windows = cache.ctx_windows
-    rows = windows[:, cfg.context_window]
-    span, hidden = windows.shape[1], cfg.hidden_dim
+    window_rows = cache.window_rows
+    rows = window_rows[:, cfg.context_window]
+    span, hidden = window_rows.shape[1], cfg.hidden_dim
+    # gapped row g fed tap k of the window centred on row g + w - k, so its gradient is dz over g's own
+    # window, tap k' through weight tap span-1-k': one product, with dz zero in the gaps (which every
+    # layer leaves zero, so one buffer serves them all)
+    dz_gapped = np.zeros((rows[-1] + cfg.context_window + 1, hidden), dtype)
     for j in range(cfg.context_layers - 1, -1, -1):
-        pre = cache.ctx_pre[j]
         mask = cache.ctx_masks[j]
-        dact = dx * mask if mask is not None else dx
-        dz = _gelu_grad(pre)
-        dz *= dact
-        gapped = cache.ctx_gapped[j]
-        put(f"ctx{j}_w", dz.T @ gapped[windows].reshape(len(windows), -1))
+        dz = _gelu_slope(cache.ctx_pre[j], cache.ctx_tanh[j])
+        dz *= dx * mask if mask is not None else dx
+        put(f"ctx{j}_w", dz.T @ cache.ctx_windows[j])
         put(f"ctx{j}_b", dz.sum(axis=0))
-        # gapped row g fed tap k of the window centred on row g + w - k, so its gradient is dz over g's
-        # own window, tap k' through weight tap span-1-k': one product, with dz zero in the gaps
-        dz_gapped = np.zeros(gapped.shape, dtype)
         dz_gapped[rows] = dz
         taps = layout.view(theta, f"ctx{j}_w").reshape(hidden, span, hidden)[:, ::-1]
         taps = taps.transpose(1, 0, 2).reshape(span * hidden, hidden)
         # residual: gradient flows both around and through the block
-        dx = dx + dz_gapped[windows].reshape(len(windows), -1) @ taps
+        dx += np.take(dz_gapped, window_rows, axis=0).reshape(len(rows), -1) @ taps
 
     for i in range(cfg.conv_layers - 1, -1, -1):
-        pre = cache.conv_pre[i]
-        patches = cache.conv_patches[i]
-        dz = _gelu_grad(pre)
+        dz = _gelu_slope(cache.conv_pre[i], cache.conv_tanh[i])
         dz *= dx
-        put(f"conv{i}_w", dz.T @ patches)
+        put(f"conv{i}_w", dz.T @ cache.conv_patches[i])
         put(f"conv{i}_b", dz.sum(axis=0))
         if i > 0:  # this layer's input gradient, one patch per row back to one frame per row
             dx = (dz @ layout.view(theta, f"conv{i}_w")).reshape(cache.conv_pre[i - 1].shape)

@@ -42,6 +42,7 @@ class EpochRecord:
     train_loss: float
     val_wer: float
     lr: float
+    clipped_steps: int  # steps whose gradient norm exceeded optim.GRAD_CLIP_NORM before clipping
     seconds: float = field(metadata={"timing": True})  # wall clock, so left out of reproducible records
 
 
@@ -77,9 +78,11 @@ def save_history(history: TrainHistory, path: str | Path) -> None:
 def decode_dataset(theta: np.ndarray, cfg: NetConfig, ds: Dataset, vocab: Vocabulary) -> list[ctc.DecodeResult]:
     """Greedy-decode every utterance in eval mode, in dataset order, ``DECODE_CHUNK`` utterances per forward pass.
 
-    An utterance shorter than ``cfg.downsample_factor`` frames has no output
-    frame: it decodes to an empty hypothesis with confidence 0, without a
-    forward pass, and one warning per call counts such utterances.
+    Each pass is :func:`net.infer_batch`, which keeps no activations for a
+    backward pass. An utterance shorter than ``cfg.downsample_factor``
+    frames has no output frame: it decodes to an empty hypothesis with
+    confidence 0, without a forward pass, and one warning per call counts
+    such utterances.
     """
     utts = list(ds)
     results = [ctc.DecodeResult("", 0.0) for _ in utts]
@@ -89,10 +92,9 @@ def decode_dataset(theta: np.ndarray, cfg: NetConfig, ds: Dataset, vocab: Vocabu
                        len(utts) - len(decodable), len(utts), cfg.downsample_factor)
     for start in range(0, len(decodable), DECODE_CHUNK):
         chunk = decodable[start : start + DECODE_CHUNK]
-        logits, cache = net.forward_batch(theta, cfg, [utts[i].features for i in chunk])
-        for i, result in zip(chunk, ctc.greedy_decode_batch(logits, cache.lengths, vocab)):
+        logits, lengths = net.infer_batch(theta, cfg, [utts[i].features for i in chunk])
+        for i, result in zip(chunk, ctc.greedy_decode_batch(logits, lengths, vocab)):
             results[i] = result
-        del logits, cache  # free this chunk's activations before the next forward pass
     return results
 
 
@@ -148,10 +150,10 @@ def train_stage(
     :func:`net.backward_batch`; the summed float64 gradient is divided
     by the member count, and a non-finite result raises
     ``FloatingPointError`` naming its tensor. The vector is clipped to
-    ``optim.GRAD_CLIP_NORM`` and stepped by AdamW under the warmup/decay
-    schedule, then rounded to float32 into the copy and written back, so
-    the master stays float32-representable and checkpoints round-trip
-    bit-exactly.
+    ``optim.GRAD_CLIP_NORM`` (each epoch's record counts the steps it
+    clipped) and stepped by AdamW under the warmup/decay schedule, then
+    rounded to float32 into the copy and written back, so the master
+    stays float32-representable and checkpoints round-trip bit-exactly.
     ``start`` is not modified. Validation WER is measured after every
     epoch, in float32; training stops once ``stage.patience`` consecutive
     epochs fail to improve the best WER (patience None disables early
@@ -204,7 +206,7 @@ def train_stage(
     for epoch in range(1, stage.epochs + 1):
         tic = time.perf_counter()
         order = np.random.default_rng([stage.seed, epoch]).permutation(len(usable))
-        epoch_loss = 0.0
+        epoch_loss, clipped = 0.0, 0
         for b in range(batches_per_epoch):
             members = order[b * stage.batch_size : (b + 1) * stage.batch_size]
             batch = [usable[idx] for idx in members]
@@ -221,7 +223,8 @@ def train_stage(
             if not np.all(np.isfinite(grads)):
                 bad = net.tensor_name(cfg, int(np.argmin(np.isfinite(grads))))
                 raise FloatingPointError(f"non-finite gradient in {bad!r} at step {state.step}")
-            optim.clip_gradients(grads, optim.GRAD_CLIP_NORM)  # scales grads in place
+            _, scale = optim.clip_gradients(grads, optim.GRAD_CLIP_NORM)  # scales grads in place
+            clipped += scale < 1.0
             lr = optim.lr_at(state.step, total_steps, stage)
             optim.adamw_step(theta, grads, state, lr)
             theta32[:] = theta  # round the master to float32 for the network,
@@ -233,6 +236,7 @@ def train_stage(
             train_loss=epoch_loss / len(usable),
             val_wer=val_report.wer,
             lr=optim.lr_at(state.step, total_steps, stage),
+            clipped_steps=clipped,
             seconds=time.perf_counter() - tic,
         )
         history.records.append(record)

@@ -3,8 +3,8 @@
 Everything here is deliberately brute-force and shares no code with the
 package: exhaustive path enumeration for CTC, central finite differences
 for gradients, memo-free recursion for edit distance, and a layer-by-layer
-network backward pass whose context layers scatter their input gradient
-tap by tap.
+network backward pass whose context layers rebuild their windows and
+scatter their input gradient tap by tap.
 """
 
 from __future__ import annotations
@@ -142,12 +142,37 @@ def context_input_grad_by_taps(dz: np.ndarray, weight: np.ndarray, lengths, wind
     return grad
 
 
+def context_windows_by_taps(x: np.ndarray, lengths, window: int) -> np.ndarray:
+    """Each packed frame's context window, copied tap by tap and frame by frame.
+
+    ``x`` holds the members' frames back to back (``lengths[b]`` rows each).
+    Row u of the result is the 2 * window + 1 taps of output frame u side by
+    side: tap k is input frame u + k - window of the same member, or zeros
+    past either end of the member.
+    """
+    span = 2 * window + 1
+    n_in = x.shape[1]
+    out = np.zeros((x.shape[0], span * n_in), dtype=x.dtype)
+    start = 0
+    for n in lengths:
+        for u in range(n):
+            for k in range(span):
+                source = u + k - window
+                if 0 <= source < n:
+                    out[start + u, k * n_in : (k + 1) * n_in] = x[start + source]
+        start += n
+    return out
+
+
 def packed_net_backward(params: dict, cache, dlogits: np.ndarray, window: int) -> dict:
     """Parameter gradients of sum(dlogits * logits) from a packed forward pass's cached activations.
 
     The chain rule runs layer by layer from the head down, in the
-    activations' dtype; ``params`` maps tensor names to arrays, and the
-    context layers' input gradient is :func:`context_input_grad_by_taps`.
+    activations' dtype; ``params`` maps tensor names to arrays. A context
+    layer's weight gradient reads windows that :func:`context_windows_by_taps`
+    rebuilds from the layer's input (the centre tap of the cached windows),
+    its GELU slope is recomputed from the cached pre-activations, and its
+    input gradient is :func:`context_input_grad_by_taps`.
     """
     dtype = cache.head_input.dtype
     lengths = [int(n) for n in cache.lengths]
@@ -157,7 +182,9 @@ def packed_net_backward(params: dict, cache, dlogits: np.ndarray, window: int) -
     for j in reversed(range(len(cache.ctx_pre))):
         dact = dx if cache.ctx_masks[j] is None else dx * cache.ctx_masks[j]
         dz = dact * gelu_slope(cache.ctx_pre[j])
-        grads[f"ctx{j}_w"] = dz.T @ cache.ctx_gapped[j][cache.ctx_windows].reshape(len(dz), -1)
+        # the layer's input is the centre tap of its cached windows; the windows are rebuilt from it
+        layer_input = cache.ctx_windows[j].reshape(len(dz), -1, dz.shape[1])[:, window]
+        grads[f"ctx{j}_w"] = dz.T @ context_windows_by_taps(layer_input, lengths, window)
         grads[f"ctx{j}_b"] = dz.sum(axis=0)
         dx = dx + context_input_grad_by_taps(dz, params[f"ctx{j}_w"], lengths, window)
     for i in reversed(range(len(cache.conv_pre))):

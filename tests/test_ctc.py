@@ -360,7 +360,10 @@ def test_underflowing_batch_falls_back_to_log_space_bit_for_bit(case, smoothing)
 @settings(max_examples=200, deadline=None)
 @given(_ragged_batch())
 def test_scaled_lattice_is_the_per_frame_normalised_log_space_lattice(batch):
-    """Each frame of the scaled lattice is exp of the log-space one over its frame total; dead cells are exactly 0."""
+    """Each frame of the scaled lattice is exp of the log-space one over its frame total; dead cells are exactly 0.
+
+    The masses log-sum to the log-space alpha total at each rescaled frame.
+    """
     logits, lengths, targets, symbols = batch
     labels = [Vocabulary(symbols).encode(t) for t in targets]
     lengths = np.asarray(lengths)
@@ -379,11 +382,14 @@ def test_scaled_lattice_is_the_per_frame_normalised_log_space_lattice(batch):
     live = np.any(want > -np.inf, axis=2)  # the valid frames and the one after each member's last
     want_frames = np.exp(want[live] - np.logaddexp.reduce(want[live], axis=1, keepdims=True))
     np.testing.assert_allclose(got[live] / got[live].sum(axis=1, keepdims=True), want_frames, rtol=1e-9, atol=1e-15)
-    # each mass is the total of the alphas the next frame's values were divided by
+    # each mass is the total of the alphas the next frame's values were divided by, at every
+    # _RESCALE_EVERY-th frame from frame 0; the others are not divided, so their mass is 1
     alpha_totals = np.logaddexp.reduce(want + emit, axis=2)
     divided = np.arange(n_frames - 1) < lengths[:, None] - 1
+    rescaled = divided & (np.arange(n_frames - 1) % ctc_mod._RESCALE_EVERY == 0)
+    assert np.all(mass[~rescaled & divided] == 1.0)
     log_scale = np.cumsum(np.log(np.where(divided, mass, 1.0)), axis=1)
-    np.testing.assert_allclose(log_scale[divided], alpha_totals[:, :-1][divided], rtol=1e-11, atol=1e-13)
+    np.testing.assert_allclose(log_scale[rescaled], alpha_totals[:, :-1][rescaled], rtol=1e-11, atol=1e-13)
 
 
 def test_batched_ctc_rejects_bad_lengths_and_infeasible_members():

@@ -21,7 +21,8 @@ def _keys(value) -> set[str]:
 
 
 def _history(best_epoch=2):
-    records = [EpochRecord(epoch=e, train_loss=3.0 / e, val_wer=0.5 / e, lr=1e-4, seconds=0.25 * e) for e in (1, 2)]
+    records = [EpochRecord(epoch=e, train_loss=3.0 / e, val_wer=0.5 / e, lr=1e-4, clipped_steps=e,
+                           seconds=0.25 * e) for e in (1, 2)]
     return TrainHistory(records=records, best_epoch=best_epoch, stopped_early=False, skipped_utterances=1)
 
 
@@ -69,7 +70,7 @@ def test_pipeline_report_keys_are_pinned():
     assert list(out["pseudo_label_stats"]) == ["total", "kept", "empty_dropped", "below_threshold"]
     for name in ("cpt_history", "finetune_history", "labeler_history"):
         assert list(out[name]) == ["records", "best_epoch", "stopped_early", "skipped_utterances"]
-        assert [list(r) for r in out[name]["records"]] == [["epoch", "train_loss", "val_wer", "lr"]] * 2
+        assert [list(r) for r in out[name]["records"]] == [["epoch", "train_loss", "val_wer", "lr", "clipped_steps"]] * 2
     assert list(out["final_eval_wer"]) == [
         "substitutions", "insertions", "deletions", "ref_words", "wer"]
     assert json.loads(json.dumps(out)) == out

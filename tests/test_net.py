@@ -1,9 +1,10 @@
 """Acoustic model: shapes, determinism, full gradient audit, checkpoint format."""
 
+import copy
 import json
 import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cptasr.net import (
     backward_batch,
     float32_exact,
     forward_batch,
+    infer_batch,
     init_parameters,
     load_checkpoint,
     parameter_shapes,
@@ -38,9 +40,12 @@ def test_gelu_matches_one_line_expressions_bit_for_bit(shape):
     x.flat[:7] = [0.0, -0.0, 5e-324, -1e-310, -40.0, 40.0, 1e3]  # zeros, subnormals, saturated tanh
     before = x.copy()
     want, want_grad = _one_line_gelu(x)
-    assert np.array_equal(net_mod._gelu(x), want)
-    assert np.array_equal(net_mod._gelu_grad(x), want_grad)
-    assert np.array_equal(x, before)  # the pre-activations are cached for the backward pass
+    got, tanh = net_mod._gelu(x)
+    assert np.array_equal(got, want)
+    tanh_before = tanh.copy()
+    assert np.array_equal(net_mod._gelu_slope(x, tanh), want_grad)
+    # the pre-activations and the tanh values are cached for the backward pass
+    assert np.array_equal(x, before) and np.array_equal(tanh, tanh_before)
 
 
 def _one_line_gelu(x):
@@ -292,6 +297,50 @@ def test_window_product_matches_per_tap_scatter(cfg, rate, dtype):
             np.testing.assert_allclose(grad, want[name], rtol=0, atol=tol, err_msg=name)
 
 
+def _cached_arrays(cache):
+    """Every array a ForwardCache holds, by field name and list position."""
+    arrays = {}
+    for f in fields(cache):
+        value = getattr(cache, f.name)
+        for i, a in enumerate(value if isinstance(value, list) else [value]):
+            if a is not None:
+                arrays[f"{f.name}[{i}]"] = a
+    return arrays
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rate", [0.0, RAGGED_DROPOUT])
+def test_backward_leaves_its_cache_untouched(rate, dtype):
+    """Backward reads the cached tanh values and windows and writes nothing, so a cache can be backpropagated twice."""
+    params = init_parameters(RAGGED, seed=2).astype(dtype)
+    feats = _ragged_features([6, 31, 13, 47, 12, 17])
+    logits, cache = forward_batch(params, RAGGED, feats, dropout_rate=rate, seeds=[[5, pos] for pos in range(6)])
+    before = copy.deepcopy(_cached_arrays(cache))
+    assert len(before) == 4 + 3 * RAGGED.conv_layers + (4 if rate else 3) * RAGGED.context_layers
+    dl = np.random.default_rng(9).normal(size=logits.shape)
+    first = backward_batch(params, RAGGED, cache, dl)
+    second = backward_batch(params, RAGGED, cache, dl)
+    assert first.tobytes() == second.tobytes()
+    after = _cached_arrays(cache)
+    assert after.keys() == before.keys()
+    for name, array in before.items():
+        assert after[name].dtype == array.dtype and after[name].tobytes() == array.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("cfg", [RAGGED, NetConfig(feature_dim=4, vocab_size=3)], ids=["strides-2-3", "default"])
+def test_cache_free_pass_gives_the_forward_logits_bit_for_bit(cfg, dtype):
+    """infer_batch is forward_batch at dropout rate 0 without a cache, members shorter than one window included."""
+    params = init_parameters(cfg, seed=6).astype(dtype)
+    feats = _ragged_features([6, 31, 13, 47, 12, 17, 9, 230], seed=2)
+    span = 2 * cfg.context_window + 1
+    assert sum(len(f) // cfg.downsample_factor < span for f in feats) >= 3
+    want, cache = forward_batch(params, cfg, feats)
+    got, lengths = infer_batch(params, cfg, feats)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(lengths, cache.lengths)
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.1])
 def test_float32_parameters_keep_the_pass_in_float32(rate):
     params = init_parameters(RAGGED, seed=2).astype(np.float32)
@@ -299,15 +348,17 @@ def test_float32_parameters_keep_the_pass_in_float32(rate):
     seeds = [[4, 1, 0, pos] for pos in range(len(feats))]
     logits, cache = forward_batch(params, RAGGED, feats, dropout_rate=rate, seeds=seeds)
     arrays = {"logits": logits, "head_input": cache.head_input}
-    for name in ("conv_patches", "conv_pre", "ctx_gapped", "ctx_pre", "ctx_masks"):
+    for name in ("conv_patches", "conv_pre", "conv_tanh", "ctx_windows", "ctx_pre", "ctx_tanh", "ctx_masks"):
         arrays.update({f"{name}[{i}]": a for i, a in enumerate(getattr(cache, name)) if a is not None})
-    assert len(arrays) == 2 + 2 * RAGGED.conv_layers + (3 if rate else 2) * RAGGED.context_layers
+    assert len(arrays) == 2 + 3 * RAGGED.conv_layers + (4 if rate else 3) * RAGGED.context_layers
     assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.float32)
     # GELU computes in float32: a float64 constant would compute in float64 and round
-    for pre in cache.conv_pre + cache.ctx_pre:
+    for pre, tanh in zip(cache.conv_pre + cache.ctx_pre, cache.conv_tanh + cache.ctx_tanh):
         want, want_grad = _one_line_gelu(pre)
-        assert np.array_equal(net_mod._gelu(pre), want)
-        assert np.array_equal(net_mod._gelu_grad(pre), want_grad)
+        got, got_tanh = net_mod._gelu(pre)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_tanh, tanh)
+        assert np.array_equal(net_mod._gelu_slope(pre, tanh), want_grad)
     dl = np.random.default_rng(3).normal(size=logits.shape)
     assert backward_batch(params, RAGGED, cache, dl).dtype == np.float64
 

@@ -3,6 +3,7 @@
 import ctypes
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -316,6 +317,67 @@ def test_chunked_decode_matches_single_utterance_decodes():
         assert dec.confidence == pytest.approx(single.confidence, rel=1e-12)
 
 
+def test_decode_dataset_builds_no_forward_cache(monkeypatch):
+    train_ds, _, vocab, net_cfg = _small_task(n_utts=40)
+    params = init_parameters(net_cfg, seed=3).astype(np.float32)
+    real_cache = train_mod.net.ForwardCache
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(kwargs)
+        return real_cache(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod.net, "ForwardCache", spy)
+    decodes = decode_dataset(params, net_cfg, train_ds, vocab)
+    assert len(decodes) == len(train_ds) > train_mod.DECODE_CHUNK
+    assert built == []
+    forward_batch(params, net_cfg, [utt.features for utt in train_ds])  # a training pass builds one
+    assert len(built) == 1
+
+
+def test_default_net_epoch_on_long_transcripts_never_takes_the_log_space_fallback():
+    """One epoch of the default-size net on 20-30 character transcripts stays in the probability-space lattice."""
+    cfg = SynthConfig(n_speakers=6, n_utterances=48, labeled_fraction=1.0, chars_per_utterance=(20, 30), seed=3)
+    labeled, _, _ = generate_synthetic_corpus(cfg)
+    vocab = build_vocabulary(labeled.transcripts())
+    train_ds, val_ds = speaker_disjoint_split(labeled, 8, seed=1)
+    assert 36 <= len(train_ds) <= 44
+    chars = [len(u.transcript) for u in train_ds]  # the generator overshoots by at most one word
+    assert min(chars) >= 20 and np.median(chars) <= 30
+    net_cfg = NetConfig(feature_dim=cfg.feature_dim, vocab_size=vocab.size)
+    stage = _stage(epochs=1, dropout_rate=0.1, label_smoothing=0.1)
+    with mock.patch.object(train_mod.ctc, "_lattice", wraps=train_mod.ctc._lattice) as log_space, \
+            mock.patch.object(train_mod.ctc, "_scaled_lattice", wraps=train_mod.ctc._scaled_lattice) as scaled:
+        _, history = train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val_ds, stage, vocab)
+    assert history.skipped_utterances == 0
+    assert scaled.call_count == math.ceil(len(train_ds) / stage.batch_size)
+    assert log_space.call_count == 0
+
+
+def test_epoch_records_count_the_clipped_steps(monkeypatch):
+    train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=40)
+    real_clip = train_mod.optim.clip_gradients
+    norms = []
+
+    def spy(grads, max_norm):
+        assert max_norm == train_mod.optim.GRAD_CLIP_NORM
+        norms.append(float(np.linalg.norm(grads)))
+        return real_clip(grads, max_norm)
+
+    monkeypatch.setattr(train_mod.optim, "clip_gradients", spy)
+    # a bound of 15 clips most of the first epoch's steps and a few of each later epoch's
+    monkeypatch.setattr(train_mod.optim, "GRAD_CLIP_NORM", 15.0)
+    stage = _stage(epochs=4, batch_size=4)
+    _, history = train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val_ds, stage, vocab)
+    steps = math.ceil(len(train_ds) / stage.batch_size)
+    assert len(norms) == 4 * steps
+    want = [sum(n > train_mod.optim.GRAD_CLIP_NORM for n in norms[e * steps : (e + 1) * steps]) for e in range(4)]
+    assert [r.clipped_steps for r in history.records] == want
+    assert any(0 < count < steps for count in want)  # an epoch that clipped some steps and not others
+    assert all(type(r.clipped_steps) is int for r in history.records)
+    assert [r["clipped_steps"] for r in history.to_dict(with_timing=False)["records"]] == want
+
+
 def test_every_utterance_trains_exactly_once_per_epoch(monkeypatch):
     train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
     seen: list[str] = []
@@ -367,15 +429,15 @@ def test_history_serialization(tmp_path):
 
 def test_saved_history_line_layout_is_pinned(tmp_path):
     history = TrainHistory(
-        records=[EpochRecord(epoch=1, train_loss=2.5, val_wer=0.75, lr=0.0001, seconds=1.5),
-                 EpochRecord(epoch=2, train_loss=1.25, val_wer=0.5, lr=0.0, seconds=0.5)],
+        records=[EpochRecord(epoch=1, train_loss=2.5, val_wer=0.75, lr=0.0001, clipped_steps=4, seconds=1.5),
+                 EpochRecord(epoch=2, train_loss=1.25, val_wer=0.5, lr=0.0, clipped_steps=0, seconds=0.5)],
         best_epoch=2, stopped_early=True, skipped_utterances=3,
     )
     path = tmp_path / "history.jsonl"
     save_history(history, path)
     assert path.read_text().splitlines() == [
-        '{"epoch": 1, "train_loss": 2.5, "val_wer": 0.75, "lr": 0.0001, "seconds": 1.5}',
-        '{"epoch": 2, "train_loss": 1.25, "val_wer": 0.5, "lr": 0.0, "seconds": 0.5}',
+        '{"epoch": 1, "train_loss": 2.5, "val_wer": 0.75, "lr": 0.0001, "clipped_steps": 4, "seconds": 1.5}',
+        '{"epoch": 2, "train_loss": 1.25, "val_wer": 0.5, "lr": 0.0, "clipped_steps": 0, "seconds": 0.5}',
         '{"best_epoch": 2, "stopped_early": true, "skipped_utterances": 3}',
     ]
 
@@ -392,22 +454,25 @@ def test_decode_gives_too_short_utterances_empty_results_without_a_forward_pass(
     utts = list(train_ds)
     mixed = Dataset(utts[:3] + [_too_short("short-1", net_cfg)] + utts[3:] + [_too_short("short-2", net_cfg)],
                     "labeled")
-    real_forward = train_mod.net.forward_batch
+    real_infer = train_mod.net.infer_batch
+    passes = []
 
-    def spy(params, cfg, features, **kwargs):
+    def spy(params, cfg, features):
         assert min(len(f) for f in features) >= cfg.downsample_factor
-        return real_forward(params, cfg, features, **kwargs)
+        passes.append(len(features))
+        return real_infer(params, cfg, features)
 
-    monkeypatch.setattr(train_mod.net, "forward_batch", spy)
+    monkeypatch.setattr(train_mod.net, "infer_batch", spy)
     with caplog.at_level("WARNING", logger="cptasr.train"):
         decodes = decode_dataset(params, net_cfg, mixed, vocab)
+    assert sum(passes) == len(mixed) - 2  # the decode passes are the ones the spy checked
     assert len(decodes) == len(mixed)
     for i in (3, len(mixed) - 1):
         assert (decodes[i].hypothesis, decodes[i].confidence) == ("", 0.0)
     for utt, dec in zip(mixed, decodes):
         if utt.duration_frames >= net_cfg.downsample_factor:
-            logits, cache = real_forward(params, net_cfg, [utt.features])
-            assert dec.hypothesis == greedy_decode_batch(logits, cache.lengths, vocab)[0].hypothesis
+            logits, lengths = real_infer(params, net_cfg, [utt.features])
+            assert dec.hypothesis == greedy_decode_batch(logits, lengths, vocab)[0].hypothesis
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1 and warnings[0].startswith(f"2 of {len(mixed)} utterances are shorter")
 
