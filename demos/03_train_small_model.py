@@ -3,7 +3,7 @@
 One supervised stage: AdamW with warmup/decay, gradient clipping, per-epoch
 validation WER, early stopping on patience, best-epoch weights returned.
 
-Run with: python demos/03_train_small_model.py  (about half a minute)
+Run with: python demos/03_train_small_model.py
 """
 
 from cptasr import NetConfig, SynthConfig, build_vocabulary, evaluate_wer, generate_synthetic_corpus, init_parameters, preset, speaker_disjoint_split, train_stage

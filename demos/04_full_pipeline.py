@@ -6,7 +6,7 @@ Stage C continues pretraining a fresh model on those pseudo-labels; stage D
 finetunes it on the labeled data. The baseline spends the same labeled
 budget without any of that. Both arms score on held-out speakers.
 
-Run with: python demos/04_full_pipeline.py  (about a minute)
+Run with: python demos/04_full_pipeline.py
 """
 
 from cptasr import (

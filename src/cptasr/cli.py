@@ -158,8 +158,8 @@ def _load_vocab(path: Path) -> Vocabulary:
 
 def _load_model(checkpoint: Path) -> tuple[np.ndarray, net.NetConfig, Vocabulary]:
     """A checkpoint's parameters and config, and the ``vocab.json`` beside it that its outputs decode into."""
-    vocab = _load_vocab(checkpoint.with_name("vocab.json"))
     params, net_cfg = net.load_checkpoint(checkpoint)
+    vocab = _load_vocab(checkpoint.with_name("vocab.json"))
     if vocab.size != net_cfg.vocab_size:
         raise ManifestError(f"vocabulary size {vocab.size} does not match checkpoint vocab_size {net_cfg.vocab_size}")
     return params, net_cfg, vocab

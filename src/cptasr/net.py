@@ -28,14 +28,15 @@ CHECKPOINT_VERSION = 3
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-# Both functions evaluate their expressions operation by operation in the order
-# written, so the values are those of the one-line forms; x * x * x rather than
-# x**3, as numpy's float power calls pow() per element, ~40x slower.
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth tanh-form GELU 0.5 * x * (1 + t), t = tanh(c * (x + 0.044715 * x^3)), and t itself.
+# The expressions are evaluated operation by operation in the order written, so
+# the values are those of the one-line forms; x * x * x rather than x**3, as
+# numpy's float power calls pow() per element, ~40x slower.
+def _gelu(x: np.ndarray, with_slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Smooth tanh-form GELU 0.5 * x * (1 + t), t = tanh(c * (x + 0.044715 * x^3)), and, if asked, its slope.
 
-    Differentiable everywhere, so finite-difference audits hold; the forward
-    pass keeps t for :func:`_gelu_slope`.
+    The slope is 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2),
+    or None. Differentiable everywhere, so finite-difference audits hold; t
+    stays inside, and the output is written over it. Reads x, never writes it.
     """
     t = x * x
     t *= x
@@ -43,25 +44,22 @@ def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    y = t + 1.0
-    y *= 0.5 * x
-    return y, t
-
-
-def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """GELU's derivative 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2), given :func:`_gelu`'s t; reads t, never writes it."""
-    x2 = x * x
-    x2 *= 3 * 0.044715
-    x2 += 1.0
-    slope = t * t
-    np.subtract(1.0, slope, out=slope)
-    slope *= 0.5 * x
-    slope *= _GELU_C
-    slope *= x2
-    grad = t + 1.0
-    grad *= 0.5
-    grad += slope
-    return grad
+    slope = None
+    if with_slope:
+        x2 = x * x
+        x2 *= 3 * 0.044715
+        x2 += 1.0
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        slope *= 0.5 * x
+        slope *= _GELU_C
+        slope *= x2
+        np.add(t, 1.0, out=x2)
+        x2 *= 0.5
+        slope += x2
+    t += 1.0
+    t *= 0.5 * x
+    return t, slope
 
 
 class CheckpointError(ValueError):
@@ -108,7 +106,7 @@ class NetConfig:
 
 @dataclass
 class ForwardCache:
-    """Inputs, pre-activations and GELU tanh values of one packed forward pass, retained for the backward pass.
+    """Inputs, GELU slopes and dropout masks of one packed forward pass, retained for the backward pass.
 
     The packed rows are the members' kept frames back to back, in member
     order. The backward pass reads these arrays and never writes them.
@@ -117,12 +115,10 @@ class ForwardCache:
     lengths: np.ndarray  # output frames U_b of each member
     valid: np.ndarray  # B x max(U_b) mask of the padded logit rows that hold a member's frame
     conv_patches: list[np.ndarray] = field(default_factory=list)  # each conv layer's input, one patch per row
-    conv_pre: list[np.ndarray] = field(default_factory=list)
-    conv_tanh: list[np.ndarray] = field(default_factory=list)  # the t of each conv layer's GELU
+    conv_slope: list[np.ndarray] = field(default_factory=list)  # each conv layer's GELU slope at its pre-activation
     window_rows: np.ndarray | None = None  # gapped rows of each packed frame's context window
     ctx_windows: list[np.ndarray] = field(default_factory=list)  # each context layer's R x span*H window matrix
-    ctx_pre: list[np.ndarray] = field(default_factory=list)
-    ctx_tanh: list[np.ndarray] = field(default_factory=list)  # the t of each context layer's GELU
+    ctx_slope: list[np.ndarray] = field(default_factory=list)  # each context layer's GELU slope at its pre-activation
     ctx_masks: list[np.ndarray | None] = field(default_factory=list)
     head_input: np.ndarray | None = None
 
@@ -244,7 +240,7 @@ def infer_batch(theta: np.ndarray, cfg: NetConfig, features: Sequence[np.ndarray
     """The logits of :func:`forward_batch` at dropout rate 0, bit for bit, and the members' U_b, with no cache.
 
     No activation outlives the layer that reads it, so decoding holds no
-    cached inputs, pre-activations, tanh values or window matrices.
+    cached inputs, GELU slopes or window matrices, and no slope is computed.
     """
     logits, lengths, _ = _forward(theta, cfg, features, 0.0, None, keep=False)
     return logits, lengths
@@ -285,11 +281,10 @@ def _forward(
     for i, stride in enumerate(layout.strides):
         patches = x.reshape(-1, stride * x.shape[1])
         pre = patches @ layout.view(theta, f"conv{i}_w").T + layout.view(theta, f"conv{i}_b")
-        x, tanh = _gelu(pre)
+        x, slope = _gelu(pre, keep)
         if cache is not None:
             cache.conv_patches.append(patches)
-            cache.conv_pre.append(pre)
-            cache.conv_tanh.append(tanh)
+            cache.conv_slope.append(slope)
 
     w = cfg.context_window
     rows = np.arange(n.sum()) + w * np.repeat(np.arange(1, len(n) + 1), n)
@@ -302,7 +297,7 @@ def _forward(
         windows = np.take(gapped, window_rows, axis=0).reshape(len(rows), -1)
         pre = windows @ layout.view(theta, f"ctx{j}_w").T
         pre += layout.view(theta, f"ctx{j}_b")
-        act, tanh = _gelu(pre)
+        act, slope = _gelu(pre, keep)
         if rngs is not None:
             keep_rate = 1.0 - dropout_rate
             draws = np.concatenate([rng.random((u, cfg.hidden_dim)) for rng, u in zip(rngs, n)])
@@ -312,8 +307,7 @@ def _forward(
             mask = None
         if cache is not None:
             cache.ctx_windows.append(windows)
-            cache.ctx_pre.append(pre)
-            cache.ctx_tanh.append(tanh)
+            cache.ctx_slope.append(slope)
             cache.ctx_masks.append(mask)
         x = x + act
 
@@ -329,11 +323,11 @@ def backward_batch(theta: np.ndarray, cfg: NetConfig, cache: ForwardCache, dlogi
     """Gradient of sum(dlogits * logits) over a :func:`forward_batch` pass of ``theta``, as one flat vector.
 
     ``dlogits`` is B x max(U_b) x (V+1) like the logits; rows past a
-    member's U_b are ignored. The pass runs in the forward pass's dtype and
-    reads the cache's GELU tanh values and window matrices without writing
-    them, so one cache can be backpropagated more than once; the returned
-    float64 vector is the sum over the members, laid out like ``theta``;
-    :func:`unflatten` gives named views into it.
+    member's U_b are ignored. The pass runs in the forward pass's dtype,
+    multiplies by the cache's GELU slopes and reads its window matrices
+    without writing them, so one cache can be backpropagated more than
+    once; the returned float64 vector is the sum over the members, laid
+    out like ``theta``; :func:`unflatten` gives named views into it.
     """
     layout = _layout(cfg)
     layout.check(theta)
@@ -361,8 +355,7 @@ def backward_batch(theta: np.ndarray, cfg: NetConfig, cache: ForwardCache, dlogi
     dz_gapped = np.zeros((rows[-1] + cfg.context_window + 1, hidden), dtype)
     for j in range(cfg.context_layers - 1, -1, -1):
         mask = cache.ctx_masks[j]
-        dz = _gelu_slope(cache.ctx_pre[j], cache.ctx_tanh[j])
-        dz *= dx * mask if mask is not None else dx
+        dz = cache.ctx_slope[j] * (dx * mask if mask is not None else dx)
         put(f"ctx{j}_w", dz.T @ cache.ctx_windows[j])
         put(f"ctx{j}_b", dz.sum(axis=0))
         dz_gapped[rows] = dz
@@ -372,12 +365,11 @@ def backward_batch(theta: np.ndarray, cfg: NetConfig, cache: ForwardCache, dlogi
         dx += np.take(dz_gapped, window_rows, axis=0).reshape(len(rows), -1) @ taps
 
     for i in range(cfg.conv_layers - 1, -1, -1):
-        dz = _gelu_slope(cache.conv_pre[i], cache.conv_tanh[i])
-        dz *= dx
+        dz = cache.conv_slope[i] * dx
         put(f"conv{i}_w", dz.T @ cache.conv_patches[i])
         put(f"conv{i}_b", dz.sum(axis=0))
         if i > 0:  # this layer's input gradient, one patch per row back to one frame per row
-            dx = (dz @ layout.view(theta, f"conv{i}_w")).reshape(cache.conv_pre[i - 1].shape)
+            dx = (dz @ layout.view(theta, f"conv{i}_w")).reshape(cache.conv_slope[i - 1].shape)
     return flat
 
 

@@ -70,14 +70,18 @@ class PipelineReport:
         return as_record(self, with_timing=False)
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+
+
 def filter_pseudo_labels(labels: list[PseudoLabel], threshold: float) -> tuple[list[PseudoLabel], PseudoLabelStats]:
     """Keep labels whose confidence strictly exceeds the threshold.
 
     Empty hypotheses are dropped regardless of confidence; they carry no
     training signal.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
+    _check_threshold(threshold)
     kept: list[PseudoLabel] = []
     empty_dropped = below_threshold = 0
     for label in labels:
@@ -104,8 +108,10 @@ def generate_pseudo_labels(
 
     Output utterances are ordered by id, whatever the order of the pool.
     Logs the kept, empty and below-threshold counts, and raises
-    ``EmptyPseudoLabelPoolError`` when no label is kept.
+    ``EmptyPseudoLabelPoolError`` when no label is kept. A threshold outside
+    [0, 1] fails before anything is decoded.
     """
+    _check_threshold(threshold)
     if pool.kind != "unlabeled":
         raise ValueError("pseudo-labeling expects an unlabeled pool")
 
@@ -184,8 +190,7 @@ def run_cpt_pipeline(
     net: NetConfig, threshold: float, vocab: Vocabulary,
 ) -> tuple[np.ndarray, PipelineReport]:
     """Run stages A-D and return the finetuned model plus a report; nothing is written to disk."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
+    _check_threshold(threshold)
     _check_no_leak(labeled, (pool, eval_ds), eval_ds)
 
     train_ds, val_ds = validation_split(labeled, stage1)

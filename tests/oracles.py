@@ -165,32 +165,36 @@ def context_windows_by_taps(x: np.ndarray, lengths, window: int) -> np.ndarray:
 
 
 def packed_net_backward(params: dict, cache, dlogits: np.ndarray, window: int) -> dict:
-    """Parameter gradients of sum(dlogits * logits) from a packed forward pass's cached activations.
+    """Parameter gradients of sum(dlogits * logits) from a packed forward pass's cached inputs.
 
     The chain rule runs layer by layer from the head down, in the
-    activations' dtype; ``params`` maps tensor names to arrays. A context
-    layer's weight gradient reads windows that :func:`context_windows_by_taps`
-    rebuilds from the layer's input (the centre tap of the cached windows),
-    its GELU slope is recomputed from the cached pre-activations, and its
-    input gradient is :func:`context_input_grad_by_taps`.
+    activations' dtype; ``params`` maps tensor names to arrays. Each layer's
+    pre-activation is recomputed from its input and ``params``, and its GELU
+    slope from that, so no cached slope is trusted. A context layer's
+    windows are rebuilt by :func:`context_windows_by_taps` from the layer's
+    input (the centre tap of the cached windows), and its input gradient is
+    :func:`context_input_grad_by_taps`.
     """
     dtype = cache.head_input.dtype
     lengths = [int(n) for n in cache.lengths]
     dout = np.concatenate([dlogits[b, :n] for b, n in enumerate(lengths)]).astype(dtype)
     grads = {"head_w": dout.T @ cache.head_input, "head_b": dout.sum(axis=0)}
     dx = dout @ params["head_w"]
-    for j in reversed(range(len(cache.ctx_pre))):
+    for j in reversed(range(len(cache.ctx_windows))):
+        hidden = params[f"ctx{j}_b"].shape[0]
+        layer_input = cache.ctx_windows[j].reshape(len(dx), -1, hidden)[:, window]
+        windows = context_windows_by_taps(layer_input, lengths, window)
+        pre = windows @ params[f"ctx{j}_w"].T + params[f"ctx{j}_b"]
         dact = dx if cache.ctx_masks[j] is None else dx * cache.ctx_masks[j]
-        dz = dact * gelu_slope(cache.ctx_pre[j])
-        # the layer's input is the centre tap of its cached windows; the windows are rebuilt from it
-        layer_input = cache.ctx_windows[j].reshape(len(dz), -1, dz.shape[1])[:, window]
-        grads[f"ctx{j}_w"] = dz.T @ context_windows_by_taps(layer_input, lengths, window)
+        dz = dact * gelu_slope(pre)
+        grads[f"ctx{j}_w"] = dz.T @ windows
         grads[f"ctx{j}_b"] = dz.sum(axis=0)
         dx = dx + context_input_grad_by_taps(dz, params[f"ctx{j}_w"], lengths, window)
-    for i in reversed(range(len(cache.conv_pre))):
-        dz = dx * gelu_slope(cache.conv_pre[i])
+    for i in reversed(range(len(cache.conv_patches))):
+        pre = cache.conv_patches[i] @ params[f"conv{i}_w"].T + params[f"conv{i}_b"]
+        dz = dx * gelu_slope(pre)
         grads[f"conv{i}_w"] = dz.T @ cache.conv_patches[i]
         grads[f"conv{i}_b"] = dz.sum(axis=0)
         if i > 0:
-            dx = (dz @ params[f"conv{i}_w"]).reshape(cache.conv_pre[i - 1].shape)
+            dx = (dz @ params[f"conv{i}_w"]).reshape(len(cache.conv_patches[i - 1]), -1)
     return grads

@@ -488,6 +488,20 @@ def test_eval_without_vocabulary_is_data_error(run_config):
     assert (out_dir / "eval_wer.json").exists()
 
 
+def test_eval_of_a_missing_checkpoint_names_the_checkpoint(run_config, capsys):
+    """A mistyped checkpoint path is reported as missing, not as a missing vocabulary beside it."""
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    missing = out_dir / "typo" / "final.ckpt"
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(missing),
+                 "--manifest", str(out_dir / "labeled.jsonl")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(missing) in err
+    assert "vocabulary" not in err
+    assert not (out_dir / "eval_wer.json").exists()
+
+
 def test_eval_reads_the_vocabulary_beside_its_checkpoint(run_config, tmp_path):
     cfg_path, out_dir = run_config
     main(["gen-data", "--config", str(cfg_path)])

@@ -1,7 +1,5 @@
-"""The demos still run: the quick ones end to end, the long ones down to their imports."""
+"""Every demo runs end to end, with numpy's RuntimeWarnings raised as errors."""
 
-import ast
-import importlib
 import os
 import subprocess
 import sys
@@ -15,20 +13,10 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = Path(cptasr.__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["01_ctc_basics.py", "02_synthetic_corpus.py"])
+# pyproject's filterwarnings reaches only this process, so the demo's interpreter gets its own -W
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_quick_demo_runs(name):
-    result = subprocess.run([sys.executable, str(DEMOS / name)], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(DEMOS / name)],
+                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+                            timeout=120)
     assert result.returncode == 0, result.stderr
-
-
-@pytest.mark.parametrize("name", ["03_train_small_model.py", "04_full_pipeline.py"])
-def test_long_demo_imports_exist(name):
-    tree = ast.parse((DEMOS / name).read_text(encoding="utf-8"))
-    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-               and node.module and node.module.split(".")[0] == "cptasr"]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(node.module)
-        for alias in node.names:
-            assert hasattr(module, alias.name), f"{node.module}.{alias.name} is gone"

@@ -40,12 +40,13 @@ def test_gelu_matches_one_line_expressions_bit_for_bit(shape):
     x.flat[:7] = [0.0, -0.0, 5e-324, -1e-310, -40.0, 40.0, 1e3]  # zeros, subnormals, saturated tanh
     before = x.copy()
     want, want_grad = _one_line_gelu(x)
-    got, tanh = net_mod._gelu(x)
+    got, slope = net_mod._gelu(x, True)
     assert np.array_equal(got, want)
-    tanh_before = tanh.copy()
-    assert np.array_equal(net_mod._gelu_slope(x, tanh), want_grad)
-    # the pre-activations and the tanh values are cached for the backward pass
-    assert np.array_equal(x, before) and np.array_equal(tanh, tanh_before)
+    assert np.array_equal(slope, want_grad)
+    # decoding asks for no slope and gets the same output
+    out, no_slope = net_mod._gelu(x, False)
+    assert np.array_equal(out, want) and no_slope is None
+    assert np.array_equal(x, before)
 
 
 def _one_line_gelu(x):
@@ -297,6 +298,14 @@ def test_window_product_matches_per_tap_scatter(cfg, rate, dtype):
             np.testing.assert_allclose(grad, want[name], rtol=0, atol=tol, err_msg=name)
 
 
+def _pre_activations(params, cfg, cache):
+    """Each GELU layer's pre-activation, conv layers then context layers, recomputed from its cached input."""
+    p = unflatten(cfg, params)
+    conv = [patches @ p[f"conv{i}_w"].T + p[f"conv{i}_b"] for i, patches in enumerate(cache.conv_patches)]
+    ctx = [windows @ p[f"ctx{j}_w"].T + p[f"ctx{j}_b"] for j, windows in enumerate(cache.ctx_windows)]
+    return conv + ctx
+
+
 def _cached_arrays(cache):
     """Every array a ForwardCache holds, by field name and list position."""
     arrays = {}
@@ -311,12 +320,14 @@ def _cached_arrays(cache):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("rate", [0.0, RAGGED_DROPOUT])
 def test_backward_leaves_its_cache_untouched(rate, dtype):
-    """Backward reads the cached tanh values and windows and writes nothing, so a cache can be backpropagated twice."""
+    """Backward reads the cached slopes and windows and writes nothing, so a cache can be backpropagated twice."""
     params = init_parameters(RAGGED, seed=2).astype(dtype)
     feats = _ragged_features([6, 31, 13, 47, 12, 17])
     logits, cache = forward_batch(params, RAGGED, feats, dropout_rate=rate, seeds=[[5, pos] for pos in range(6)])
     before = copy.deepcopy(_cached_arrays(cache))
-    assert len(before) == 4 + 3 * RAGGED.conv_layers + (4 if rate else 3) * RAGGED.context_layers
+    assert len(before) == 4 + 2 * RAGGED.conv_layers + (3 if rate else 2) * RAGGED.context_layers
+    for pre, slope in zip(_pre_activations(params, RAGGED, cache), cache.conv_slope + cache.ctx_slope, strict=True):
+        assert np.array_equal(slope, _one_line_gelu(pre)[1])
     dl = np.random.default_rng(9).normal(size=logits.shape)
     first = backward_batch(params, RAGGED, cache, dl)
     second = backward_batch(params, RAGGED, cache, dl)
@@ -348,17 +359,18 @@ def test_float32_parameters_keep_the_pass_in_float32(rate):
     seeds = [[4, 1, 0, pos] for pos in range(len(feats))]
     logits, cache = forward_batch(params, RAGGED, feats, dropout_rate=rate, seeds=seeds)
     arrays = {"logits": logits, "head_input": cache.head_input}
-    for name in ("conv_patches", "conv_pre", "conv_tanh", "ctx_windows", "ctx_pre", "ctx_tanh", "ctx_masks"):
+    for name in ("conv_patches", "conv_slope", "ctx_windows", "ctx_slope", "ctx_masks"):
         arrays.update({f"{name}[{i}]": a for i, a in enumerate(getattr(cache, name)) if a is not None})
-    assert len(arrays) == 2 + 3 * RAGGED.conv_layers + (4 if rate else 3) * RAGGED.context_layers
+    assert len(arrays) == 2 + 2 * RAGGED.conv_layers + (3 if rate else 2) * RAGGED.context_layers
     assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.float32)
     # GELU computes in float32: a float64 constant would compute in float64 and round
-    for pre, tanh in zip(cache.conv_pre + cache.ctx_pre, cache.conv_tanh + cache.ctx_tanh):
+    for pre, slope in zip(_pre_activations(params, RAGGED, cache), cache.conv_slope + cache.ctx_slope, strict=True):
+        assert pre.dtype == np.float32
         want, want_grad = _one_line_gelu(pre)
-        got, got_tanh = net_mod._gelu(pre)
+        got, got_slope = net_mod._gelu(pre, True)
         assert np.array_equal(got, want)
-        assert np.array_equal(got_tanh, tanh)
-        assert np.array_equal(net_mod._gelu_slope(pre, tanh), want_grad)
+        assert np.array_equal(got_slope, slope)
+        assert np.array_equal(slope, want_grad)
     dl = np.random.default_rng(3).normal(size=logits.shape)
     assert backward_batch(params, RAGGED, cache, dl).dtype == np.float64
 

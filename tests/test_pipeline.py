@@ -107,6 +107,19 @@ def test_generate_pseudo_labels_requires_unlabeled_pool():
         generate_pseudo_labels(params, net_cfg, labeled, 0.5, vocab)
 
 
+def test_generate_pseudo_labels_rejects_bad_threshold_before_decoding(monkeypatch):
+    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture(n_utterances=120)
+    params = init_parameters(net_cfg, seed=1)
+
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("decode_dataset ran before the threshold was checked")
+
+    monkeypatch.setattr("cptasr.train.decode_dataset", no_decoding)
+    for threshold in (1.5, -0.1):
+        with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\], got "):
+            generate_pseudo_labels(params, net_cfg, pool, threshold, vocab)
+
+
 def test_generate_pseudo_labels_raises_when_nothing_is_kept():
     labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture()
     params = init_parameters(net_cfg, seed=1)
