@@ -116,6 +116,7 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
     try:
         seed = check_field("seed", raw.get("seed", 0), "int")
         threshold = float(check_field("threshold", raw.get("threshold", 0.75), "float"))
+        pipeline._check_threshold(threshold)
         out_dir = Path(check_field("out_dir", raw.get("out_dir", "runs"), "str"))
         net_raw = check_field("net", raw.get("net", {}), "dict")
         synth_raw = check_field("synth", raw.get("synth", {}), "dict")
@@ -128,8 +129,10 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
     unknown = set(stage_raw) - set(STAGES)
     if unknown:
         raise ConfigError(f"unknown stage names {sorted(unknown)}; expected {STAGES}")
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold {threshold} outside [0, 1]")
+    path_keys = ("labeled", "unlabeled", "eval")
+    unknown = set(paths) - set(path_keys)
+    if unknown:  # a misspelt key would silently skip the checks its manifest gets
+        raise ConfigError(f"unknown paths keys {sorted(unknown)}; expected {path_keys}")
     synth = _checked("synth", SynthConfig, {"seed": seed + SEED_OFFSETS["synth"], **synth_raw})
     stages = {name: _checked(f"stages.{name}", StageConfig,
                              {**asdict(PRESETS[name]), "seed": seed + SEED_OFFSETS[name], **stage_raw.get(name, {})})

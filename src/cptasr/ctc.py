@@ -6,8 +6,11 @@ divided by their total and the scale coefficient 1 at the others (Graves
 et al., ICML 2006, section 4.1; Rabiner, Proc. IEEE 1989, section V.A), so
 a frame costs multiplies and adds. Where a frame's total of the alpha-beta
 product falls below ``_MIN_FRAME_MASS``, the rescaled values may have lost
-paths to underflow, and the whole batch is rerun in log space, which cannot
-underflow.
+paths to underflow, and only the recursion reruns, in log space, which
+cannot underflow. Both lattices then share one tail: each frame's
+posteriors are divided by that frame's total, and log Z is an offset (the
+logged masses, or the log-space shift of the last frame) plus the log of
+the last frame's total.
 """
 
 from __future__ import annotations
@@ -121,48 +124,6 @@ def _scaled_lattice(emit: np.ndarray, ext: np.ndarray) -> tuple[np.ndarray, np.n
     return np.ascontiguousarray(pre.transpose(2, 0, 1)), mass.T
 
 
-def _scaled_posteriors(
-    probs: np.ndarray,
-    rows: np.ndarray,
-    columns: np.ndarray,
-    rev_states: np.ndarray,
-    both_ext: np.ndarray,
-    lengths: np.ndarray,
-    frame_ok: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(log Z, per-frame-normalised posteriors) by :func:`_scaled_lattice`, or None where it may have underflowed.
-
-    Lattice m of the 2B (the members, then their flipped copies) reads its
-    emissions from row ``rows[m, t]`` and column ``columns[m, s]`` of a
-    flattened B x T x (C+1) table. None means that some member's
-    alpha-beta product had a valid frame whose total fell below
-    :data:`_MIN_FRAME_MASS`: paths it needed may have underflowed.
-    """
-    n_batch, n_frames, n_classes = probs.shape
-    table = np.zeros((n_batch, n_frames, n_classes + 1))
-    np.copyto(table[:, :, :n_classes], probs, where=frame_ok[:, :, None])
-    emit = np.take(table, rows[:, :, None] * (n_classes + 1) + columns[:, None, :])
-    pre, mass = _scaled_lattice(emit, both_ext)
-    # each cell's beta is its flipped partner's pre-emission value, and alpha is its own pre times its emission
-    n_states = both_ext.shape[1]
-    posterior = np.take(pre, (n_batch * n_frames + rows[n_batch:, :, None]) * n_states + rev_states[:, None, :])
-    posterior *= pre[:n_batch]
-    posterior *= emit[:n_batch]
-    del pre, emit
-    totals = posterior.sum(axis=2)
-    # a frame whose total is this small may have lost paths to underflow (see _scaled_lattice)
-    if not np.all(totals >= _MIN_FRAME_MASS, where=frame_ok):
-        return None
-    # log Z sums the logs of the masses a member's frames were divided by (1 at the frames that were
-    # not rescaled; all valid frames but its last) and of the last frame's total: its betas are 1 on
-    # the final blank and the final label
-    divided = np.arange(n_frames - 1) < lengths[:, None] - 1
-    log_z = np.sum(np.log(mass[:n_batch], out=np.zeros(divided.shape), where=divided), axis=1)
-    log_z += np.log(totals[np.arange(n_batch), lengths - 1])
-    posterior /= np.where(frame_ok, totals, 1.0)[:, :, None]
-    return log_z, posterior
-
-
 @dataclass(frozen=True, eq=False)
 class LabelPlan:
     """The blank-interleaved CTC targets of fixed label sequences, built once and read by row.
@@ -235,7 +196,7 @@ def ctc_loss_and_grad_batch(
     rescaled every ``_RESCALE_EVERY`` frames; if any member's alpha-beta
     product has a valid frame whose total falls below ``_MIN_FRAME_MASS``
     (1e-100, which takes log-probabilities far below zero, such as a label
-    whose probability underflows to 0), the whole batch reruns in log space.
+    whose probability underflows to 0), the lattice reruns in log space.
     loss_b = (1-s) * ctc_b + s * mean_u
     KL(uniform || softmax(logits_b,u)), with the mean over member b's
     frames and s = ``smoothing`` in [0, 1); s = 0 is plain CTC. The CTC
@@ -280,27 +241,44 @@ def ctc_loss_and_grad_batch(
     rows = np.concatenate([first_row + frames, first_row + rev_frames])  # 2B x T
     both_ext = np.concatenate([ext, plan.rev_ext])  # 2B x S
     columns = np.where(np.concatenate([state_ok, state_ok]), both_ext, n_classes)
+    # each cell's beta is its flipped partner's pre-emission value
+    beta_cells = (n_batch * n_frames + rows[n_batch:, :, None]) * ext.shape[1] + rev_states[:, None, :]
     probs = np.exp(log_probs)
-    scaled = _scaled_posteriors(probs, rows, columns, rev_states, both_ext, lengths, frame_ok)
-    if scaled is not None:
-        log_z, posterior = scaled
-    else:  # a frame's total fell below _MIN_FRAME_MASS: rerun the batch in log space, which cannot underflow
-        table = np.full((n_batch, n_frames, n_classes + 1), NEG_INF)
-        np.copyto(table[:, :, :n_classes], log_probs, where=frame_ok[:, :, None])
+    last = (np.arange(n_batch), lengths - 1)
+    # probability space first; if a frame's total falls below _MIN_FRAME_MASS, paths may have underflowed
+    # (see _scaled_lattice), and the lattice reruns in log space, which cannot underflow
+    for log_space in (False, True):
+        table = np.full((n_batch, n_frames, n_classes + 1), NEG_INF if log_space else 0.0)
+        np.copyto(table[:, :, :n_classes], log_probs if log_space else probs, where=frame_ok[:, :, None])
         emit = np.take(table, rows[:, :, None] * (n_classes + 1) + columns[:, None, :])
-        pre = _lattice(emit, both_ext)
-        alpha = pre[:n_batch] + emit[:n_batch]
-        # each cell's beta is its flipped partner's pre-emission value
-        beta = np.take(pre, (n_batch * n_frames + rows[n_batch:, :, None]) * ext.shape[1] + rev_states[:, None, :])
-
-        # a path ends in the final blank or the final label
-        last_frame = (np.arange(n_batch), lengths - 1)
-        final_label = np.where(n_states > 1, alpha[last_frame + (np.maximum(n_states - 2, 0),)], NEG_INF)
-        log_z = np.logaddexp(alpha[last_frame + (n_states - 1,)], final_label)
-
-        posterior = np.exp(alpha + beta - log_z[:, None, None])  # per lattice state; 0 on padding
-        # rounding in the recursion grows with |log Z|, so each frame is divided by its own total, not trusted to sum to 1
-        posterior /= np.where(frame_ok, posterior.sum(axis=2), 1.0)[:, :, None]
+        if log_space:
+            pre = _lattice(emit, both_ext)
+            posterior = np.take(pre, beta_cells)
+            posterior += pre[:n_batch]
+            posterior += emit[:n_batch]
+            # each valid frame is shifted by its largest cell, so its exponentials sum to at least 1
+            shift = np.where(frame_ok, posterior.max(axis=2), 0.0)
+            posterior -= shift[:, :, None]
+            np.exp(posterior, out=posterior)
+        else:
+            pre, mass = _scaled_lattice(emit, both_ext)
+            # alpha is each cell's pre-emission value times its emission
+            posterior = np.take(pre, beta_cells)
+            posterior *= pre[:n_batch]
+            posterior *= emit[:n_batch]
+        del pre, emit
+        totals = posterior.sum(axis=2)
+        if log_space or np.all(totals >= _MIN_FRAME_MASS, where=frame_ok):
+            break
+    if log_space:
+        offset = shift[last]
+    else:  # the logs of the masses a member's frames were divided by (1 at the frames not rescaled): all but its last
+        divided = np.arange(n_frames - 1) < lengths[:, None] - 1
+        offset = np.sum(np.log(mass[:n_batch], out=np.zeros(divided.shape), where=divided), axis=1)
+    # the last frame's betas are 1 (e^0) on the final blank and the final label, so its total is Z / e^offset
+    log_z = offset + np.log(totals[last])
+    # rounding in the recursion grows with |log Z|, so each frame is divided by its own total, not trusted to sum to 1
+    posterior /= np.where(frame_ok, totals, 1.0)[:, :, None]
     occupancy = posterior @ (ext[:, :, None] == np.arange(n_classes)).astype(np.float64)
     grad = probs - occupancy
     grad[~frame_ok] = 0.0

@@ -381,9 +381,7 @@ def save_checkpoint(theta: np.ndarray, cfg: NetConfig, path: str | Path) -> None
     parameter count; the vectors of ``init_parameters`` and ``train_stage``
     are float32-exact, so the blob stores them without rounding.
     """
-    size = _layout(cfg).size
-    if np.shape(theta) != (size,):
-        raise ValueError(f"parameter vector shape {np.shape(theta)} != expected ({size},)")
+    _layout(cfg).check(np.asarray(theta))
     cfg_blob = json.dumps(as_record(cfg), sort_keys=True).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -202,14 +202,36 @@ def test_pipeline_empty_pool_exit_code(run_config):
     assert main(["pipeline", "--config", str(cfg_path), "--threshold", "1.0"]) == EXIT_EMPTY_POOL
 
 
-def test_out_of_range_threshold_is_config_error_before_any_work(run_config):
+def test_out_of_range_threshold_is_config_error_before_any_work(run_config, capsys):
     cfg_path, out_dir = run_config
     main(["gen-data", "--config", str(cfg_path)])
     main(["split", "--config", str(cfg_path),
           "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"])
+    capsys.readouterr()
     assert main(["pipeline", "--config", str(cfg_path), "--threshold", "1.5"]) == EXIT_CONFIG
+    # the pipeline's own threshold rule and message
+    assert capsys.readouterr().err.startswith("config error: threshold must lie in [0, 1], got 1.5")
     assert not (out_dir / "labeler.ckpt").exists()
     assert main(["pseudolabel", "--config", str(cfg_path), "--threshold", "-0.1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: threshold must lie in [0, 1], got -0.1")
+
+
+def test_unknown_paths_key_is_config_error_before_any_work(run_config, capsys):
+    """A misspelt ``paths.eval`` would skip the check that the labeler does not train on the eval utterances."""
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["split", "--config", str(cfg_path),
+                 "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"]) == EXIT_OK
+    written = sorted(out_dir.rglob("*"))
+    cfg = json.loads(cfg_path.read_text())
+    cfg["paths"]["labeled"] = str(out_dir / "labeled.jsonl")  # the unsplit manifest, which holds the eval utterances
+    cfg["paths"]["evl"] = cfg["paths"].pop("eval")
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: unknown paths keys ['evl']; expected ('labeled', 'unlabeled', 'eval')")
+    assert sorted(out_dir.rglob("*")) == written
 
 
 @pytest.mark.parametrize("command", ["train-labeler", "pipeline"])

@@ -279,8 +279,9 @@ def test_flat_gathers_give_the_former_emissions_and_betas_bit_for_bit(batch):
         return pres[-1]
 
     def take_spy(*args, **kwargs):
-        taken.append(real_take(*args, **kwargs))
-        return taken[-1]
+        out = real_take(*args, **kwargs)
+        taken.append(out.copy())  # the kernel goes on to accumulate into the gathered betas
+        return out
 
     with _log_space_only(), mock.patch.object(ctc_mod, "_lattice", side_effect=lattice_spy) as spy, \
             mock.patch.object(np, "take", side_effect=take_spy):
@@ -355,6 +356,23 @@ def test_underflowing_batch_falls_back_to_log_space_bit_for_bit(case, smoothing)
     assert np.all(np.isfinite(losses)) and np.all(losses > 100.0)
     assert np.array_equal(losses, want_losses)
     assert np.array_equal(grad, want_grad)
+
+
+def test_natural_fallback_matches_closed_form_losses_and_gradient():
+    """Blank at logit 1000: a path's probability is e^-1000 per label frame, so Z counts the one-frame alignments.
+
+    "ab" in 12 frames has C(12, 2) = 66 of them and "b" in 9 frames has 9.
+    At frame t of member 0, `a` is emitted by the 11 - t alignments with `b`
+    later, and `b` by the t with `a` earlier; the softmax puts 1 on blank.
+    """
+    logits, lengths, labels = _extreme_batch("blank-1000")
+    with mock.patch.object(ctc_mod, "_lattice", wraps=ctc_mod._lattice) as spy:
+        losses, grad = ctc_loss_and_grad_batch(logits, lengths, labels)
+    assert spy.call_count == 1
+    np.testing.assert_allclose(losses, [2000.0 - math.log(66.0), 1000.0 - math.log(9.0)], rtol=1e-12)
+    t = np.arange(12)
+    want = np.stack([np.full(12, 11.0), -(11.0 - t), -t], axis=1) / 66.0
+    np.testing.assert_allclose(grad[0], want, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
