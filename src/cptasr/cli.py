@@ -195,6 +195,8 @@ def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.eval_count < 1:
+        raise ConfigError("eval_count must be >= 1")
     ds = load_manifest(Path(args.manifest), kind="labeled")
     train_ds, eval_ds = corpus.speaker_disjoint_split(ds, args.eval_count, cfg.seed + SEED_OFFSETS["split"])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,16 +1,17 @@
 """CTC loss, analytic gradient, and greedy decoding with confidence scoring.
 
 The forward-backward recursion over the blank-interleaved extended target
-runs in probability space, the alphas of every ``_RESCALE_EVERY``-th frame
-divided by their total and the scale coefficient 1 at the others (Graves
-et al., ICML 2006, section 4.1; Rabiner, Proc. IEEE 1989, section V.A), so
-a frame costs multiplies and adds. Where a frame's total of the alpha-beta
-product falls below ``_MIN_FRAME_MASS``, the rescaled values may have lost
-paths to underflow, and only the recursion reruns, in log space, which
-cannot underflow. Both lattices then share one tail: each frame's
-posteriors are divided by that frame's total, and log Z is an offset (the
-logged masses, or the log-space shift of the last frame) plus the log of
-the last frame's total.
+is one loop written for two number spaces. It runs in probability space,
+the alphas of every ``_RESCALE_EVERY``-th frame divided by their total and
+the scale coefficient 1 at the others (Graves et al., ICML 2006, section
+4.1; Rabiner, Proc. IEEE 1989, section V.A), so a frame costs multiplies
+and adds. Where a frame's total of the alpha-beta product falls below
+``_MIN_FRAME_MASS``, the rescaled values may have lost paths to underflow,
+and only the recursion reruns, in log space, which cannot underflow: the
+same loop with add for multiply, logaddexp for add and -inf for 0. Both
+passes then share one tail: each frame's posteriors are divided by that
+frame's total, and log Z is an offset (the logged masses, or the
+log-space shift of the last frame) plus the log of the last frame's total.
 """
 
 from __future__ import annotations
@@ -48,78 +49,55 @@ def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def _lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    """Pre-emission lattices in log space: pre[b, t, s] sums every path into state s at frame t, minus its emission.
+def _lattice(emit: np.ndarray, ext: np.ndarray, log_space: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-emission lattices: pre[b, t, s] sums every path into state s at frame t, minus its emission.
 
-    ``emit[b, t, s]`` is the log-probability of ``ext[b, s]`` at frame t of
-    member b. The alphas are ``pre + emit``; run on each member's lattice
-    reversed in frames and states, the same recursion gives the betas.
-    Padded cells must carry an emission of -inf. A path advances at most
-    two states per frame, so frame t computes only the states below 2t + 2;
-    the cells beyond stay -inf, as the full-width recursion would leave them.
-    The kernel runs this only when :func:`_scaled_lattice` may have
-    underflowed: it cannot underflow for finite log-probabilities, but its
-    two ``np.logaddexp`` calls per frame cost several times the rescaled
-    recursion.
+    ``emit[b, t, s]`` is the emission of ``ext[b, s]`` at frame t of member
+    b: its log-probability if ``log_space``, else its probability; padded
+    cells carry -inf or 0. The alphas are ``pre`` times ``emit``; run on
+    each member's lattice reversed in frames and states, the same recursion
+    gives the betas. A path advances at most two states per frame, so frame
+    t computes only the states below 2t + 2, and the cells beyond stay at
+    zero (-inf or 0). Returns (pre, mass). In probability space, for a frame
+    t < T-1 that is a multiple of :data:`_RESCALE_EVERY`, mass[b, t] is the
+    total of member b's alphas at frame t, and at the other frames it is 1;
+    pre[b, t] is then the lattice over the product of the masses of the
+    frames before t. A mass below :data:`_MIN_FRAME_MASS` (padded frames
+    have mass 0) is divided by that constant instead, so no frame divides
+    by zero and each rescaled frame's alphas sum to at most 1. An emission
+    is at most 1 and a state reads at most three states of the frame
+    before, so between rescalings the values grow at most 3x per frame:
+    every alpha and beta stays below 3^_RESCALE_EVERY, and what underflows
+    is a negligible share of any frame whose alpha-beta total passes the
+    ``_MIN_FRAME_MASS`` check. In log space the masses are all 1; it cannot
+    underflow for finite log-probabilities, but its two ``np.logaddexp``
+    calls per frame cost several times the multiplies and adds, so the
+    kernel runs it only where the probability-space lattice may have
+    underflowed.
     """
-    n_frames, n_states = emit.shape[1:]
-    # only a label (odd) state may skip from s-2: if it is non-blank and differs from the label two back
-    skip_cost = np.where((ext[:, 3::2] != 0) & (ext[:, 3::2] != ext[:, 1:-2:2]), 0.0, NEG_INF)
-
-    pre = np.full(emit.shape, NEG_INF)
-    pre[:, 0, :2] = 0.0
-    for t in range(1, n_frames):
-        reach = min(n_states, 2 * t + 2)
-        prev = pre[:, t - 1, :reach] + emit[:, t - 1, :reach]
-        acc = pre[:, t, :reach]
-        acc[:, 0] = prev[:, 0]
-        np.logaddexp(prev[:, 1:], prev[:, :-1], out=acc[:, 1:])
-        skips = acc[:, 3::2]
-        np.logaddexp(skips, prev[:, 1 : reach - 2 : 2] + skip_cost[:, : skips.shape[1]], out=skips)
-    return pre
-
-
-def _scaled_lattice(emit: np.ndarray, ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lattices of :func:`_lattice` in probability space, rescaled at every ``_RESCALE_EVERY``-th frame.
-
-    ``emit[b, t, s]`` is the probability of ``ext[b, s]`` at frame t of
-    member b, 0 in padded cells. Returns (pre, mass): for a frame t < T-1
-    that is a multiple of :data:`_RESCALE_EVERY`, mass[b, t] is the total of
-    member b's alphas at frame t, and at the other frames it is 1; pre[b, t]
-    is the recursion applied to frame t-1's alphas divided by mass[b, t-1],
-    so it is the pre-emission lattice over the product of the masses of the
-    frames before t. A frame takes a multiply, a shift-add and a masked
-    skip-add, within the ``2t + 2`` reach band of :func:`_lattice`, and a
-    rescaled frame also a row sum and a divide. A mass below
-    :data:`_MIN_FRAME_MASS` (padded frames have mass 0) is divided by that
-    constant instead, so no frame divides by zero and each rescaled frame's
-    alphas sum to at most 1. An emission is at most 1 and a state reads at
-    most three states of the frame before, so between rescalings the values
-    grow at most 3x per frame: every alpha and beta stays below
-    3^_RESCALE_EVERY, and what underflows is still a negligible share of any
-    frame whose alpha-beta total passes the ``_MIN_FRAME_MASS`` check.
-    """
+    times, plus = (np.add, np.logaddexp) if log_space else (np.multiply, np.add)
+    zero, one = (NEG_INF, 0.0) if log_space else (0.0, 1.0)
     n_members, n_frames, n_states = emit.shape
     # frames lead and members come last, so each frame is one contiguous S x B slab
     emit = np.ascontiguousarray(emit.transpose(1, 2, 0))
-    # 1 where state s may skip from s-2: a label (odd) state that is non-blank and differs from the
-    # label two back; the other states hold 0, so the skip-add runs over whole contiguous rows
-    skip = np.zeros((n_states, n_members))
-    skip[3::2] = ((ext[:, 3::2] != 0) & (ext[:, 3::2] != ext[:, 1:-2:2])).T
+    # `one` where state s may skip from s-2: a label (odd) state that is non-blank and differs from the
+    # label two back; the other states hold `zero`, so the skip term runs over whole contiguous rows
+    skip = np.full((n_states, n_members), zero)
+    skip[3::2] = np.where((ext[:, 3::2] != 0) & (ext[:, 3::2] != ext[:, 1:-2:2]), one, zero).T
 
-    pre = np.zeros(emit.shape)
-    pre[0, :2] = 1.0
+    pre = np.full(emit.shape, zero)
+    pre[0, :2] = one
     mass = np.ones((n_frames - 1, n_members))
-    # frame t-1's alphas sit below two rows of zeros, so state s reads s-1 and s-2 without edge cases
-    shifted = np.zeros((n_states + 2, n_members))
+    # frame t-1's alphas sit below two rows of `zero`, so state s reads s-1 and s-2 without edge cases
+    shifted = np.full((n_states + 2, n_members), zero)
     skipped, ones = np.empty((n_states, n_members)), np.ones(n_states)
     for t in range(1, n_frames):
         reach = min(n_states, 2 * t + 2)
-        prev = np.multiply(pre[t - 1, :reach], emit[t - 1, :reach], out=shifted[2 : reach + 2])
-        if (t - 1) % _RESCALE_EVERY == 0:
+        prev = times(pre[t - 1, :reach], emit[t - 1, :reach], out=shifted[2 : reach + 2])
+        if not log_space and (t - 1) % _RESCALE_EVERY == 0:
             prev /= np.maximum(np.dot(ones[:reach], prev, out=mass[t - 1]), _MIN_FRAME_MASS)
-        acc = np.add(prev, shifted[1 : reach + 1], out=pre[t, :reach])
-        acc += np.multiply(shifted[:reach], skip[:reach], out=skipped[:reach])
+        acc = plus(prev, shifted[1 : reach + 1], out=pre[t, :reach])
+        plus(acc, times(shifted[:reach], skip[:reach], out=skipped[:reach]), out=acc)
     del emit
     return np.ascontiguousarray(pre.transpose(2, 0, 1)), mass.T
 
@@ -246,26 +224,21 @@ def ctc_loss_and_grad_batch(
     probs = np.exp(log_probs)
     last = (np.arange(n_batch), lengths - 1)
     # probability space first; if a frame's total falls below _MIN_FRAME_MASS, paths may have underflowed
-    # (see _scaled_lattice), and the lattice reruns in log space, which cannot underflow
+    # (see _lattice), and the lattice reruns in log space, which cannot underflow
     for log_space in (False, True):
+        times = np.add if log_space else np.multiply
         table = np.full((n_batch, n_frames, n_classes + 1), NEG_INF if log_space else 0.0)
         np.copyto(table[:, :, :n_classes], log_probs if log_space else probs, where=frame_ok[:, :, None])
         emit = np.take(table, rows[:, :, None] * (n_classes + 1) + columns[:, None, :])
+        pre, mass = _lattice(emit, both_ext, log_space)
+        # alpha is each cell's pre-emission value times its emission
+        posterior = np.take(pre, beta_cells)
+        times(times(posterior, pre[:n_batch], out=posterior), emit[:n_batch], out=posterior)
         if log_space:
-            pre = _lattice(emit, both_ext)
-            posterior = np.take(pre, beta_cells)
-            posterior += pre[:n_batch]
-            posterior += emit[:n_batch]
             # each valid frame is shifted by its largest cell, so its exponentials sum to at least 1
             shift = np.where(frame_ok, posterior.max(axis=2), 0.0)
             posterior -= shift[:, :, None]
             np.exp(posterior, out=posterior)
-        else:
-            pre, mass = _scaled_lattice(emit, both_ext)
-            # alpha is each cell's pre-emission value times its emission
-            posterior = np.take(pre, beta_cells)
-            posterior *= pre[:n_batch]
-            posterior *= emit[:n_batch]
         del pre, emit
         totals = posterior.sum(axis=2)
         if log_space or np.all(totals >= _MIN_FRAME_MASS, where=frame_ok):

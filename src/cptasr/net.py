@@ -401,10 +401,10 @@ def save_checkpoint(theta: np.ndarray, cfg: NetConfig, path: str | Path) -> None
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+    """The next ``n`` bytes of ``fh``; a file with fewer left is truncated, and nothing is read or allocated."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise CheckpointError(f"{path}: truncated checkpoint while reading {what}")
-    return data
+    return fh.read(n)
 
 
 def load_checkpoint(path: str | Path, expect_cfg: NetConfig | None = None) -> tuple[np.ndarray, NetConfig]:
@@ -422,8 +422,9 @@ def load_checkpoint(path: str | Path, expect_cfg: NetConfig | None = None) -> tu
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "config length"))
+        raw_cfg = _read_exact(fh, cfg_len, path, "config")
         try:
-            cfg = NetConfig(**json.loads(_read_exact(fh, cfg_len, path, "config")))
+            cfg = NetConfig(**json.loads(raw_cfg))
         except (ValueError, TypeError) as exc:
             raise CheckpointError(f"{path}: invalid embedded config ({exc})") from None
         if expect_cfg is not None and cfg != expect_cfg:

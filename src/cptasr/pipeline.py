@@ -133,8 +133,12 @@ def generate_pseudo_labels(
 
 
 def _check_no_leak(labeled: Dataset, others: tuple[Dataset, ...], eval_ds: Dataset | None) -> None:
-    """Raise ValueError if ``labeled`` shares utterance ids with ``others`` or speakers with ``eval_ds``."""
-    overlap = {u.id for u in labeled}.intersection(u.id for other in others for u in other)
+    """Raise ValueError if two datasets share an utterance id, or ``labeled`` shares speakers with ``eval_ds``."""
+    seen, overlap = set(), set()
+    for ds in (labeled, *others):
+        ids = {u.id for u in ds}
+        overlap |= seen & ids
+        seen |= ids
     if overlap:
         raise ValueError(f"datasets share utterance ids: {sorted(overlap)[:3]}...")
     if eval_ds is not None and labeled.speakers() & eval_ds.speakers():

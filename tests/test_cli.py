@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import struct
 import time
 from dataclasses import replace
 from pathlib import Path, PurePosixPath
@@ -537,6 +538,21 @@ def test_eval_reads_the_vocabulary_beside_its_checkpoint(run_config, tmp_path):
     assert (scored / "eval_wer.json").read_bytes() == (piped / "final_wer.json").read_bytes()
 
 
+def test_eval_of_a_checkpoint_declaring_an_oversized_config_is_data_error(run_config, capsys):
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    ckpt = out_dir / "bad.ckpt"
+    net_cfg = NetConfig(feature_dim=32, vocab_size=6)
+    save_checkpoint(init_parameters(net_cfg, seed=0), net_cfg, ckpt)
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data[:8] + struct.pack("<I", 300_000_000) + data[12:])
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--manifest", str(out_dir / "labeled.jsonl")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {ckpt}: truncated checkpoint while reading config\n"
+    assert not (out_dir / "eval_wer.json").exists()
+
+
 def test_vocabulary_checkpoint_size_mismatch_is_data_error(run_config, capsys):
     cfg_path, out_dir = run_config
     assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
@@ -664,6 +680,35 @@ def test_pool_sharing_a_labeled_id_is_an_error_before_training(run_config, capsy
     assert capsys.readouterr().err.startswith("error: datasets share utterance ids")
     assert not (out_dir / "labeler.ckpt").exists()
     assert not (out_dir / "vocab.json").exists()
+
+
+def test_pool_holding_eval_utterances_is_an_error_before_training(run_config, capsys):
+    """CPT would train on pseudo-labels of the eval audio: the pool and eval must be disjoint too."""
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["split", "--config", str(cfg_path),
+                 "--manifest", str(out_dir / "labeled.jsonl"), "--eval-count", "8"]) == EXIT_OK
+    pool = load_manifest(out_dir / "unlabeled.jsonl")
+    eval_ds = load_manifest(out_dir / "eval.jsonl")
+    leaky = Dataset(pool.utterances + [replace(u, transcript=None) for u in eval_ds], "unlabeled")
+    save_manifest(leaky, out_dir / "unlabeled.jsonl")
+    capsys.readouterr()
+    assert main(["train-labeler", "--config", str(cfg_path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: datasets share utterance ids")
+    assert not (out_dir / "labeler.ckpt").exists()
+    assert not (out_dir / "vocab.json").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_split_with_a_non_positive_eval_count_is_config_error_before_reading(run_config, capsys, count):
+    cfg_path, out_dir = run_config
+    assert main(["gen-data", "--config", str(cfg_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["split", "--config", str(cfg_path), "--manifest", str(out_dir / "labeled.jsonl"),
+                 "--eval-count", count]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: eval_count must be >= 1\n"
+    assert not (out_dir / "train.jsonl").exists()
+    assert not (out_dir / "eval.jsonl").exists()
 
 
 def test_eval_manifest_of_the_wrong_width_is_data_error_before_training(run_config, capsys):

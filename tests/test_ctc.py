@@ -194,8 +194,8 @@ def test_lattice_posteriors_are_consistent_at_training_shapes(instance):
     ext = np.zeros(2 * len(target) + 1, dtype=np.intp)
     ext[1::2] = vocab.encode(target)
     emit = log_probs[:, ext]
-    alpha = ctc_mod._lattice(emit[None], ext[None])[0] + emit
-    beta = ctc_mod._lattice(emit[None, ::-1, ::-1], ext[None, ::-1])[0, ::-1, ::-1]
+    alpha = ctc_mod._lattice(emit[None], ext[None], True)[0][0] + emit
+    beta = ctc_mod._lattice(emit[None, ::-1, ::-1], ext[None, ::-1], True)[0][0, ::-1, ::-1]
     # every path passes through exactly one state per frame
     per_frame = np.logaddexp.reduce(alpha + beta, axis=1)
     np.testing.assert_allclose(per_frame, log_z, rtol=0, atol=1e-9)
@@ -252,6 +252,11 @@ def _log_space_only():
     return mock.patch.object(ctc_mod, "_MIN_FRAME_MASS", math.inf)
 
 
+def _spaces(spy):
+    """The ``log_space`` argument of each call a spy on ``_lattice`` saw, in call order."""
+    return [c.args[2] for c in spy.call_args_list]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_ragged_batch())
 def test_lattice_matches_full_width_recursion_bit_for_bit(batch):
@@ -260,8 +265,9 @@ def test_lattice_matches_full_width_recursion_bit_for_bit(batch):
     vocab = Vocabulary(symbols)
     with _log_space_only(), mock.patch.object(ctc_mod, "_lattice", wraps=ctc_mod._lattice) as spy:
         ctc_loss_and_grad_batch(logits, lengths, [vocab.encode(t) for t in targets])
-    (emit, ext), _ = spy.call_args  # the members' lattices, then the same lattices flipped
-    assert np.array_equal(ctc_mod._lattice(emit, ext), _full_width_lattice(emit, ext))
+    (emit, ext, log_space), _ = spy.call_args  # the members' lattices, then the same lattices flipped
+    assert log_space
+    assert np.array_equal(ctc_mod._lattice(emit, ext, True)[0], _full_width_lattice(emit, ext))
 
 
 @settings(max_examples=200, deadline=None)
@@ -274,9 +280,11 @@ def test_flat_gathers_give_the_former_emissions_and_betas_bit_for_bit(batch):
     real_lattice, real_take = ctc_mod._lattice, np.take
     pres, taken = [], []
 
-    def lattice_spy(emit, ext):
-        pres.append(real_lattice(emit, ext))
-        return pres[-1]
+    def lattice_spy(emit, ext, log_space):
+        out = real_lattice(emit, ext, log_space)
+        if log_space:
+            pres.append(out[0])
+        return out
 
     def take_spy(*args, **kwargs):
         out = real_take(*args, **kwargs)
@@ -286,7 +294,7 @@ def test_flat_gathers_give_the_former_emissions_and_betas_bit_for_bit(batch):
     with _log_space_only(), mock.patch.object(ctc_mod, "_lattice", side_effect=lattice_spy) as spy, \
             mock.patch.object(np, "take", side_effect=take_spy):
         ctc_loss_and_grad_batch(logits, lengths, labels)
-    (emit, ext), _ = spy.call_args
+    (emit, ext, _), _ = spy.call_args
     emissions, betas = taken[-2:]  # the fallback's gathers come after the probability-space attempt's
 
     # the former construction: per-axis gathers, a -inf mask, a 3-index flip and a concatenation
@@ -319,7 +327,7 @@ def test_scaled_kernel_matches_log_space_kernel(batch, smoothing):
     with warnings.catch_warnings(), mock.patch.object(ctc_mod, "_lattice", wraps=ctc_mod._lattice) as spy:
         warnings.simplefilter("error")
         losses, grad = ctc_loss_and_grad_batch(logits, lengths, labels, smoothing)
-    assert spy.call_count == 0
+    assert _spaces(spy) == [False]
     with _log_space_only():
         want_losses, want_grad = ctc_loss_and_grad_batch(logits, lengths, labels, smoothing)
     # relative to the loss, or absolute where the loss is below 1: a near-certain path has a loss near 0
@@ -350,7 +358,7 @@ def test_underflowing_batch_falls_back_to_log_space_bit_for_bit(case, smoothing)
     logits, lengths, labels = _extreme_batch(case)
     with mock.patch.object(ctc_mod, "_lattice", wraps=ctc_mod._lattice) as spy:
         losses, grad = ctc_loss_and_grad_batch(logits, lengths, labels, smoothing)
-    assert spy.call_count == 1
+    assert _spaces(spy) == [False, True]
     with _log_space_only():
         want_losses, want_grad = ctc_loss_and_grad_batch(logits, lengths, labels, smoothing)
     assert np.all(np.isfinite(losses)) and np.all(losses > 100.0)
@@ -368,7 +376,7 @@ def test_natural_fallback_matches_closed_form_losses_and_gradient():
     logits, lengths, labels = _extreme_batch("blank-1000")
     with mock.patch.object(ctc_mod, "_lattice", wraps=ctc_mod._lattice) as spy:
         losses, grad = ctc_loss_and_grad_batch(logits, lengths, labels)
-    assert spy.call_count == 1
+    assert _spaces(spy) == [False, True]
     np.testing.assert_allclose(losses, [2000.0 - math.log(66.0), 1000.0 - math.log(9.0)], rtol=1e-12)
     t = np.arange(12)
     want = np.stack([np.full(12, 11.0), -(11.0 - t), -t], axis=1) / 66.0
@@ -394,8 +402,8 @@ def test_scaled_lattice_is_the_per_frame_normalised_log_space_lattice(batch):
     frame_ok = np.arange(n_frames) < lengths[:, None]
     state_ok = np.arange(ext.shape[1]) < n_states[:, None]
     emit[~(frame_ok[:, :, None] & state_ok[:, None, :])] = -np.inf
-    want = ctc_mod._lattice(emit, ext)
-    got, mass = ctc_mod._scaled_lattice(np.exp(emit), ext)
+    want = ctc_mod._lattice(emit, ext, True)[0]
+    got, mass = ctc_mod._lattice(np.exp(emit), ext, False)
     assert np.all(got[want == -np.inf] == 0.0) and np.all(got[want > -np.inf] > 0.0)
     live = np.any(want > -np.inf, axis=2)  # the valid frames and the one after each member's last
     want_frames = np.exp(want[live] - np.logaddexp.reduce(want[live], axis=1, keepdims=True))
@@ -466,7 +474,7 @@ def test_stage_plan_rows_take_the_log_space_fallback_bit_for_bit(case, smoothing
     plan = LabelPlan.build([[1, 2] * 80] + labels, 3)
     with mock.patch.object(ctc_mod, "_lattice", wraps=ctc_mod._lattice) as spy:
         losses, grad = ctc_loss_and_grad_batch(logits, lengths, plan.rows([1, 2]), smoothing)
-    assert spy.call_count == 1
+    assert _spaces(spy) == [False, True]
     want_losses, want_grad = ctc_loss_and_grad_batch(logits, lengths, labels, smoothing)
     assert np.array_equal(losses, want_losses)
     assert np.array_equal(grad, want_grad)

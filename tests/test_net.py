@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -502,6 +503,22 @@ def test_checkpoint_v3_truncated_blob_is_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])  # one float32 short
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+def test_config_length_past_the_end_of_the_file_is_truncation_read_without_allocating_it(tmp_path):
+    """A corrupt header declaring a 100 MB config in a small file fails before any buffer of that size exists."""
+    path = _v3_file(tmp_path, init_parameters(TINY, seed=8))
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + struct.pack("<I", 100_000_000) + data[12:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError) as caught:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == f"{path}: truncated checkpoint while reading config"
+    assert peak < 1_000_000
 
 
 def test_checkpoint_v3_trailing_byte_is_rejected(tmp_path):

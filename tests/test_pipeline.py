@@ -1,6 +1,7 @@
 """Pseudo-label filtering and the staged pipeline's contracts."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,6 +187,20 @@ def test_pipeline_rejects_id_overlap_and_speaker_leak():
          for i, u in enumerate(labeled.utterances[:3])], "labeled")
     with pytest.raises(ValueError, match="speaker"):
         run_cpt_pipeline(labeled, pool, bad_eval, s1, s2, s3, net_cfg, 0.5, vocab)
+
+
+def test_pipeline_rejects_eval_utterances_in_the_pool_before_training(monkeypatch):
+    """CPT would train on pseudo-labels of the eval audio: no two of the run's datasets may share an id."""
+    labeled, pool, eval_ds, truth, vocab, net_cfg = _pipeline_fixture(n_utterances=120)
+    s1, s2, s3 = _quick_stages()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_stage ran before the datasets were checked")
+
+    monkeypatch.setattr("cptasr.train.train_stage", no_training)
+    leaky_pool = Dataset(pool.utterances + [replace(u, transcript=None) for u in eval_ds], "unlabeled")
+    with pytest.raises(ValueError, match="share utterance ids"):
+        run_cpt_pipeline(labeled, leaky_pool, eval_ds, s1, s2, s3, net_cfg, 0.5, vocab)
 
 
 def test_baseline_rejects_eval_speaker_in_labeled_data():

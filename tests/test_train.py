@@ -346,12 +346,11 @@ def test_default_net_epoch_on_long_transcripts_never_takes_the_log_space_fallbac
     assert min(chars) >= 20 and np.median(chars) <= 30
     net_cfg = NetConfig(feature_dim=cfg.feature_dim, vocab_size=vocab.size)
     stage = _stage(epochs=1, dropout_rate=0.1, label_smoothing=0.1)
-    with mock.patch.object(train_mod.ctc, "_lattice", wraps=train_mod.ctc._lattice) as log_space, \
-            mock.patch.object(train_mod.ctc, "_scaled_lattice", wraps=train_mod.ctc._scaled_lattice) as scaled:
+    with mock.patch.object(train_mod.ctc, "_lattice", wraps=train_mod.ctc._lattice) as spy:
         _, history = train_stage(init_parameters(net_cfg, seed=0), net_cfg, train_ds, val_ds, stage, vocab)
     assert history.skipped_utterances == 0
-    assert scaled.call_count == math.ceil(len(train_ds) / stage.batch_size)
-    assert log_space.call_count == 0
+    # the lattice's log_space argument, once per training step
+    assert [c.args[2] for c in spy.call_args_list] == [False] * math.ceil(len(train_ds) / stage.batch_size)
 
 
 def test_epoch_records_count_the_clipped_steps(monkeypatch):
