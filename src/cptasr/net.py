@@ -113,7 +113,6 @@ class ForwardCache:
     """
 
     lengths: np.ndarray  # output frames U_b of each member
-    valid: np.ndarray  # B x max(U_b) mask of the padded logit rows that hold a member's frame
     conv_patches: list[np.ndarray] = field(default_factory=list)  # each conv layer's input, one patch per row
     conv_slope: list[np.ndarray] = field(default_factory=list)  # each conv layer's GELU slope at its pre-activation
     window_rows: np.ndarray | None = None  # gapped rows of each packed frame's context window
@@ -121,17 +120,6 @@ class ForwardCache:
     ctx_slope: list[np.ndarray] = field(default_factory=list)  # each context layer's GELU slope at its pre-activation
     ctx_masks: list[np.ndarray | None] = field(default_factory=list)
     head_input: np.ndarray | None = None
-
-
-def float32_exact(arr: np.ndarray) -> np.ndarray:
-    """Round to the nearest float32 value, returned as float64.
-
-    Initial weights pass through this projection, and training keeps its
-    float64 master vector on float32 values, so every parameter is exact
-    in float32: the network computes in float32 on a copy without loss, and
-    the float32 checkpoint format round-trips bit-exactly.
-    """
-    return arr.astype(np.float32).astype(np.float64)
 
 
 def parameter_shapes(cfg: NetConfig) -> dict[str, tuple[int, ...]]:
@@ -194,17 +182,17 @@ def tensor_name(cfg: NetConfig, index: int) -> str:
 
 
 def init_parameters(cfg: NetConfig, seed: int) -> np.ndarray:
-    """One float64 parameter vector: fan-in-scaled uniform weights, zero biases; deterministic given seed.
+    """One float32 parameter vector: fan-in-scaled uniform weights, zero biases; deterministic given seed.
 
-    Each weight tensor is drawn in ``parameter_shapes`` order and rounded
-    through :func:`float32_exact`; :func:`unflatten` gives named views.
+    Each weight tensor is drawn in float64 in ``parameter_shapes`` order and
+    rounded to float32 as it is assigned; :func:`unflatten` gives named views.
     """
     rng = np.random.default_rng(seed)
-    theta = np.zeros(_layout(cfg).size)
+    theta = np.zeros(_layout(cfg).size, np.float32)
     for name, tensor in unflatten(cfg, theta).items():
         if not name.endswith("_b"):
             bound = 1.0 / np.sqrt(tensor.shape[1])
-            tensor[...] = float32_exact(rng.uniform(-bound, bound, size=tensor.shape))
+            tensor[...] = rng.uniform(-bound, bound, size=tensor.shape)
     return theta
 
 
@@ -275,8 +263,7 @@ def _forward(
     layout.check(theta)
     dtype = theta.dtype
     x = np.concatenate([f[: u * cfg.downsample_factor] for f, u in zip(feats, n)], dtype=dtype)
-    valid = np.arange(n.max()) < n[:, None]
-    cache = ForwardCache(lengths=n, valid=valid) if keep else None
+    cache = ForwardCache(lengths=n) if keep else None
 
     for i, stride in enumerate(layout.strides):
         patches = x.reshape(-1, stride * x.shape[1])
@@ -312,7 +299,7 @@ def _forward(
         x = x + act
 
     logits = np.zeros((len(n), n.max(), cfg.vocab_size + 1), dtype)
-    logits[valid] = x @ layout.view(theta, "head_w").T + layout.view(theta, "head_b")
+    logits[np.arange(n.max()) < n[:, None]] = x @ layout.view(theta, "head_w").T + layout.view(theta, "head_b")
     if cache is not None:
         cache.window_rows = window_rows
         cache.head_input = x
@@ -332,7 +319,7 @@ def backward_batch(theta: np.ndarray, cfg: NetConfig, cache: ForwardCache, dlogi
     layout = _layout(cfg)
     layout.check(theta)
     dlogits = np.asarray(dlogits)
-    valid = cache.valid
+    valid = np.arange(cache.lengths.max()) < cache.lengths[:, None]
     if cache.head_input is None or dlogits.shape != valid.shape + (cfg.vocab_size + 1,):
         raise ValueError(f"dlogits shape {dlogits.shape} does not match the cached forward pass")
     dtype = cache.head_input.dtype
@@ -379,7 +366,7 @@ def save_checkpoint(theta: np.ndarray, cfg: NetConfig, path: str | Path) -> None
     The config implies every tensor's name and shape, so the blob carries
     no per-tensor records. ``theta`` must hold exactly the config's
     parameter count; the vectors of ``init_parameters`` and ``train_stage``
-    are float32-exact, so the blob stores them without rounding.
+    are float32, so the blob stores them without rounding.
     """
     _layout(cfg).check(np.asarray(theta))
     cfg_blob = json.dumps(as_record(cfg), sort_keys=True).encode("utf-8")

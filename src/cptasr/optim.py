@@ -109,7 +109,8 @@ class OptState:
 
     @classmethod
     def zeros_like(cls, theta: np.ndarray) -> "OptState":
-        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
+        """Zero float64 moments shaped like ``theta``, whatever its dtype."""
+        return cls(m=np.zeros(theta.shape), v=np.zeros(theta.shape))
 
 
 def adamw_step(
@@ -122,9 +123,11 @@ def adamw_step(
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * WEIGHT_DECAY * theta.
     ``theta``, ``state.m`` and ``state.v`` are overwritten and ``state.step``
-    advances; ``grads`` is only read. Each element goes through the same
-    operations in the same order as the textbook expression, so the result
-    is bit-identical to it. Two vectors of scratch live for the call only.
+    advances; ``grads`` is only read. The step runs in float64 on a float64
+    copy of ``theta``, each element through the same operations in the same
+    order as the textbook expression, and is written back once, so a float32
+    ``theta`` receives that float64 result rounded once. Three vectors of
+    scratch live for the call only.
     """
     if grads.shape != theta.shape:
         raise ValueError(f"gradient shape {grads.shape} != parameter shape {theta.shape}")
@@ -143,7 +146,9 @@ def adamw_step(
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     scratch /= denom  # the Adam update
-    np.multiply(theta, lr * WEIGHT_DECAY, out=denom)  # the decay, from the old theta
-    theta -= scratch
-    theta -= denom
+    new = theta.astype(np.float64)
+    np.multiply(new, lr * WEIGHT_DECAY, out=denom)  # the decay, from the old theta
+    new -= scratch
+    new -= denom
+    theta[...] = new
     state.step = t

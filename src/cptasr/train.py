@@ -133,15 +133,14 @@ def train_stage(
     top pad to ``HEAP_TOP_PAD`` (process-wide and idempotent; nothing
     happens where ``mallopt`` is missing), so the temporaries one step frees
     serve the next instead of being faulted in afresh; no number changes.
-    The master is a float64 copy of ``start``, which AdamW updates in place
-    with float64 moments; the network computes in float32 on a float32
-    copy of it. The transcripts are encoded once (an out-of-vocabulary
-    character raises ValueError naming the utterance) into one
-    :class:`ctc.LabelPlan` per stage, whose build checks their label ranges
-    and whose ``needed`` alone decides what trains: an utterance with fewer
-    downsampled frames is skipped with a warning, more than
-    ``MAX_SKIP_FRACTION`` skipped raises ValueError, and the rest train on
-    the plan cut to their rows. Each epoch shuffles the data by (stage
+    The parameters train as one float32 copy of ``start`` (rounded, if
+    ``start`` holds a value float32 lacks). The transcripts are encoded once
+    (an out-of-vocabulary character raises ValueError naming the utterance)
+    into one :class:`ctc.LabelPlan` per stage, whose build checks their
+    label ranges and whose ``needed`` alone decides what trains: an
+    utterance with fewer downsampled frames is skipped with a warning, more
+    than ``MAX_SKIP_FRACTION`` skipped raises ValueError, and the rest train
+    on the plan cut to their rows. Each epoch shuffles the data by (stage
     seed, epoch) and runs each batch through one packed
     :func:`net.forward_batch` (member ``pos`` of batch ``b`` draws its
     ``stage.dropout_rate`` masks from ``[stage.seed, epoch, b, pos]``), one
@@ -151,9 +150,8 @@ def train_stage(
     by the member count, and a non-finite result raises
     ``FloatingPointError`` naming its tensor. The vector is clipped to
     ``optim.GRAD_CLIP_NORM`` (each epoch's record counts the steps it
-    clipped) and stepped by AdamW under the warmup/decay schedule, then
-    rounded to float32 into the copy and written back, so the master
-    stays float32-representable and checkpoints round-trip bit-exactly.
+    clipped) and stepped by AdamW under the warmup/decay schedule, in
+    float64 with float64 moments and rounded once into the float32 vector.
     ``start`` is not modified. Validation WER is measured after every
     epoch, in float32; training stops once ``stage.patience`` consecutive
     epochs fail to improve the best WER (patience None disables early
@@ -192,15 +190,14 @@ def train_stage(
     plan = plan.rows(kept)
 
     _keep_freed_heap()
-    theta = start.astype(np.float64)  # the master, a copy even when start is float64
-    theta32 = theta.astype(np.float32)
+    theta = start.astype(np.float32)  # a copy even when start is float32
     state = optim.OptState.zeros_like(theta)
     batches_per_epoch = math.ceil(len(usable) / stage.batch_size)
     total_steps = stage.epochs * batches_per_epoch
 
     history = TrainHistory(skipped_utterances=len(skipped))
     best_wer = math.inf
-    best = theta32.copy()
+    best = theta.copy()
     bad_epochs = 0
 
     for epoch in range(1, stage.epochs + 1):
@@ -211,13 +208,13 @@ def train_stage(
             members = order[b * stage.batch_size : (b + 1) * stage.batch_size]
             batch = [usable[idx] for idx in members]
             logits, cache = net.forward_batch(
-                theta32, cfg, [utt.features for utt in batch],
+                theta, cfg, [utt.features for utt in batch],
                 dropout_rate=stage.dropout_rate, seeds=[[stage.seed, epoch, b, pos] for pos in range(len(batch))],
             )
             losses, dlogits = ctc.ctc_loss_and_grad_batch(logits, cache.lengths, plan.rows(members),
                                                           stage.label_smoothing)
             epoch_loss += float(np.sum(losses))
-            grads = net.backward_batch(theta32, cfg, cache, dlogits)
+            grads = net.backward_batch(theta, cfg, cache, dlogits)
             grads /= len(batch)
             del logits, cache, dlogits  # free this batch's activations before the next forward pass
             if not np.all(np.isfinite(grads)):
@@ -227,10 +224,8 @@ def train_stage(
             clipped += scale < 1.0
             lr = optim.lr_at(state.step, total_steps, stage)
             optim.adamw_step(theta, grads, state, lr)
-            theta32[:] = theta  # round the master to float32 for the network,
-            theta[:] = theta32  # and keep the master on those values
 
-        val_report = evaluate_wer(theta32, cfg, val, vocab)
+        val_report = evaluate_wer(theta, cfg, val, vocab)
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss / len(usable),
@@ -244,7 +239,7 @@ def train_stage(
 
         if record.val_wer < best_wer:
             best_wer = record.val_wer
-            best[:] = theta32
+            best[:] = theta
             history.best_epoch = epoch
             bad_epochs = 0
         else:

@@ -139,7 +139,7 @@ def test_criterion_2_gradient_audits():
 
     audit_cfg = NetConfig(feature_dim=5, vocab_size=3, downsample_factor=2, conv_layers=2,
                           conv_channels=6, context_layers=2, hidden_dim=8, context_window=1)
-    theta = init_parameters(audit_cfg, seed=1)
+    theta = init_parameters(audit_cfg, seed=1).astype(np.float64)
     n_params = theta.size
     assert n_params <= 2000
     x = rng.normal(size=(9, audit_cfg.feature_dim))

@@ -18,7 +18,6 @@ from cptasr.net import (
     InputTooShortError,
     NetConfig,
     backward_batch,
-    float32_exact,
     forward_batch,
     infer_batch,
     init_parameters,
@@ -158,7 +157,7 @@ def test_backward_shape_mismatch_rejected():
 
 
 def _audit_config_gradients(cfg: NetConfig, dropout_rate: float, seed) -> None:
-    theta = init_parameters(cfg, seed=1)
+    theta = init_parameters(cfg, seed=1).astype(np.float64)
     assert theta.size <= 2000
     rng = np.random.default_rng(11)
     x = rng.normal(size=(9, cfg.feature_dim))
@@ -198,7 +197,7 @@ def _ragged_features(lengths, seed=0):
 
 @pytest.mark.parametrize("dropout", [False, True])
 def test_packed_pass_matches_single_utterance_passes(dropout):
-    params = init_parameters(RAGGED, seed=2)
+    params = init_parameters(RAGGED, seed=2).astype(np.float64)
     feats = _ragged_features([6, 31, 13, 47, 12, 17])
     seeds = [[4, 1, 0, pos] for pos in range(len(feats))]
     rate = RAGGED_DROPOUT if dropout else 0.0
@@ -231,7 +230,7 @@ def test_no_frame_sees_another_utterance():
 
 @pytest.mark.parametrize("cfg", [RAGGED, NetConfig(feature_dim=4, vocab_size=3)], ids=["strides-2-3", "strides-2-2"])
 def test_frames_past_the_last_output_frame_are_cropped(cfg):
-    params = init_parameters(cfg, seed=3).astype(np.float32)
+    params = init_parameters(cfg, seed=3)
     feats = _ragged_features([6, 31, 13, 47, 12, 17, 9], seed=4)
     seeds = [[7, pos] for pos in range(len(feats))]
     logits, cache = forward_batch(params, cfg, feats, dropout_rate=0.1, seeds=seeds)
@@ -251,7 +250,7 @@ def test_frames_past_the_last_output_frame_are_cropped(cfg):
 
 
 def test_packed_backward_finite_difference_audit_with_dropout():
-    theta = init_parameters(RAGGED, seed=1)
+    theta = init_parameters(RAGGED, seed=1).astype(np.float64)
     assert theta.size <= 2000
     feats = _ragged_features([13, 7, 20], seed=11)
     seeds = [[2, 5, pos] for pos in range(3)]
@@ -326,7 +325,7 @@ def test_backward_leaves_its_cache_untouched(rate, dtype):
     feats = _ragged_features([6, 31, 13, 47, 12, 17])
     logits, cache = forward_batch(params, RAGGED, feats, dropout_rate=rate, seeds=[[5, pos] for pos in range(6)])
     before = copy.deepcopy(_cached_arrays(cache))
-    assert len(before) == 4 + 2 * RAGGED.conv_layers + (3 if rate else 2) * RAGGED.context_layers
+    assert len(before) == 3 + 2 * RAGGED.conv_layers + (3 if rate else 2) * RAGGED.context_layers
     for pre, slope in zip(_pre_activations(params, RAGGED, cache), cache.conv_slope + cache.ctx_slope, strict=True):
         assert np.array_equal(slope, _one_line_gelu(pre)[1])
     dl = np.random.default_rng(9).normal(size=logits.shape)
@@ -355,7 +354,7 @@ def test_cache_free_pass_gives_the_forward_logits_bit_for_bit(cfg, dtype):
 
 @pytest.mark.parametrize("rate", [0.0, 0.1])
 def test_float32_parameters_keep_the_pass_in_float32(rate):
-    params = init_parameters(RAGGED, seed=2).astype(np.float32)
+    params = init_parameters(RAGGED, seed=2)
     feats = _ragged_features([6, 31, 13, 47, 12, 17])
     seeds = [[4, 1, 0, pos] for pos in range(len(feats))]
     logits, cache = forward_batch(params, RAGGED, feats, dropout_rate=rate, seeds=seeds)
@@ -378,7 +377,7 @@ def test_float32_parameters_keep_the_pass_in_float32(rate):
 
 def test_float32_pass_agrees_with_float64_pass():
     cfg = NetConfig(feature_dim=32, vocab_size=27)
-    params = init_parameters(cfg, seed=4)
+    params = init_parameters(cfg, seed=4).astype(np.float64)
     rng = np.random.default_rng(5)
     feats = [rng.normal(scale=2.0, size=(t, cfg.feature_dim)).astype(np.float32)
              for t in (215, 97, 260, 40, 181, 133)]
@@ -446,13 +445,6 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     loaded, _ = load_checkpoint(path, expect_cfg=TINY)
     np.testing.assert_array_equal(loaded, params)
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
-
-
-def test_float32_exact_projection_is_idempotent():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(5, 5))
-    once = float32_exact(x)
-    np.testing.assert_array_equal(float32_exact(once), once)
 
 
 def test_checkpoint_corrupt_magic(tmp_path):
@@ -583,12 +575,12 @@ def test_init_parameters_equals_the_per_tensor_draws(cfg, seed):
     tensors = {}
     for name, shape in parameter_shapes(cfg).items():
         if name.endswith("_b"):
-            tensors[name] = np.zeros(shape)
+            tensors[name] = np.zeros(shape, np.float32)
         else:
             bound = 1.0 / np.sqrt(shape[1])
-            tensors[name] = float32_exact(rng.uniform(-bound, bound, size=shape))
+            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     theta = init_parameters(cfg, seed)
-    assert theta.dtype == np.float64
+    assert theta.dtype == np.float32
     views = unflatten(cfg, theta)
     assert list(views) == list(tensors)
     for name, tensor in tensors.items():

@@ -161,6 +161,24 @@ def test_adamw_in_place_matches_out_of_place_formulas_bit_for_bit():
         assert state.step == t
 
 
+def test_adamw_on_float32_rounds_the_float64_step_once():
+    """A float32 vector takes the float64 step rounded to float32 once, with float64 moments, bit for bit."""
+    rng = np.random.default_rng(21)
+    theta = rng.normal(size=5000).astype(np.float32)
+    state = OptState.zeros_like(theta)
+    assert state.m.dtype == state.v.dtype == np.float64
+    want = theta.astype(np.float64)
+    want_state = OptState.zeros_like(want)
+    for _ in range(3):
+        grads = rng.normal(scale=1e-2, size=5000)
+        adamw_step(theta, grads, state, lr=1e-3)
+        adamw_step(want, grads, want_state, lr=1e-3)
+        assert theta.dtype == np.float32
+        assert theta.tobytes() == want.astype(np.float32).tobytes()
+        want = want.astype(np.float32).astype(np.float64)  # the float64 step starts from the rounded vector
+        assert np.array_equal(state.m, want_state.m) and np.array_equal(state.v, want_state.v)
+
+
 def test_adamw_shape_mismatch_rejected():
     theta = np.zeros(3)
     state = OptState.zeros_like(theta)

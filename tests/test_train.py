@@ -149,6 +149,19 @@ def test_trained_parameters_are_float32_and_reload_bit_exact(tmp_path):
     assert confidences[0] == confidences[1]
 
 
+def test_float64_start_trains_as_its_float32_copy():
+    """train_stage keeps one float32 vector, so a float32-exact float64 start gives the same run byte for byte."""
+    train_ds, val_ds, vocab, net_cfg = _small_task(n_utts=24)
+    stage = _stage(epochs=2, dropout_rate=0.1)
+    start = init_parameters(net_cfg, seed=0)
+    assert start.dtype == np.float32
+    p32, h32 = train_stage(start, net_cfg, train_ds, val_ds, stage, vocab)
+    p64, h64 = train_stage(start.astype(np.float64), net_cfg, train_ds, val_ds, stage, vocab)
+    assert p32.dtype == p64.dtype == np.float32
+    assert p32.tobytes() == p64.tobytes()
+    assert h32.to_dict(with_timing=False) == h64.to_dict(with_timing=False)
+
+
 def test_training_is_reproducible():
     train_ds, val_ds, vocab, net_cfg = _small_task()
     stage = _stage(epochs=3, dropout_rate=0.2)
@@ -309,7 +322,7 @@ def test_evaluate_wer_perfect_and_empty_decodes():
 def test_chunked_decode_matches_single_utterance_decodes():
     train_ds, _, vocab, net_cfg = _small_task(n_utts=40)
     assert len(train_ds) > train_mod.DECODE_CHUNK  # crosses a chunk boundary
-    params = init_parameters(net_cfg, seed=3)
+    params = init_parameters(net_cfg, seed=3).astype(np.float64)
     for utt, dec in zip(train_ds, decode_dataset(params, net_cfg, train_ds, vocab)):
         logits, cache = forward_batch(params, net_cfg, [utt.features])
         single = greedy_decode_batch(logits, cache.lengths, vocab)[0]
@@ -319,7 +332,7 @@ def test_chunked_decode_matches_single_utterance_decodes():
 
 def test_decode_dataset_builds_no_forward_cache(monkeypatch):
     train_ds, _, vocab, net_cfg = _small_task(n_utts=40)
-    params = init_parameters(net_cfg, seed=3).astype(np.float32)
+    params = init_parameters(net_cfg, seed=3)
     real_cache = train_mod.net.ForwardCache
     built = []
 
